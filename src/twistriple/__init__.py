@@ -71,7 +71,6 @@ from .linalg import (
     ToleranceConfig,
     commutant_dimension,
     commutator,
-    conj_by_antiunitary,
     operator_norm,
     solve_linear_family,
 )

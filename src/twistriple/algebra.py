@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, commutator
+from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, commutator
 
 __all__ = ["Representation", "embed", "projection_e", "check_bimodule_relation", "permute"]
 
@@ -73,7 +73,7 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
     By linearity it suffices to test a = e.
     """
     e = projection_e(rep)
-    de = commutator(np.asarray(d, dtype=complex), e)
+    de = commutator(_as_square(d), e)
     one = np.eye(rep.dim, dtype=complex)
     return float(np.linalg.norm(e @ de - de @ (one - e))) < tol.abs_tol
 

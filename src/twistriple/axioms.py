@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Antiunitary,
     ToleranceConfig,
+    _as_square,
     commutator,
     commutant_dimension,
     operator_norm,
@@ -32,6 +33,8 @@ __all__ = [
     "SpectralTriple",
     "CheckEntry",
     "CheckReport",
+    "order_one_residual",
+    "epsilon_prime_residual",
     "check_order_zero",
     "check_twisted_order_one",
     "check_epsilon_prime",
@@ -71,14 +74,14 @@ class Twist:
     the represented algebra; when it is not set, nu^2 = id is required
     instead (the only admissible relaxation). Both are verified by check_all,
     not at construction, so that broken twists can be used as negative
-    fixtures.
+    fixtures; only shape and finiteness are enforced here.
     """
 
     nu: np.ndarray
     implements_algebra_automorphism: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", np.asarray(self.nu, dtype=complex))
+        object.__setattr__(self, "nu", _as_square(self.nu))
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,12 @@ class SpectralTriple:
         d = np.asarray(self.dirac, dtype=complex)
         if d.shape != (self.rep.dim, self.rep.dim):
             raise ValueError("Dirac operator dimension does not match the representation")
-        object.__setattr__(self, "dirac", d)
+        object.__setattr__(self, "dirac", _as_square(d))
         if self.grading is not None:
             g = np.asarray(self.grading, dtype=complex)
             if g.shape != d.shape:
                 raise ValueError("grading dimension mismatch")
-            object.__setattr__(self, "grading", g)
+            object.__setattr__(self, "grading", _as_square(g))
 
     @property
     def dim(self) -> int:
@@ -185,30 +188,39 @@ def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> C
     return CheckEntry("order_zero", worst, tol.abs_tol)
 
 
+def order_one_residual(dirac: np.ndarray, j: Antiunitary, nu: np.ndarray,
+                       basis: list[np.ndarray]) -> float:
+    """Worst ||[D,a] J nu^-2 b nu^2 J^-1 - J b J^-1 [D,a]|| over basis pairs (a, b)."""
+    nu2 = nu @ nu
+    nu2_inv = np.linalg.inv(nu2)
+    worst = 0.0
+    for a in basis:
+        da = commutator(dirac, a)
+        for b in basis:
+            lhs = da @ j.conjugate(nu2_inv @ b @ nu2)
+            rhs = j.conjugate(b) @ da
+            worst = max(worst, operator_norm(lhs - rhs))
+    return worst
+
+
+def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
+                           eps_prime: int) -> np.ndarray:
+    """D U conj(nu) - eps' nu U conj(D), which vanishes iff D J nu = eps' nu J D."""
+    return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
+
+
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
     real = _require_real(t)
-    nu2 = t.nu @ t.nu
-    nu2_inv = np.linalg.inv(nu2)
-    basis = t.algebra_basis()
-    worst = 0.0
-    for a in basis:
-        da = commutator(t.dirac, a)
-        for b in basis:
-            lhs = da @ real.j.conjugate(nu2_inv @ b @ nu2)
-            rhs = real.j.conjugate(b) @ da
-            worst = max(worst, operator_norm(lhs - rhs))
-    return CheckEntry("twisted_order_one", worst, tol.abs_tol)
+    residual = order_one_residual(t.dirac, real.j, t.nu, t.algebra_basis())
+    return CheckEntry("twisted_order_one", residual, tol.abs_tol)
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D)."""
     real = _require_real(t)
-    u = real.j.u
-    nu = t.nu
-    lhs = t.dirac @ u @ np.conj(nu)
-    rhs = real.signs.eps_prime * nu @ u @ np.conj(t.dirac)
-    return CheckEntry("epsilon_prime", operator_norm(lhs - rhs), tol.abs_tol)
+    residual = epsilon_prime_residual(t.dirac, real.j.u, t.nu, real.signs.eps_prime)
+    return CheckEntry("epsilon_prime", operator_norm(residual), tol.abs_tol)
 
 
 def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:

@@ -19,12 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, embed, projection_e
-from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
+from .algebra import REP_C2, REP_C3, REP_C4, Representation, embed, projection_e
+from .axioms import (
+    RealStructure,
+    SignTriple,
+    SpectralTriple,
+    Twist,
+    epsilon_prime_residual,
+    order_one_residual,
+)
 from .conformal import ConformalFactor, rescale
 from .linalg import (
     DEFAULT_TOL,
@@ -75,13 +82,122 @@ NU4_PERM_BAD = np.block([[np.zeros((2, 2)), np.eye(2)],  # swaps the two 2-block
                          [np.eye(2), np.zeros((2, 2))]]).astype(complex)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """Everything the catalog knows about one family.
+
+    twist is the fixed twist (None when untwisted, or when the twist is the
+    rho-dependent conformal one). slots name the Dirac entries that
+    identify_family reports. defect measures how far a solver basis member
+    is from the closed-form relations; families without a constraint
+    derivation (the conformal ones) have none. orbit maps (d1, d2, phi) to
+    the fluctuated parameters and distance maps (params, phi) to the
+    denominator of the fluctuated distance.
+    """
+
+    rep: Representation
+    gamma: np.ndarray
+    u: np.ndarray
+    twist: Optional[Twist]
+    slots: tuple[tuple[str, tuple[int, int]], ...]
+    orbit: Callable[[complex, complex, complex], tuple[complex, complex]]
+    distance: Callable[[dict, complex], float]
+    conformal: bool = False
+    free_params: tuple[str, ...] = ()
+    constraints: tuple[str, ...] = ()
+    defect: Optional[Callable[[int, np.ndarray], float]] = None
+
+    @property
+    def dim(self) -> int:
+        return self.rep.dim
+
+    @property
+    def nu(self) -> np.ndarray:
+        if self.twist is None:
+            return np.eye(self.dim, dtype=complex)
+        return self.twist.nu
+
+
+def _scale_both(d1: complex, d2: complex, phi: complex) -> tuple[complex, complex]:
+    return ((1.0 - phi) * d1, (1.0 - phi) * d2)
+
+
+def _perm_c3_factor(phi: complex) -> complex:
+    return 1.0 - phi - np.conj(phi)
+
+
+def _c4_distance(p: dict, phi: complex) -> float:
+    return abs(1.0 - phi) * max(abs(p["d1"]), abs(p["d2"]))
+
+
+_C4_SLOTS = (("d1", (0, 2)), ("d2", (1, 3)))
+
+_FAMILIES = {
+    C3_UNTWISTED: _Family(
+        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None,
+        slots=(("d1", (0, 2)), ("d3_slot", (0, 1))),
+        orbit=lambda d1, d2, phi: ((1.0 - phi) * d1, d2),
+        distance=lambda p, phi: abs(1.0 - phi) * abs(p["d1"]),
+        free_params=("d1",),
+        constraints=("d3 = eps'*conj(d1)",),
+        defect=lambda eps, b: abs(b[0, 1] - eps * np.conj(b[0, 2])),
+    ),
+    C3_PERM: _Family(
+        rep=REP_C3, gamma=GAMMA3, u=U3,
+        twist=Twist(NU3_PERM, implements_algebra_automorphism=False),
+        slots=(("d1", (0, 2)), ("d2", (0, 1))),
+        orbit=lambda d1, d2, phi: (_perm_c3_factor(phi) * d1, d2),
+        distance=lambda p, phi: max(abs(_perm_c3_factor(phi)) * abs(p["d1"]), abs(p["d2"])),
+        free_params=("d1", "d2"),
+        constraints=("conj(d1) = eps'*d1", "conj(d2) = eps'*d2"),
+        defect=lambda eps, b: float(operator_norm(np.conj(b) - eps * b)),
+    ),
+    C4_UNTWISTED: _Family(
+        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None,
+        slots=_C4_SLOTS + (("d3_slot", (0, 1)), ("d4_slot", (2, 3))),
+        orbit=_scale_both,
+        distance=_c4_distance,
+        free_params=("d1", "d2"),
+        constraints=("d3 = eps'*conj(d1)", "d4 = eps'*conj(d2)"),
+        defect=lambda eps, b: max(abs(b[0, 1] - eps * np.conj(b[0, 2])),
+                                  abs(b[2, 3] - eps * np.conj(b[1, 3]))),
+    ),
+    C4_PERM: _Family(
+        rep=REP_C4, gamma=GAMMA4, u=U4,
+        twist=Twist(NU4_PERM, implements_algebra_automorphism=True),
+        slots=_C4_SLOTS,
+        orbit=_scale_both,
+        distance=_c4_distance,
+        free_params=("d1", "d2"),
+        constraints=("d3 = eps'*d2", "d4 = eps'*d1"),
+        defect=lambda eps, b: max(abs(b[0, 1] - eps * b[1, 3]),
+                                  abs(b[2, 3] - eps * b[0, 2])),
+    ),
+    C3_CONFORMAL: _Family(
+        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None, conformal=True,
+        slots=(("hop1", (0, 2)), ("offdiag", (0, 1))),
+        orbit=_scale_both,
+        distance=lambda p, phi: abs(1.0 - phi) * abs(p["hop1"]),
+    ),
+    C4_CONFORMAL: _Family(
+        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None, conformal=True,
+        slots=(("hop1", (0, 2)), ("hop2", (1, 3)), ("offdiag1", (0, 1)), ("offdiag2", (2, 3))),
+        orbit=_scale_both,
+        distance=lambda p, phi: abs(1.0 - phi) * max(abs(p["hop1"]), abs(p["hop2"])),
+    ),
+}
+
+_PERM_BAD_TWIST = Twist(NU4_PERM_BAD, implements_algebra_automorphism=True)
+
+
+def _family(family_id: str) -> _Family:
+    if family_id not in _FAMILIES:
+        raise ValueError(f"unknown family {family_id!r}")
+    return _FAMILIES[family_id]
+
+
 class CatalogConstraintError(ValueError):
     """Parameters violate the family's reality constraint."""
-
-
-def _real_structure(u: np.ndarray, eps_prime: int) -> RealStructure:
-    return RealStructure(j=Antiunitary(u.copy()),
-                         signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
 
 
 def _hermitian_from_slots(dim: int, slots: dict[tuple[int, int], complex]) -> np.ndarray:
@@ -92,12 +208,16 @@ def _hermitian_from_slots(dim: int, slots: dict[tuple[int, int], complex]) -> np
     return d
 
 
-def _check_epsilon_relation(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
-                            eps_prime: int, relation: str):
-    residual = operator_norm(dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac))
-    scale = 1.0 + operator_norm(dirac)
-    if residual > 1e-12 * scale:
+def _build(fam: _Family, dirac: np.ndarray, eps_prime: int, twist: Optional[Twist],
+           relation: str) -> SpectralTriple:
+    """The family's triple with this Dirac, checked against the epsilon' relation."""
+    real = RealStructure(j=Antiunitary(fam.u.copy()),
+                         signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
+    triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=twist)
+    residual = operator_norm(epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime))
+    if residual > 1e-12 * (1.0 + operator_norm(triple.dirac)):
         raise CatalogConstraintError(f"parameters violate {relation} (residual {residual:.3e})")
+    return triple
 
 
 def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
@@ -111,24 +231,15 @@ def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
     eps_prime = int(eps_prime)
     d1 = complex(d1)
     if twist == "none":
-        derived = eps_prime * np.conj(d1)
-        slot = derived if d2 is None else complex(d2)
-        dirac = _hermitian_from_slots(3, {(0, 1): slot, (0, 2): d1})
-        triple = SpectralTriple(rep=REP_C3, dirac=dirac, grading=GAMMA3,
-                                real=_real_structure(U3, eps_prime))
-        _check_epsilon_relation(dirac, U3, np.eye(3, dtype=complex), eps_prime,
-                                "d3 = eps'*conj(d1)")
-        return triple
-    if twist == "perm":
-        d2c = 0j if d2 is None else complex(d2)
-        dirac = _hermitian_from_slots(3, {(0, 1): d2c, (0, 2): d1})
-        triple = SpectralTriple(rep=REP_C3, dirac=dirac, grading=GAMMA3,
-                                real=_real_structure(U3, eps_prime),
-                                twist=Twist(NU3_PERM, implements_algebra_automorphism=False))
-        _check_epsilon_relation(dirac, U3, NU3_PERM, eps_prime,
-                                "conj(d1) = eps'*d1 and conj(d2) = eps'*d2")
-        return triple
-    raise ValueError(f"unknown C^3 twist {twist!r}")
+        fam = _FAMILIES[C3_UNTWISTED]
+        slot = eps_prime * np.conj(d1) if d2 is None else complex(d2)
+    elif twist == "perm":
+        fam = _FAMILIES[C3_PERM]
+        slot = 0j if d2 is None else complex(d2)
+    else:
+        raise ValueError(f"unknown C^3 twist {twist!r}")
+    dirac = _hermitian_from_slots(3, {(0, 1): slot, (0, 2): d1})
+    return _build(fam, dirac, eps_prime, fam.twist, " and ".join(fam.constraints))
 
 
 def build_c4(eps_prime: int, d1: complex, d2: Optional[complex] = None,
@@ -148,33 +259,18 @@ def build_c4(eps_prime: int, d1: complex, d2: Optional[complex] = None,
         d2 = eps_prime * np.conj(d1) if twist == "perm_bad" else 0j
     d2 = complex(d2)
     if twist == "none":
-        dirac = _hermitian_from_slots(4, {
-            (0, 1): eps_prime * np.conj(d1),
-            (0, 2): d1,
-            (1, 3): d2,
-            (2, 3): eps_prime * np.conj(d2),
-        })
-        triple = SpectralTriple(rep=REP_C4, dirac=dirac, grading=GAMMA4,
-                                real=_real_structure(U4, eps_prime))
-        _check_epsilon_relation(dirac, U4, np.eye(4, dtype=complex), eps_prime,
-                                "d3 = eps'*conj(d1), d4 = eps'*conj(d2)")
-        return triple
-    if twist in ("perm", "perm_bad"):
-        dirac = _hermitian_from_slots(4, {
-            (0, 1): eps_prime * d2,
-            (0, 2): d1,
-            (1, 3): d2,
-            (2, 3): eps_prime * d1,
-        })
-        nu = NU4_PERM if twist == "perm" else NU4_PERM_BAD
-        triple = SpectralTriple(rep=REP_C4, dirac=dirac, grading=GAMMA4,
-                                real=_real_structure(U4, eps_prime),
-                                twist=Twist(nu, implements_algebra_automorphism=True))
-        relation = ("d3 = eps'*d2, d4 = eps'*d1" if twist == "perm"
-                    else "d1 = eps'*conj(d2) (block-swap reality condition)")
-        _check_epsilon_relation(dirac, U4, nu, eps_prime, relation)
-        return triple
-    raise ValueError(f"unknown C^4 twist {twist!r}")
+        fam = _FAMILIES[C4_UNTWISTED]
+        upper = {(0, 1): eps_prime * np.conj(d1), (2, 3): eps_prime * np.conj(d2)}
+    elif twist in ("perm", "perm_bad"):
+        fam = _FAMILIES[C4_PERM]
+        upper = {(0, 1): eps_prime * d2, (2, 3): eps_prime * d1}
+    else:
+        raise ValueError(f"unknown C^4 twist {twist!r}")
+    dirac = _hermitian_from_slots(4, {(0, 2): d1, (1, 3): d2, **upper})
+    if twist == "perm_bad":
+        return _build(fam, dirac, eps_prime, _PERM_BAD_TWIST,
+                      "d1 = eps'*conj(d2) (block-swap reality condition)")
+    return _build(fam, dirac, eps_prime, fam.twist, ", ".join(fam.constraints))
 
 
 def build_conformal(space: str, eps_prime: int, d1: complex, d2: complex = 0j,
@@ -203,8 +299,8 @@ def build_c4_perm_conformal_composite(eps_prime: int, d1: complex, d2: complex,
     k_j = base.real.j.conjugate(k_alg)
     nu_conf = np.linalg.inv(k_alg) @ k_j
     dirac = k_j @ base.dirac @ k_j
-    return SpectralTriple(rep=REP_C4, dirac=dirac, grading=GAMMA4, real=base.real,
-                          twist=Twist(nu_conf @ NU4_PERM, implements_algebra_automorphism=True))
+    return SpectralTriple(rep=REP_C4, dirac=dirac, grading=base.grading, real=base.real,
+                          twist=Twist(nu_conf @ base.nu, implements_algebra_automorphism=True))
 
 
 @dataclass(frozen=True)
@@ -220,48 +316,6 @@ class DiracFamily:
         return len(self.basis)
 
 
-def _epsilon_constraint(u: np.ndarray, nu: np.ndarray, eps_prime: int):
-    def f(d: np.ndarray) -> np.ndarray:
-        return d @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(d)
-    return f
-
-
-def _gamma_constraint(gamma: np.ndarray):
-    def f(d: np.ndarray) -> np.ndarray:
-        return gamma @ d + d @ gamma
-    return f
-
-
-_FAMILY_SETUP = {
-    C3_UNTWISTED: (3, GAMMA3, U3, lambda: np.eye(3, dtype=complex)),
-    C3_PERM: (3, GAMMA3, U3, lambda: NU3_PERM),
-    C4_UNTWISTED: (4, GAMMA4, U4, lambda: np.eye(4, dtype=complex)),
-    C4_PERM: (4, GAMMA4, U4, lambda: NU4_PERM),
-}
-
-
-def _closed_form_defect(family_id: str, eps_prime: int, b: np.ndarray) -> float:
-    if family_id == C3_UNTWISTED:
-        return abs(b[0, 1] - eps_prime * np.conj(b[0, 2]))
-    if family_id == C3_PERM:
-        return float(operator_norm(np.conj(b) - eps_prime * b))
-    if family_id == C4_UNTWISTED:
-        return max(abs(b[0, 1] - eps_prime * np.conj(b[0, 2])),
-                   abs(b[2, 3] - eps_prime * np.conj(b[1, 3])))
-    if family_id == C4_PERM:
-        return max(abs(b[0, 1] - eps_prime * b[1, 3]),
-                   abs(b[2, 3] - eps_prime * b[0, 2]))
-    raise ValueError(f"no constraint derivation for family {family_id!r}")
-
-
-_FAMILY_CLOSED_FORMS = {
-    C3_UNTWISTED: (("d1",), ("d3 = eps'*conj(d1)",)),
-    C3_PERM: (("d1", "d2"), ("conj(d1) = eps'*d1", "conj(d2) = eps'*d2")),
-    C4_UNTWISTED: (("d1", "d2"), ("d3 = eps'*conj(d1)", "d4 = eps'*conj(d2)")),
-    C4_PERM: (("d1", "d2"), ("d3 = eps'*d2", "d4 = eps'*d1")),
-}
-
-
 def derive_family(family_id: str, eps_prime: int,
                   tol: ToleranceConfig = DEFAULT_TOL) -> DiracFamily:
     """Solve the grading and reality constraints for the Dirac family.
@@ -270,23 +324,23 @@ def derive_family(family_id: str, eps_prime: int,
     checked against the family's closed-form entry relations, so the solver
     and the closed forms validate each other.
     """
-    if family_id not in _FAMILY_SETUP:
+    fam = _FAMILIES.get(family_id)
+    if fam is None or fam.defect is None:
         raise ValueError(f"no constraint derivation for family {family_id!r}")
     eps_prime = int(eps_prime)
     if eps_prime not in (1, -1):
         raise ValueError("eps' must be +1 or -1")
-    dim, gamma, u, nu_of = _FAMILY_SETUP[family_id]
-    nu = nu_of()
+    gamma, u, nu = fam.gamma, fam.u, fam.nu
     basis = solve_linear_family(
-        [_gamma_constraint(gamma), _epsilon_constraint(u, nu, eps_prime)], dim, tol)
+        [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps_prime)],
+        fam.dim, tol)
     for b in basis:
-        defect = _closed_form_defect(family_id, eps_prime, b)
+        defect = fam.defect(eps_prime, b)
         if defect > 1e-12:
             raise AssertionError(
                 f"solver basis violates the closed-form relation for {family_id} (defect {defect:.3e})")
-    free, constraints = _FAMILY_CLOSED_FORMS[family_id]
-    return DiracFamily(family_id=family_id, eps_prime=eps_prime, free_params=free,
-                       constraints=constraints, basis=tuple(basis))
+    return DiracFamily(family_id=family_id, eps_prime=eps_prime, free_params=fam.free_params,
+                       constraints=fam.constraints, basis=tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -342,18 +396,7 @@ def scan_c2_nonexistence(trials: int, seed: int,
                 shapes.append(label)
             j = Antiunitary(u)
             total_pairs += 1
-            worst_over_twists = []
-            for nu in nu_candidates:
-                nu2 = nu @ nu
-                nu2_inv = np.linalg.inv(nu2)
-                residual = 0.0
-                for a in basis:
-                    da = commutator(d, a)
-                    for b in basis:
-                        lhs = da @ j.conjugate(nu2_inv @ b @ nu2)
-                        rhs = j.conjugate(b) @ da
-                        residual = max(residual, operator_norm(lhs - rhs))
-                worst_over_twists.append(residual)
+            worst_over_twists = [order_one_residual(d, j, nu, basis) for nu in nu_candidates]
             if min(worst_over_twists) > tol.abs_tol:
                 failures += 1
     return ScanReport(trials=trials, failures_of_order_one=failures,
@@ -367,34 +410,12 @@ def fluctuation_orbit_params(family_id: str, d1: complex, d2: complex,
 
     c3_untwisted has a single free parameter; d2 is passed through untouched.
     """
-    d1 = complex(d1)
-    d2 = complex(d2)
-    phi = complex(phi)
-    if family_id == C3_UNTWISTED:
-        return ((1.0 - phi) * d1, d2)
-    if family_id == C3_PERM:
-        return ((1.0 - phi - np.conj(phi)) * d1, d2)
-    if family_id in (C4_UNTWISTED, C4_PERM, C3_CONFORMAL, C4_CONFORMAL):
-        return ((1.0 - phi) * d1, (1.0 - phi) * d2)
-    raise ValueError(f"unknown family {family_id!r}")
+    return _family(family_id).orbit(complex(d1), complex(d2), complex(phi))
 
 
 def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> float:
     """Distance of the phi-fluctuated family member, in closed form."""
-    phi = complex(phi)
-    scale = abs(1.0 - phi)
-    if family_id == C3_UNTWISTED:
-        denom = scale * abs(params["d1"])
-    elif family_id == C3_PERM:
-        denom = max(abs(1.0 - phi - np.conj(phi)) * abs(params["d1"]), abs(params["d2"]))
-    elif family_id in (C4_UNTWISTED, C4_PERM):
-        denom = scale * max(abs(params["d1"]), abs(params["d2"]))
-    elif family_id == C3_CONFORMAL:
-        denom = scale * abs(params["hop1"])
-    elif family_id == C4_CONFORMAL:
-        denom = scale * max(abs(params["hop1"]), abs(params["hop2"]))
-    else:
-        raise ValueError(f"unknown family {family_id!r}")
+    denom = _family(family_id).distance(params, complex(phi))
     if denom < DEFAULT_TOL.rank_tol:
         return math.inf
     return 1.0 / denom
@@ -423,35 +444,28 @@ def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:
     return float(rho)
 
 
+def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) -> Optional[dict]:
+    """Parameters the twist contributes if it has the family's shape, else None."""
+    if fam.conformal:
+        rho = None if twist is None else _conformal_rho(twist.nu, tol)
+        return None if rho is None else {"rho": rho}
+    if fam.twist is None:
+        return {} if twist is None else None
+    return {} if twist is not None and _matches(twist.nu, fam.twist.nu, tol) else None
+
+
 def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[tuple[str, dict]]:
     """Recognise a catalog shape, returning (family_id, parameters) or None."""
     if t.real is None or t.grading is None:
         return None
-    d = t.dirac
-    if t.dim == 3:
-        if t.rep != REP_C3 or not _matches(t.grading, GAMMA3, tol) or not _matches(t.real.j.u, U3, tol):
+    for family_id, fam in _FAMILIES.items():
+        if t.rep != fam.rep:
+            continue
+        params = _twist_params(fam, t.twist, tol)
+        if params is None:
+            continue
+        if not _matches(t.grading, fam.gamma, tol) or not _matches(t.real.j.u, fam.u, tol):
             return None
-        if t.twist is None:
-            return (C3_UNTWISTED, {"d1": complex(d[0, 2]), "d3_slot": complex(d[0, 1])})
-        if _matches(t.twist.nu, NU3_PERM, tol):
-            return (C3_PERM, {"d1": complex(d[0, 2]), "d2": complex(d[0, 1])})
-        rho = _conformal_rho(t.twist.nu, tol)
-        if rho is not None:
-            return (C3_CONFORMAL, {"rho": rho, "hop1": complex(d[0, 2]),
-                                   "offdiag": complex(d[0, 1])})
-        return None
-    if t.dim == 4:
-        if t.rep != REP_C4 or not _matches(t.grading, GAMMA4, tol) or not _matches(t.real.j.u, U4, tol):
-            return None
-        params = {"d1": complex(d[0, 2]), "d2": complex(d[1, 3]),
-                  "d3_slot": complex(d[0, 1]), "d4_slot": complex(d[2, 3])}
-        if t.twist is None:
-            return (C4_UNTWISTED, params)
-        if _matches(t.twist.nu, NU4_PERM, tol):
-            return (C4_PERM, {"d1": params["d1"], "d2": params["d2"]})
-        rho = _conformal_rho(t.twist.nu, tol)
-        if rho is not None:
-            return (C4_CONFORMAL, {"rho": rho, "hop1": params["d1"], "hop2": params["d2"],
-                                   "offdiag1": params["d3_slot"], "offdiag2": params["d4_slot"]})
-        return None
+        params.update((name, complex(t.dirac[i, j])) for name, (i, j) in fam.slots)
+        return (family_id, params)
     return None

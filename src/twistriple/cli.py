@@ -9,6 +9,7 @@ tolerance and --json switches reports to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import Optional
@@ -35,16 +36,17 @@ class CliError(Exception):
 
 
 def _parse_complex(text: str) -> complex:
-    """Complex literal 're,im'; a bare real part is accepted as 're,0'."""
+    """Finite complex literal 're,im'; a bare real part is accepted as 're,0'."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*map(float, parts)) if len(parts) <= 2 else None
     except ValueError:
-        pass
-    raise CliError(f"cannot parse complex literal {text!r}; expected 're,im'")
+        z = None
+    if z is None:
+        raise CliError(f"cannot parse complex literal {text!r}; expected 're,im'")
+    if not cmath.isfinite(z):
+        raise CliError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _fmt_complex(z: complex) -> str:

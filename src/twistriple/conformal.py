@@ -45,8 +45,8 @@ class ConformalFactor:
     def __post_init__(self):
         if self.side not in (SIDE_ALGEBRA, SIDE_COMMUTANT):
             raise ValueError(f"unknown side {self.side!r}")
-        if not self.zeta > 0:
-            raise ValueError("overall scale must be positive")
+        if not 0 < self.zeta < np.inf:
+            raise ValueError("overall scale must be positive and finite")
         margin = DEFAULT_TOL.rank_tol
         if not (margin < self.rho < 1.0 - margin):
             raise ValueError("rho must lie strictly inside (0, 1)")

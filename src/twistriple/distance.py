@@ -70,8 +70,10 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
 
     Each sampled element is rescaled onto the constraint boundary (the
     derivative norms are linear in c_+ - c_-). A generic (c_+, c_-) sampler
-    runs first as a sanity layer, then directional samples. Matrix norms here
-    use LAPACK so the oracle shares nothing with operator_norm.
+    runs first as a sanity layer, then directional samples. The oracle's
+    independence comes from sampling the algebra instead of using the
+    closed-form derivative of e; its matrix norms are the same LAPACK norm
+    as operator_norm.
     """
     if t.rep.n_points != 2:
         raise ValueError("two-point representations only")

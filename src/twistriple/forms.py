@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import projection_e
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, commutator, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, commutator, operator_norm
 
 __all__ = [
     "OneForm",
@@ -108,25 +108,18 @@ def _omega1_span(t: SpectralTriple) -> np.ndarray:
     return np.array([(e @ de).ravel(), ((one - e) @ de).ravel()])
 
 
-def _span_rank(rows: np.ndarray, rank_tol: float) -> int:
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0:
-        return 0
-    cutoff = rank_tol * (s[0] if s[0] > rank_tol else 1.0)
-    return int(np.sum(s > cutoff))
-
-
 def omega1_equal(t1: SpectralTriple, t2: SpectralTriple,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether span{e[D,e], (1-e)[D,e]} agrees for the two Dirac operators."""
     if t1.rep != t2.rep:
         raise ValueError("triples live on different representations")
+
+    def rank(rows: np.ndarray) -> int:
+        return _rank(np.linalg.svd(rows, compute_uv=False), tol.rank_tol)
+
     s1 = _omega1_span(t1)
     s2 = _omega1_span(t2)
-    r1 = _span_rank(s1, tol.rank_tol)
-    r2 = _span_rank(s2, tol.rank_tol)
-    r12 = _span_rank(np.vstack([s1, s2]), tol.rank_tol)
-    return r1 == r2 == r12
+    return rank(s1) == rank(s2) == rank(np.vstack([s1, s2]))
 
 
 def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,

@@ -83,6 +83,13 @@ def test_bimodule_relation_c3_catalog_shape():
     assert check_bimodule_relation(REP_C3, d)
 
 
+def test_bimodule_relation_rejects_non_finite_dirac():
+    d = np.zeros((3, 3), dtype=complex)
+    d[0, 2] = d[2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        check_bimodule_relation(REP_C3, d)
+
+
 def test_bimodule_relation_trivial_for_projection():
     assert check_bimodule_relation(REP_C3, projection_e(REP_C3))
 

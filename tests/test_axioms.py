@@ -241,3 +241,27 @@ def test_catalog_generators_leave_a_two_dimensional_commutant():
     assert not is_irreducible(t)
     t4 = build_c4(1, 1.0, 2.0)
     assert not is_irreducible(t4)
+
+
+# ------------------------------------------------------- boundary validation
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_constructors_reject_non_finite_entries(bad):
+    # the kernels do not check finiteness, so every constructor must
+    t = build_c3(1, 1.0, twist="perm")
+    poisoned = t.dirac.copy()
+    poisoned[0, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        t.with_dirac(poisoned)
+    grading = t.grading.copy()
+    grading[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpectralTriple(rep=t.rep, dirac=t.dirac, grading=grading)
+    nu = NU3_PERM.copy()
+    nu[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Twist(nu, implements_algebra_automorphism=False)
+    u = t.real.j.u.copy()
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Antiunitary(u)

@@ -79,6 +79,16 @@ def test_build_c4_perm_bad_constraint_enforced():
         build_c4(1, 1.0, 2.0, twist="perm_bad")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_builders_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError):
+        build_c3(1, bad)
+    with pytest.raises(ValueError):
+        build_c3(1, 1.0, bad, twist="perm")
+    with pytest.raises(ValueError):
+        build_c4(1, 1.0, complex(0.0, bad))
+
+
 def test_build_rejects_unknown_twist():
     with pytest.raises(ValueError):
         build_c3(1, 1.0, twist="perm_bad")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from twistriple.cli import main
 from twistriple.documents import load
 
@@ -116,6 +118,25 @@ def test_fluctuate_bad_phi_literal(tmp_path, capsys):
     main(["catalog", "c3", "--d1", "1,0", "-o", str(base)])
     code, _, err = run(capsys, "fluctuate", str(base), "--phi", "half")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "c3", "--d1", "nan"),
+    ("catalog", "c4", "--d1", "1,0", "--d2", "0,inf"),
+    ("catalog", "c3", "--twist", "conformal", "--d1", "1,0", "--rho", "0.5", "--zeta", "inf"),
+    ("fluctuate", "{base}", "--phi", "nan"),
+    ("fluctuate", "{base}", "--phi", "0,-inf", "--chiral"),
+    ("check", "{base}", "--tol", "nan"),
+    ("check", "{base}", "--tol", "inf"),
+    ("distance", "{base}", "--tol", "nan"),
+    ("rescale", "{base}", "--rho", "0.25", "--zeta", "inf"),
+    ("rescale", "{base}", "--rho", "nan"),
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    base = str(tmp_path / "c3.json")
+    main(["catalog", "c3", "--d1", "1,0", "-o", base])
+    code, out, err = run(capsys, *(a.format(base=base) for a in argv))
+    assert code == 2 and "error" in err and out == ""
 
 
 # --------------------------------------------------------------------- rescale

@@ -29,6 +29,12 @@ def test_factor_validation():
         ConformalFactor(zeta=1.0, rho=0.5, side="elsewhere")
 
 
+@pytest.mark.parametrize("zeta,rho", [(np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan), (1.0, np.inf)])
+def test_factor_rejects_non_finite(zeta, rho):
+    with pytest.raises(ValueError):
+        ConformalFactor(zeta=zeta, rho=rho)
+
+
 def test_rescale_at_symmetric_point_is_central():
     # rho = 1/2 makes k a multiple of the identity: trivial twist, scalar rescale
     t = build_c3(1, 2.0)
