@@ -15,8 +15,17 @@ from twistriple.axioms import (
     check_twisted_regularity,
     is_irreducible,
     ko_dimension,
+    order_one_residual,
 )
-from twistriple.catalog import NU3_PERM, build_c3, build_c4
+from twistriple.catalog import (
+    NU3_PERM,
+    _C2_NU_CANDIDATES,
+    _c2_j_stack,
+    build_c3,
+    build_c4,
+    build_c4_perm_conformal_composite,
+    build_conformal,
+)
 from twistriple.linalg import Antiunitary, ToleranceConfig
 
 TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
@@ -66,6 +75,57 @@ def test_involutive_twist_gives_identical_order_one_residual():
     r1 = check_twisted_order_one(untwisted)
     r2 = check_twisted_order_one(twisted)
     assert r1.residual == r2.residual  # nu^2 = id exactly, so bitwise equality
+
+
+def _catalog_stacks(rng):
+    """Per dimension, the (D, U, nu) stacks of one member of every catalog family
+    and fixture (random unit-scale parameters, both signs of eps'), followed by
+    three random (Hermitian D, unitary U, Hermitian nu) so that residuals vary."""
+    def c():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    c3, c4 = [], []
+    for eps in (1, -1):
+        r = 1.0 if eps == 1 else 1j  # perm on C^3 needs conj(d) = eps' d
+        c3 += [build_c3(eps, c()),
+               build_c3(eps, r * rng.standard_normal(), r * rng.standard_normal(), twist="perm"),
+               build_conformal("c3", eps, c(), rho=0.3, zeta=1.4)]
+        c4 += [build_c4(eps, c(), c()),
+               build_c4(eps, c(), c(), twist="perm"),
+               build_conformal("c4", eps, c(), c(), rho=0.7, zeta=0.6),
+               build_c4_perm_conformal_composite(eps, c(), c(), rho=0.2, zeta=1.1)]
+    c4.append(build_c4(1, c(), twist="perm_bad"))
+    for group in (c3, c4):
+        n = group[0].dim
+        extra = [(random_hermitian(n, rng), np.linalg.qr(random_hermitian(n, rng))[0],
+                  random_hermitian(n, rng)) for _ in range(3)]
+        ds, us, nus = zip(*[(t.dirac, t.real.j.u, t.nu) for t in group], *extra)
+        yield group[0].algebra_basis(), np.array(ds), np.array(us), np.array(nus)
+
+
+def test_stacked_order_one_residual_matches_per_matrix_calls():
+    rng = np.random.default_rng(31)
+    for basis, ds, us, nus in _catalog_stacks(rng):
+        k = len(ds)
+        aligned = order_one_residual(ds, us, nus, basis)
+        # every D against every (U, nu): mismatched pairs give nonzero residuals
+        crossed = order_one_residual(ds[:, None], us[None, :], nus[None, :], basis)
+        single = np.array([[order_one_residual(ds[i], us[j], nus[j], basis) for j in range(k)]
+                           for i in range(k)])
+        assert isinstance(order_one_residual(ds[0], us[0], nus[0], basis), float)
+        assert aligned.shape == (k,)
+        assert crossed.shape == (k, k) and single.max() > 0.1
+        atol = 1e-12 * single.max()
+        np.testing.assert_allclose(aligned, np.diag(single), rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(crossed, single, rtol=1e-12, atol=atol)
+    # the C^2 scan's layout: trial x J candidate x involutive twist
+    d = np.array([random_hermitian(2, rng) for _ in range(4)])
+    u = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, size=(4, 2)))
+    basis = c2_triple(d[0]).algebra_basis()
+    stacked = order_one_residual(d[:, None, None], u[:, :, None], _C2_NU_CANDIDATES, basis)
+    single = np.array([[[order_one_residual(d[i], u[i, j], nu, basis) for nu in _C2_NU_CANDIDATES]
+                        for j in range(5)] for i in range(4)])
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-12 * single.max())
 
 
 def test_order_one_fails_on_c2_with_nonzero_calculus():

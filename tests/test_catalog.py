@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from twistriple.algebra import REP_C2, projection_e
 from twistriple.axioms import check_all
 from twistriple.catalog import (
     C3_CONFORMAL,
@@ -9,6 +12,7 @@ from twistriple.catalog import (
     C4_CONFORMAL,
     C4_PERM,
     C4_UNTWISTED,
+    _SCAN_BLOCK,
     CatalogConstraintError,
     build_c3,
     build_c4,
@@ -17,10 +21,11 @@ from twistriple.catalog import (
     fluctuated_distance_formula,
     fluctuation_orbit_params,
     identify_family,
+    ScanReport,
     scan_c2_nonexistence,
 )
 from twistriple.forms import fluctuate, selfadjoint_one_form
-from twistriple.linalg import ToleranceConfig
+from twistriple.linalg import DEFAULT_TOL, Antiunitary, ToleranceConfig, commutator, operator_norm
 
 TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
 RNG = np.random.default_rng(2718)
@@ -77,6 +82,15 @@ def test_build_c4_perm_bad_is_negative_fixture():
 def test_build_c4_perm_bad_constraint_enforced():
     with pytest.raises(CatalogConstraintError):
         build_c4(1, 1.0, 2.0, twist="perm_bad")
+
+
+@pytest.mark.parametrize("d1", [0.0, 1.0 - 0.5j, 3e3 + 2e3j, 1e6 * (1 + 1j)])
+def test_build_c4_perm_bad_exists_only_for_eps_prime_plus_one(d1):
+    with pytest.raises(CatalogConstraintError, match=r"exists only for eps' = \+1"):
+        build_c4(-1, d1, twist="perm_bad")
+    with pytest.raises(CatalogConstraintError, match=r"exists only for eps' = \+1"):
+        build_c4(-1, d1, -np.conj(d1), twist="perm_bad")
+    assert build_c4(1, d1, twist="perm_bad").eps_prime == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -169,12 +183,81 @@ def test_scan_is_deterministic():
     assert scan_c2_nonexistence(50, seed=7) == scan_c2_nonexistence(50, seed=7)
 
 
+def _c2_j_candidates_reference(rng):
+    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    p1 = np.exp(1j * t1)
+    return [
+        ("identity", np.eye(2, dtype=complex)),
+        ("swap", np.array([[0, 1], [1, 0]], dtype=complex)),
+        ("diag_phases", np.diag([p1, np.exp(1j * t2)]).astype(complex)),
+        ("antidiag_plus", np.array([[0, p1], [p1, 0]], dtype=complex)),
+        ("antidiag_minus", np.array([[0, p1], [-p1, 0]], dtype=complex)),
+    ]
+
+
+def _order_one_residual_reference(dirac, j, nu, basis):
+    nu2 = nu @ nu
+    nu2_inv = np.linalg.inv(nu2)
+    worst = 0.0
+    for a in basis:
+        da = commutator(dirac, a)
+        for b in basis:
+            lhs = da @ j.conjugate(nu2_inv @ b @ nu2)
+            rhs = j.conjugate(b) @ da
+            worst = max(worst, operator_norm(lhs - rhs))
+    return worst
+
+
+def _scan_reference(trials, seed, tol=DEFAULT_TOL):
+    """The trial-by-trial scan: one scalar residual per (trial, J, nu)."""
+    rng = np.random.default_rng(seed)
+    e = projection_e(REP_C2)
+    one = np.eye(2, dtype=complex)
+    basis = [e, one - e]
+    nu_candidates = [one, np.array([[0, 1], [1, 0]], dtype=complex)]
+    failures = 0
+    shapes = []
+    total_pairs = 0
+    for _ in range(trials):
+        for _attempt in range(1000):
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            d = m + m.conj().T
+            if operator_norm(commutator(d, e)) > 0.1:
+                break
+        else:
+            raise RuntimeError("sampler failed to find a nonzero calculus")
+        for label, u in _c2_j_candidates_reference(rng):
+            if label not in shapes:
+                shapes.append(label)
+            j = Antiunitary(u)
+            total_pairs += 1
+            worst_over_twists = [_order_one_residual_reference(d, j, nu, basis) for nu in nu_candidates]
+            if min(worst_over_twists) > tol.abs_tol:
+                failures += 1
+    return ScanReport(trials=trials, failures_of_order_one=failures,
+                      j_shapes_tested=tuple(shapes), conclusion=failures == total_pairs)
+
+
+@pytest.mark.parametrize("trials,seed", [(1, 0), (14, 7), (50, 42), (_SCAN_BLOCK + 3, 20240811)])
+def test_scan_matches_trial_by_trial_reference(trials, seed):
+    assert scan_c2_nonexistence(trials, seed) == _scan_reference(trials, seed)
+
+
+def test_scan_matches_reference_when_some_pairs_pass():
+    # residuals are of order |D_01| > 0.1, so this tolerance lets some (trial, J) pairs pass
+    tol = ToleranceConfig(abs_tol=1.5)
+    report = scan_c2_nonexistence(40, 5, tol)
+    assert 0 < report.failures_of_order_one < report.trials * len(report.j_shapes_tested)
+    assert not report.conclusion
+    assert report == _scan_reference(40, 5, tol)
+
+
 def test_scan_j_candidates_are_antiunitary_involutions_up_to_sign():
-    from twistriple.catalog import _c2_j_candidates
+    from twistriple.catalog import _C2_J_SHAPES, _c2_j_stack
     from twistriple.linalg import Antiunitary
 
     rng = np.random.default_rng(3)
-    for label, u in _c2_j_candidates(rng):
+    for label, u in zip(_C2_J_SHAPES, _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, size=2))):
         j = Antiunitary(u)
         assert j.unitary_defect() < 1e-12
         _, residual = j.squared_sign()

@@ -55,6 +55,14 @@ def test_catalog_constraint_violation_names_relation(tmp_path, capsys):
     assert "d3 = eps'*conj(d1)" in err
 
 
+def test_catalog_perm_bad_needs_eps_prime_plus_one(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "catalog", "c4", "--twist", "perm_bad", "--eps-prime=-1",
+                         "-o", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert "the perm_bad fixture exists only for eps' = +1" in err
+
+
 def test_catalog_writes_to_stdout_by_default(capsys):
     code, out, _ = run(capsys, "catalog", "c3", "--d1", "1,0")
     assert code == 0

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from twistriple.catalog import build_c3, build_c4, build_conformal
-from twistriple.distance import distance_bruteforce, fluctuated_distance_check, spectral_distance
+from twistriple.algebra import embed
+from twistriple.catalog import build_c3, build_c4, build_c4_perm_conformal_composite, build_conformal
+from twistriple.distance import (
+    _ORACLE_BLOCK,
+    distance_bruteforce,
+    fluctuated_distance_check,
+    spectral_distance,
+)
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import Antiunitary, ToleranceConfig
 
@@ -116,6 +122,61 @@ def test_bruteforce_agrees_on_twisted_triples():
         t = build_c3(1, rng.standard_normal(), rng.standard_normal(), twist="perm")
         expected = spectral_distance(t).value
         assert distance_bruteforce(t, 400, 11) == pytest.approx(expected, rel=1e-6)
+
+
+def _bruteforce_reference(t, samples, seed):
+    """The sample-by-sample oracle: one embedded element and one norm pair per sample."""
+    nu_inv = None
+    if t.twist is not None:
+        nu_inv = np.linalg.inv(t.twist.nu)
+
+    def boundary_value(cp, cm):
+        a = embed(t.rep, (cp, cm))
+        norms = [np.linalg.norm(t.dirac @ a - a @ t.dirac, 2)]
+        if nu_inv is not None:
+            nua = t.twist.nu @ a @ nu_inv
+            norms.append(np.linalg.norm(t.dirac @ a - nua @ t.dirac, 2))
+        worst = max(norms)
+        if worst <= 0.0:
+            return 0.0
+        return abs(cp - cm) / worst
+
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    generic = min(samples, 50)
+    for _ in range(generic):
+        cp = complex(rng.standard_normal(), rng.standard_normal())
+        cm = complex(rng.standard_normal(), rng.standard_normal())
+        if abs(cp - cm) < 1e-12:
+            continue
+        best = max(best, boundary_value(cp, cm))
+    for _ in range(samples - generic):
+        w = complex(rng.standard_normal(), rng.standard_normal())
+        if abs(w) < 1e-12:
+            continue
+        best = max(best, boundary_value(w / 2.0, -w / 2.0))
+    if best == 0.0:
+        raise ValueError("degenerate calculus: every sampled derivative vanished")
+    return best
+
+
+ORACLE_TRIPLES = [
+    build_c3(1, 1.5 - 0.5j),
+    build_c3(-1, 0.7j, -1.2j, twist="perm"),
+    build_c4(-1, 2.0 + 1.0j, 0.3 - 0.4j),
+    build_c4(1, 0.5 + 0.5j, -1.5j, twist="perm"),
+    build_conformal("c3", -1, 1.0 - 2.0j, rho=0.3, zeta=1.7),
+    build_conformal("c4", 1, 1.0, 2.0 + 1.0j, rho=0.8, zeta=0.6),
+    build_c4(1, 1.0 - 0.5j, twist="perm_bad"),
+    build_c4_perm_conformal_composite(1, 0.4 + 1.0j, 1.1, rho=0.2, zeta=1.3),
+]
+
+
+@pytest.mark.parametrize("samples", [1, 50, 51, 300, _ORACLE_BLOCK + 7])
+def test_bruteforce_matches_sample_by_sample_reference(samples):
+    for i, t in enumerate(ORACLE_TRIPLES):
+        expected = _bruteforce_reference(t, samples, seed=100 + i)
+        assert distance_bruteforce(t, samples, seed=100 + i) == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------------- fluctuated forms
