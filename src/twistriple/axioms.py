@@ -10,6 +10,7 @@ and nu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,7 +24,6 @@ from .linalg import (
     _as_square,
     commutator,
     commutant_dimension,
-    operator_norm,
 )
 
 __all__ = [
@@ -177,15 +177,49 @@ def _require_real(t: SpectralTriple) -> RealStructure:
     return t.real
 
 
-def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """[a, J b J^-1] = 0 over the algebra basis pairs."""
-    real = _require_real(t)
-    basis = t.algebra_basis()
-    worst = 0.0
-    for a in basis:
-        for b in basis:
-            worst = max(worst, operator_norm(commutator(a, real.j.conjugate(b))))
-    return CheckEntry("order_zero", worst, tol.abs_tol)
+# A check term is (condition, residual, tol_used). The residual is either a
+# float or a stack (..., n, n) of residual matrices whose largest operator
+# norm is the condition's residual; _entries takes every such norm of a
+# report with one stacked LAPACK call.
+_Term = tuple[str, "float | np.ndarray", float]
+
+
+def _entries(terms: list[_Term]) -> list[CheckEntry]:
+    """Check entries of the terms, in order, with one stacked operator norm."""
+    stacks = [r.reshape(-1, *r.shape[-2:]) for _, r, _ in terms if isinstance(r, np.ndarray)]
+    if stacks:
+        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(-2, -1))
+        starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
+        worst = iter(np.maximum.reduceat(norms, starts).tolist())
+    return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r), tol)
+            for c, r, tol in terms]
+
+
+def _order_zero_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
+    jb = _require_real(t).j.conjugate(basis)
+    return [("order_zero", commutator(basis[:, None], jb[None, :]), tol.abs_tol)]
+
+
+def _order_one_diffs(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
+                     basis) -> np.ndarray:
+    """[D,a] J nu^-2 b nu^2 J^-1 - J b J^-1 [D,a] for every basis pair (a, b), on axis -3.
+
+    The pairs are ordered a-major, as k a + b. Raises LinAlgError when nu^2
+    is singular, and when a nearly singular nu^2 makes a residual NaN, where
+    LAPACK's SVD would not converge.
+    """
+    b = np.asarray(basis)  # (k, n, n)
+    k, n = b.shape[0], b.shape[-1]
+    nu2 = (nu @ nu)[..., None, :, :]
+    u = u[..., None, :, :]
+    u_adj = np.conj(np.swapaxes(u, -1, -2))
+    j_plain = u @ np.conj(b) @ u_adj
+    j_twisted = u @ np.conj(np.linalg.inv(nu2) @ b @ nu2) @ u_adj
+    da = commutator(dirac[..., None, :, :], b)[..., :, None, :, :]
+    diffs = da @ j_twisted[..., None, :, :, :] - j_plain[..., None, :, :, :] @ da
+    if np.isnan(diffs).any():
+        raise np.linalg.LinAlgError("order-one residual is NaN")
+    return diffs.reshape(*diffs.shape[:-4], k * k, n, n)
 
 
 def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
@@ -196,16 +230,14 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     other; the result is the worst residual per stack entry, or a float when
     all three are single matrices. The basis is shared by every entry.
     """
-    nu2 = nu @ nu
-    nu2_inv = np.linalg.inv(nu2)
-    u_adj = np.conj(np.swapaxes(u, -1, -2))
-    jb = [(u @ np.conj(b) @ u_adj, u @ np.conj(nu2_inv @ b @ nu2) @ u_adj) for b in basis]
-    diffs = []
-    for a in basis:
-        da = commutator(dirac, a)
-        diffs.extend(da @ j_twisted - j_plain @ da for j_plain, j_twisted in jb)
-    worst = np.linalg.norm(np.stack(diffs, axis=-3), 2, axis=(-2, -1)).max(axis=-1)
+    diffs = _order_one_diffs(dirac, u, nu, basis)
+    worst = np.linalg.norm(diffs, 2, axis=(-2, -1)).max(axis=-1)
     return float(worst) if worst.ndim == 0 else worst
+
+
+def _order_one_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
+    diffs = _order_one_diffs(t.dirac, _require_real(t).j.u, t.nu, basis)
+    return [("twisted_order_one", diffs, tol.abs_tol)]
 
 
 def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
@@ -214,121 +246,127 @@ def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
 
 
-def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    real = _require_real(t)
-    residual = order_one_residual(t.dirac, real.j.u, t.nu, t.algebra_basis())
-    return CheckEntry("twisted_order_one", residual, tol.abs_tol)
-
-
-def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D)."""
+def _epsilon_prime_terms(t: SpectralTriple, tol: ToleranceConfig) -> list[_Term]:
     real = _require_real(t)
     residual = epsilon_prime_residual(t.dirac, real.j.u, t.nu, real.signs.eps_prime)
-    return CheckEntry("epsilon_prime", operator_norm(residual), tol.abs_tol)
+    return [("epsilon_prime", residual, tol.abs_tol)]
 
 
-def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """nu J nu = J, i.e. nu U conj(nu) = U; vacuous (residual 0) when untwisted."""
-    real = _require_real(t)
+def _regularity_terms(t: SpectralTriple, tol: ToleranceConfig) -> list[_Term]:
+    u = _require_real(t).j.u
     if t.twist is None:
-        return CheckEntry("twisted_regularity", 0.0, tol.abs_tol)
-    u = real.j.u
+        return [("twisted_regularity", 0.0, tol.abs_tol)]
     nu = t.twist.nu
-    return CheckEntry("twisted_regularity", operator_norm(nu @ u @ np.conj(nu) - u), tol.abs_tol)
+    return [("twisted_regularity", nu @ u @ np.conj(nu) - u, tol.abs_tol)]
 
 
-def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckEntry]:
-    """All grading conditions; the J sign uses eps'' from the triple's signs."""
+def _grading_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
     if t.grading is None:
         raise ValueError("triple has no grading")
     g = t.grading
     eye = np.eye(t.dim, dtype=complex)
-    entries = [
-        CheckEntry("grading_selfadjoint", operator_norm(g - g.conj().T), tol.abs_tol),
-        CheckEntry("grading_squares_to_identity", operator_norm(g @ g - eye), tol.abs_tol),
-        CheckEntry(
-            "grading_commutes_algebra",
-            max(operator_norm(commutator(g, a)) for a in t.algebra_basis()),
-            tol.abs_tol,
-        ),
-        CheckEntry(
-            "grading_anticommutes_dirac",
-            operator_norm(g @ t.dirac + t.dirac @ g),
-            tol.abs_tol,
-        ),
+    terms = [
+        ("grading_selfadjoint", g - g.conj().T, tol.abs_tol),
+        ("grading_squares_to_identity", g @ g - eye, tol.abs_tol),
+        ("grading_commutes_algebra", commutator(g, basis), tol.abs_tol),
+        ("grading_anticommutes_dirac", g @ t.dirac + t.dirac @ g, tol.abs_tol),
     ]
     if t.twist is not None:
         nu2 = t.nu @ t.nu
-        entries.append(
-            CheckEntry("grading_commutes_nu_squared", operator_norm(commutator(nu2, g)), tol.abs_tol)
-        )
+        terms.append(("grading_commutes_nu_squared", commutator(nu2, g), tol.abs_tol))
     if t.real is not None:
         signs = t.real.signs
         if signs.eps_dprime is None:
             raise ValueError("graded triple with real structure needs the eps'' sign")
         u = t.real.j.u
-        entries.append(
-            CheckEntry(
-                "grading_j_sign",
-                operator_norm(g @ u - signs.eps_dprime * u @ np.conj(g)),
-                tol.abs_tol,
-            )
-        )
-    return entries
+        terms.append(("grading_j_sign", g @ u - signs.eps_dprime * u @ np.conj(g), tol.abs_tol))
+    return terms
 
 
-def _twist_invariant_entries(t: SpectralTriple, tol: ToleranceConfig) -> list[CheckEntry]:
+def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
+                           tol: ToleranceConfig) -> list[_Term]:
     twist = t.twist
     nu = twist.nu
-    entries = [CheckEntry("twist_selfadjoint", operator_norm(nu - nu.conj().T), tol.abs_tol)]
+    terms = [("twist_selfadjoint", nu - nu.conj().T, tol.abs_tol)]
     svals = np.linalg.svd(nu, compute_uv=False)
     invertible = svals[-1] > tol.rank_tol * max(1.0, svals[0])
-    entries.append(CheckEntry("twist_invertible", 0.0 if invertible else 1.0, 0.5))
+    terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
     if twist.implements_algebra_automorphism:
         if invertible:
-            nu_inv = np.linalg.inv(nu)
-            worst = 0.0
-            for a in t.algebra_basis():
-                m = nu_inv @ a @ nu
-                # Nearest embedded element: average the diagonal over each point block.
-                values = []
-                for p in range(t.rep.n_points):
-                    idx = [i for i, q in enumerate(t.rep.point_of) if q == p]
-                    values.append(np.mean([m[i, i] for i in idx]))
-                worst = max(worst, operator_norm(m - embed(t.rep, values)))
-            entries.append(CheckEntry("twist_preserves_algebra", worst, tol.abs_tol))
+            m = np.linalg.inv(nu) @ basis @ nu
+            # Nearest embedded element: average the diagonal over each point block.
+            point = np.asarray(t.rep.point_of)
+            diag = np.diagonal(m, axis1=-2, axis2=-1)
+            means = np.stack([diag[:, point == p].mean(axis=-1) for p in range(t.rep.n_points)],
+                             axis=-1)
+            residual = m.copy()
+            idx = np.arange(t.dim)
+            residual[:, idx, idx] -= means[:, point]
+            terms.append(("twist_preserves_algebra", residual, tol.abs_tol))
         else:
-            entries.append(CheckEntry("twist_preserves_algebra", 1.0, 0.5))
+            terms.append(("twist_preserves_algebra", 1.0, 0.5))
     else:
         eye = np.eye(t.dim, dtype=complex)
-        entries.append(CheckEntry("twist_involutive", operator_norm(nu @ nu - eye), tol.abs_tol))
-    return entries
+        terms.append(("twist_involutive", nu @ nu - eye, tol.abs_tol))
+    return terms
+
+
+def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
+    """[a, J b J^-1] = 0 over the algebra basis pairs."""
+    return _entries(_order_zero_terms(t, np.stack(t.algebra_basis()), tol))[0]
+
+
+def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
+    """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
+    return _entries(_order_one_terms(t, np.stack(t.algebra_basis()), tol))[0]
+
+
+def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
+    """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D)."""
+    return _entries(_epsilon_prime_terms(t, tol))[0]
+
+
+def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
+    """nu J nu = J, i.e. nu U conj(nu) = U; vacuous (residual 0) when untwisted."""
+    return _entries(_regularity_terms(t, tol))[0]
+
+
+def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckEntry]:
+    """All grading conditions; the J sign uses eps'' from the triple's signs."""
+    return _entries(_grading_terms(t, np.stack(t.algebra_basis()), tol))
 
 
 def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
-    """Every applicable axiom plus the structural invariants of J and nu."""
-    report = CheckReport()
-    report.add("dirac_selfadjoint", operator_norm(t.dirac - t.dirac.conj().T), tol.abs_tol)
+    """Every applicable axiom plus the structural invariants of J and nu.
+
+    Each check contributes its residual matrices; the operator norms of the
+    whole report are taken with one stacked LAPACK call and reduced to the
+    worst residual per condition. j_unitary and j_squared_sign are Frobenius
+    defects; a twist whose nu^2 is singular reports twisted_order_one = inf.
+    """
+    basis = np.stack(t.algebra_basis())
+    terms: list[_Term] = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, tol.abs_tol)]
     if t.grading is not None:
-        report.entries.extend(check_grading(t, tol))
+        terms += _grading_terms(t, basis, tol)
     if t.real is not None:
         j = t.real.j
-        report.add("j_unitary", j.unitary_defect(), tol.abs_tol)
         eps, eps_residual = j.squared_sign()
-        report.add("j_squared_sign", eps_residual, tol.abs_tol)
-        report.add("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5)
-        report.entries.append(check_order_zero(t, tol))
+        terms += [
+            ("j_unitary", j.unitary_defect(), tol.abs_tol),
+            ("j_squared_sign", eps_residual, tol.abs_tol),
+            ("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5),
+        ]
+        terms += _order_zero_terms(t, basis, tol)
         try:
-            report.entries.append(check_twisted_order_one(t, tol))
+            terms += _order_one_terms(t, basis, tol)
         except np.linalg.LinAlgError:
             # singular twist: the condition cannot even be formed
-            report.add("twisted_order_one", float("inf"), tol.abs_tol)
-        report.entries.append(check_epsilon_prime(t, tol))
-        report.entries.append(check_twisted_regularity(t, tol))
+            terms.append(("twisted_order_one", math.inf, tol.abs_tol))
+        terms += _epsilon_prime_terms(t, tol)
+        terms += _regularity_terms(t, tol)
     if t.twist is not None:
-        report.entries.extend(_twist_invariant_entries(t, tol))
-    return report
+        terms += _twist_invariant_terms(t, basis, tol)
+    return CheckReport(_entries(terms))
 
 
 # KO-dimension table: signs (eps, eps') for odd n, (eps, eps', eps'') for even n.

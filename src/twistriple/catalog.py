@@ -220,6 +220,14 @@ def _build(fam: _Family, dirac: np.ndarray, eps_prime: int, twist: Optional[Twis
     return triple
 
 
+def _finite_hops(d1: complex, d2: Optional[complex]) -> tuple[complex, Optional[complex]]:
+    """d1 and d2 as complex numbers, rejected before any arithmetic when not finite."""
+    hops = (complex(d1), None if d2 is None else complex(d2))
+    if not all(math.isfinite(x) for h in hops if h is not None for x in (h.real, h.imag)):
+        raise ValueError("the hops d1 and d2 must be finite")
+    return hops
+
+
 def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
              twist: str = "none") -> SpectralTriple:
     """A C^3 triple of the requested family.
@@ -229,13 +237,13 @@ def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
     conj(d) = eps'*d (real for eps'=+1, imaginary for eps'=-1).
     """
     eps_prime = int(eps_prime)
-    d1 = complex(d1)
+    d1, d2 = _finite_hops(d1, d2)
     if twist == "none":
         fam = _FAMILIES[C3_UNTWISTED]
-        slot = eps_prime * np.conj(d1) if d2 is None else complex(d2)
+        slot = eps_prime * np.conj(d1) if d2 is None else d2
     elif twist == "perm":
         fam = _FAMILIES[C3_PERM]
-        slot = 0j if d2 is None else complex(d2)
+        slot = 0j if d2 is None else d2
     else:
         raise ValueError(f"unknown C^3 twist {twist!r}")
     dirac = _hermitian_from_slots(3, {(0, 1): slot, (0, 2): d1})
@@ -260,10 +268,9 @@ def build_c4(eps_prime: int, d1: complex, d2: Optional[complex] = None,
         raise CatalogConstraintError(
             "the perm_bad fixture exists only for eps' = +1: with the block-swap twist, "
             "eps' = -1 and the grading admit only D = 0")
-    d1 = complex(d1)
+    d1, d2 = _finite_hops(d1, d2)
     if d2 is None:
-        d2 = eps_prime * np.conj(d1) if twist == "perm_bad" else 0j
-    d2 = complex(d2)
+        d2 = complex(eps_prime * np.conj(d1)) if twist == "perm_bad" else 0j
     if twist == "none":
         fam = _FAMILIES[C4_UNTWISTED]
         upper = {(0, 1): eps_prime * np.conj(d1), (2, 3): eps_prime * np.conj(d2)}

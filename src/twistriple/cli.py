@@ -120,7 +120,7 @@ def cmd_catalog(args) -> int:
     elif args.family == "c3":
         t = build_c3(args.eps_prime, d1, d2, twist=args.twist)
     else:
-        t = build_c4(args.eps_prime, d1, d2 if d2 is not None else 0j, twist=args.twist)
+        t = build_c4(args.eps_prime, d1, d2, twist=args.twist)
     _write_triple(t, args.output)
     return 0
 

@@ -8,6 +8,7 @@ save -> load is entrywise exact and load -> save reproduces the bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any, Optional
@@ -25,13 +26,28 @@ class DocumentError(ValueError):
     """Raised when a triple document is malformed."""
 
 
-def _canonical_float(x: float) -> float:
-    return float(x) + 0.0  # folds -0.0 into +0.0 so serialisation is canonical
+def _json_block(brackets: str, items: list[str], indent: int) -> str:
+    """Rendered items in "[]" or "{}", in json.dumps(indent=2) layout at this indent."""
+    inner = "\n" + " " * (indent + 2)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
 
 
-def _matrix_to_doc(m: np.ndarray) -> list:
-    return [[[_canonical_float(v.real), _canonical_float(v.imag)] for v in row]
-            for row in np.asarray(m, dtype=complex)]
+@functools.lru_cache(maxsize=16)
+def _matrix_layout(n: int, indent: int) -> str:
+    """Format string of an n x n complex matrix as rows of [re, im] pairs."""
+    pair = _json_block("[]", ["{}", "{}"], indent + 4)
+    return _json_block("[]", [_json_block("[]", [pair] * n, indent + 2)] * n, indent)
+
+
+def _matrix_text(m: np.ndarray, indent: int) -> str:
+    # + 0.0 folds -0.0 into +0.0, so that equal matrices give equal bytes
+    entries = (np.ascontiguousarray(m).view(float) + 0.0).ravel().tolist()
+    return _matrix_layout(m.shape[0], indent).format(*map(repr, entries))
+
+
+def _object_text(fields: list[tuple[str, str]], indent: int) -> str:
+    """A JSON object of rendered values, keys in the given (sorted) order."""
+    return _json_block("{}", [f'"{key}": {value}' for key, value in fields], indent)
 
 
 def _matrix_from_doc(obj: Any, dim: int, name: str) -> np.ndarray:
@@ -59,28 +75,8 @@ def _sign_from_doc(obj: Any, name: str) -> int:
 
 
 def to_document(t: SpectralTriple) -> dict:
-    doc: dict[str, Any] = {
-        "dim": t.dim,
-        "points": t.rep.n_points,
-        "rep": list(t.rep.point_of),
-        "dirac": _matrix_to_doc(t.dirac),
-        "grading": None if t.grading is None else _matrix_to_doc(t.grading),
-        "real": None,
-        "twist": None,
-    }
-    if t.real is not None:
-        doc["real"] = {
-            "unitary": _matrix_to_doc(t.real.j.u),
-            "eps": t.real.signs.eps,
-            "eps_prime": t.real.signs.eps_prime,
-            "eps_dprime": t.real.signs.eps_dprime,
-        }
-    if t.twist is not None:
-        doc["twist"] = {
-            "nu": _matrix_to_doc(t.twist.nu),
-            "implements_automorphism": bool(t.twist.implements_algebra_automorphism),
-        }
-    return doc
+    """The triple as the JSON object that `dumps` writes."""
+    return json.loads(dumps(t))
 
 
 def from_document(doc: Any) -> SpectralTriple:
@@ -141,7 +137,37 @@ def from_document(doc: Any) -> SpectralTriple:
 
 
 def dumps(t: SpectralTriple) -> str:
-    return json.dumps(to_document(t), sort_keys=True, indent=2) + "\n"
+    """The canonical text of a triple document.
+
+    The text is emitted directly from the triple's arrays, byte for byte what
+    json.dumps(doc, sort_keys=True, indent=2) gives for the document: keys
+    sorted, two-space indentation, every float as its shortest round-trip
+    repr, -0.0 written as 0.0, and a final newline.
+    """
+    real = twist = "null"
+    if t.real is not None:
+        signs = t.real.signs
+        real = _object_text([
+            ("eps", str(signs.eps)),
+            ("eps_dprime", "null" if signs.eps_dprime is None else str(signs.eps_dprime)),
+            ("eps_prime", str(signs.eps_prime)),
+            ("unitary", _matrix_text(t.real.j.u, 4)),
+        ], 2)
+    if t.twist is not None:
+        flag = t.twist.implements_algebra_automorphism
+        twist = _object_text([
+            ("implements_automorphism", "true" if flag else "false"),
+            ("nu", _matrix_text(t.twist.nu, 4)),
+        ], 2)
+    return _object_text([
+        ("dim", str(t.dim)),
+        ("dirac", _matrix_text(t.dirac, 2)),
+        ("grading", "null" if t.grading is None else _matrix_text(t.grading, 2)),
+        ("points", str(t.rep.n_points)),
+        ("real", real),
+        ("rep", _json_block("[]", [str(p) for p in t.rep.point_of], 2)),
+        ("twist", twist),
+    ], 0) + "\n"
 
 
 def loads(text: str) -> SpectralTriple:

@@ -109,13 +109,27 @@ def _rank(singular_values: np.ndarray, rank_tol: float) -> int:
     return int(np.sum(singular_values > cutoff))
 
 
+def _commutation_operator(generators: np.ndarray) -> np.ndarray:
+    """The (k n^2, n^2) stack of the maps X -> [G, X], one block per generator G.
+
+    Each block is I (x) G - G^T (x) I (column-major vec convention), built
+    for the whole stack (k, n, n) with one broadcast product per term.
+    """
+    k, n = generators.shape[0], generators.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    # entry [k, i, a, j, b] sits at row i n + a, column j n + b of block k
+    left = eye[None, :, None, :, None] * generators[:, None, :, None, :]
+    right = np.swapaxes(generators, -1, -2)[:, :, None, :, None] * eye[None, None, :, None, :]
+    return (left - right).reshape(k * n * n, n * n)
+
+
 def commutant_dimension(generators: Sequence[np.ndarray],
                         tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Complex dimension of {X : [X, G] = 0 for every generator G}.
 
-    The commutation constraints are stacked as linear maps on the n^2
-    dimensional matrix space (column-major vec convention) and the nullspace
-    dimension is read off the singular values.
+    The commutation constraints of all generators form one (k n^2, n^2)
+    operator on the matrix space, built by broadcasting over the generator
+    stack, and the nullspace dimension is read off its singular values.
     """
     gens = [np.asarray(g) for g in generators]
     if not gens:
@@ -124,10 +138,7 @@ def commutant_dimension(generators: Sequence[np.ndarray],
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must share one dimension")
-    eye = np.eye(n, dtype=complex)
-    blocks = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
-    m = np.vstack(blocks)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(_commutation_operator(np.stack(gens)), compute_uv=False)
     return n * n - _rank(s, tol.rank_tol)
 
 

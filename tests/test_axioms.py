@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistriple.algebra import REP_C2
+from twistriple.algebra import REP_C2, embed
 from twistriple.axioms import (
     RealStructure,
     SignTriple,
@@ -26,7 +26,14 @@ from twistriple.catalog import (
     build_c4_perm_conformal_composite,
     build_conformal,
 )
-from twistriple.linalg import Antiunitary, ToleranceConfig
+from twistriple.linalg import (
+    DEFAULT_TOL,
+    Antiunitary,
+    ToleranceConfig,
+    commutant_dimension,
+    commutator,
+    operator_norm,
+)
 
 TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
 
@@ -248,6 +255,201 @@ def test_twist_automorphism_flag_checked():
     assert "twist_preserves_algebra" in check_all(relabelled).failing()
     t4 = build_c4(1, 1.0, 2.0, twist="perm")
     assert check_all(t4, TOL12).entry("twist_preserves_algebra").passed
+
+
+# ------------------------------------------- check_all against per-check norms
+
+def _reference_check_all(t, tol=DEFAULT_TOL):
+    """check_all as it was written before the stacked norm: one operator_norm
+    call per residual matrix. Returns the (condition, residual, tol_used) list."""
+    entries = [("dirac_selfadjoint", operator_norm(t.dirac - t.dirac.conj().T), tol.abs_tol)]
+    basis = t.algebra_basis()
+    if t.grading is not None:
+        g = t.grading
+        eye = np.eye(t.dim, dtype=complex)
+        entries += [
+            ("grading_selfadjoint", operator_norm(g - g.conj().T), tol.abs_tol),
+            ("grading_squares_to_identity", operator_norm(g @ g - eye), tol.abs_tol),
+            ("grading_commutes_algebra", max(operator_norm(commutator(g, a)) for a in basis),
+             tol.abs_tol),
+            ("grading_anticommutes_dirac", operator_norm(g @ t.dirac + t.dirac @ g), tol.abs_tol),
+        ]
+        if t.twist is not None:
+            nu2 = t.nu @ t.nu
+            entries.append(("grading_commutes_nu_squared", operator_norm(commutator(nu2, g)),
+                            tol.abs_tol))
+        if t.real is not None:
+            signs = t.real.signs
+            if signs.eps_dprime is None:
+                raise ValueError("graded triple with real structure needs the eps'' sign")
+            u = t.real.j.u
+            entries.append(("grading_j_sign",
+                            operator_norm(g @ u - signs.eps_dprime * u @ np.conj(g)), tol.abs_tol))
+    if t.real is not None:
+        j = t.real.j
+        entries.append(("j_unitary", j.unitary_defect(), tol.abs_tol))
+        eps, eps_residual = j.squared_sign()
+        entries.append(("j_squared_sign", eps_residual, tol.abs_tol))
+        entries.append(("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5))
+        worst = 0.0
+        for a in basis:
+            for b in basis:
+                worst = max(worst, operator_norm(commutator(a, j.conjugate(b))))
+        entries.append(("order_zero", worst, tol.abs_tol))
+        try:
+            nu2 = t.nu @ t.nu
+            nu2_inv = np.linalg.inv(nu2)
+            worst = 0.0
+            for a in basis:
+                da = commutator(t.dirac, a)
+                for b in basis:
+                    diff = da @ j.conjugate(nu2_inv @ b @ nu2) - j.conjugate(b) @ da
+                    worst = max(worst, operator_norm(diff))
+            entries.append(("twisted_order_one", worst, tol.abs_tol))
+        except np.linalg.LinAlgError:
+            entries.append(("twisted_order_one", float("inf"), tol.abs_tol))
+        u = j.u
+        eps_res = t.dirac @ u @ np.conj(t.nu) - t.real.signs.eps_prime * t.nu @ u @ np.conj(t.dirac)
+        entries.append(("epsilon_prime", operator_norm(eps_res), tol.abs_tol))
+        if t.twist is None:
+            entries.append(("twisted_regularity", 0.0, tol.abs_tol))
+        else:
+            nu = t.twist.nu
+            entries.append(("twisted_regularity", operator_norm(nu @ u @ np.conj(nu) - u),
+                            tol.abs_tol))
+    if t.twist is not None:
+        nu = t.twist.nu
+        entries.append(("twist_selfadjoint", operator_norm(nu - nu.conj().T), tol.abs_tol))
+        svals = np.linalg.svd(nu, compute_uv=False)
+        invertible = svals[-1] > tol.rank_tol * max(1.0, svals[0])
+        entries.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
+        if t.twist.implements_algebra_automorphism:
+            if invertible:
+                nu_inv = np.linalg.inv(nu)
+                worst = 0.0
+                for a in basis:
+                    m = nu_inv @ a @ nu
+                    values = []
+                    for p in range(t.rep.n_points):
+                        idx = [i for i, q in enumerate(t.rep.point_of) if q == p]
+                        values.append(np.mean([m[i, i] for i in idx]))
+                    worst = max(worst, operator_norm(m - embed(t.rep, values)))
+                entries.append(("twist_preserves_algebra", worst, tol.abs_tol))
+            else:
+                entries.append(("twist_preserves_algebra", 1.0, 0.5))
+        else:
+            eye = np.eye(t.dim, dtype=complex)
+            entries.append(("twist_involutive", operator_norm(nu @ nu - eye), tol.abs_tol))
+    return entries
+
+
+def _random_matrix(n, rng, scale=1.0):
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def _reference_cases(rng):
+    """Every family with both eps' at three scales, the two fixtures, the same
+    triples with every matrix perturbed (so that every residual is nonzero and
+    the worst basis pair matters), an ungraded C^2 triple without real
+    structure, and exactly and nearly singular twists."""
+    def c(scale):
+        return scale * complex(rng.standard_normal(), rng.standard_normal())
+
+    cases = []
+    for scale in (1e-6, 1.0, 1e6):
+        for eps in (1, -1):
+            r = scale * (1.0 if eps == 1 else 1j)  # perm on C^3 needs conj(d) = eps' d
+            cases += [build_c3(eps, c(scale)),
+                      build_c3(eps, r * rng.standard_normal(), r * rng.standard_normal(),
+                               twist="perm"),
+                      build_c4(eps, c(scale), c(scale)),
+                      build_c4(eps, c(scale), c(scale), twist="perm"),
+                      build_conformal("c3", eps, c(scale), rho=0.3, zeta=1.4),
+                      build_conformal("c4", eps, c(scale), c(scale), rho=0.7, zeta=0.6),
+                      build_c4_perm_conformal_composite(eps, c(scale), c(scale), rho=0.2, zeta=1.1)]
+        cases.append(build_c4(1, c(scale), twist="perm_bad"))
+    perturbed = []
+    for t in cases[:16]:
+        n = t.dim
+        perturbed.append(SpectralTriple(
+            rep=t.rep, dirac=t.dirac + random_hermitian(n, rng) * 1e-3,
+            grading=t.grading + _random_matrix(n, rng, 1e-3),
+            real=RealStructure(j=Antiunitary(t.real.j.u + _random_matrix(n, rng, 1e-3)),
+                               signs=t.real.signs),
+            twist=Twist(t.nu + _random_matrix(n, rng, 1e-3),
+                        implements_algebra_automorphism=t.twist is None
+                        or t.twist.implements_algebra_automorphism)))
+    cases += perturbed
+    cases.append(c2_triple(random_hermitian(2, rng)))
+    t4 = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
+    for nu_diag in ([1, 1, 0, 0], [1, 1, 1e-160, 1e-160], [1, -1, 2, 1e-12]):
+        for flag in (True, False):
+            cases.append(SpectralTriple(rep=t4.rep, dirac=t4.dirac, grading=t4.grading,
+                                        real=t4.real,
+                                        twist=Twist(np.diag(nu_diag).astype(complex),
+                                                    implements_algebra_automorphism=flag)))
+    return cases
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL12, ToleranceConfig(abs_tol=1e-3, rank_tol=1e-2)])
+def test_check_all_matches_per_check_reference(tol):
+    cases = _reference_cases(np.random.default_rng(41))
+    inf_cases = 0
+    for t in cases:
+        want = _reference_check_all(t, tol)
+        got = [(e.condition, e.residual, e.tol_used) for e in check_all(t, tol).entries]
+        assert got == want
+        inf_cases += {c: r for c, r, _ in got}.get("twisted_order_one") == np.inf
+    assert inf_cases == 4  # exactly and nearly singular nu^2, both flags
+
+
+def test_public_checks_match_check_all():
+    for t in _reference_cases(np.random.default_rng(42))[:40]:
+        report = check_all(t)
+        singles = [check_order_zero(t), check_twisted_order_one(t), check_epsilon_prime(t),
+                   check_twisted_regularity(t), *check_grading(t)]
+        for e in singles:
+            assert e == report.entry(e.condition)
+
+
+def test_singular_twist_raises_in_the_order_one_check_only():
+    t4 = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
+    for nu_diag in ([1, 1, 0, 0], [1, 1, 1e-160, 1e-160]):
+        t = SpectralTriple(rep=t4.rep, dirac=t4.dirac, grading=t4.grading, real=t4.real,
+                           twist=Twist(np.diag(nu_diag).astype(complex)))
+        with pytest.raises(np.linalg.LinAlgError):
+            check_twisted_order_one(t)
+        assert check_all(t).entry("twisted_order_one").residual == np.inf
+
+
+def test_check_all_needs_eps_dprime_on_graded_real_triples():
+    t = build_c3(1, 1.0 - 0.5j)
+    unsigned = SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading,
+                              real=RealStructure(j=t.real.j, signs=SignTriple(eps=1, eps_prime=1)))
+    for fn in (check_all, _reference_check_all, check_grading):
+        with pytest.raises(ValueError, match="eps''"):
+            fn(unsigned)
+
+
+def _kron_commutant_dimension(gens, tol=DEFAULT_TOL):
+    """The commutant dimension with one np.kron pair per generator."""
+    n = gens[0].shape[0]
+    eye = np.eye(n, dtype=complex)
+    m = np.vstack([np.kron(eye, g) - np.kron(g.T, eye) for g in gens])
+    s = np.linalg.svd(m, compute_uv=False)
+    return n * n - int(np.sum(s > tol.rank_tol * (s[0] if s[0] > tol.rank_tol else 1.0)))
+
+
+def test_is_irreducible_matches_kron_reference_on_every_family():
+    verdicts = set()
+    for t in _reference_cases(np.random.default_rng(43)):
+        basis = t.algebra_basis()
+        gens = ([] if t.grading is None else [t.grading]) + basis
+        gens += [commutator(t.dirac, b) for b in basis]
+        verdicts.add(is_irreducible(t))
+        assert is_irreducible(t) == (_kron_commutant_dimension(gens) == 1)
+        assert commutant_dimension(gens) == _kron_commutant_dimension(gens)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------- KO dimension

@@ -103,6 +103,19 @@ def test_builders_reject_non_finite_parameters(bad):
         build_c4(1, 1.0, complex(0.0, bad))
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
+def test_builders_reject_non_finite_hops_before_any_arithmetic(bad):
+    # a RuntimeWarning from arithmetic on the hop fails the suite (pyproject filterwarnings)
+    calls = [lambda: build_c3(1, bad), lambda: build_c3(-1, 1.0, bad),
+             lambda: build_c3(1, 1.0, bad, twist="perm"), lambda: build_c4(1, bad),
+             lambda: build_c4(-1, 1.0, bad), lambda: build_c4(1, bad, twist="perm"),
+             lambda: build_c4(1, bad, twist="perm_bad"),
+             lambda: build_conformal("c4", 1, 1.0, bad, rho=0.3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+
 def test_build_rejects_unknown_twist():
     with pytest.raises(ValueError):
         build_c3(1, 1.0, twist="perm_bad")

@@ -63,6 +63,17 @@ def test_catalog_perm_bad_needs_eps_prime_plus_one(tmp_path, capsys):
     assert "the perm_bad fixture exists only for eps' = +1" in err
 
 
+def test_catalog_perm_bad_defaults_d2_to_the_derived_value(tmp_path, capsys):
+    from twistriple.catalog import build_c4
+    from twistriple.documents import dumps
+
+    path = tmp_path / "bad.json"
+    code, _, err = run(capsys, "catalog", "c4", "--twist", "perm_bad", "--d1", "1,0.5",
+                       "-o", str(path))
+    assert code == 0 and err == ""
+    assert path.read_text(encoding="ascii") == dumps(build_c4(1, 1 + 0.5j, twist="perm_bad"))
+
+
 def test_catalog_writes_to_stdout_by_default(capsys):
     code, out, _ = run(capsys, "catalog", "c3", "--d1", "1,0")
     assert code == 0

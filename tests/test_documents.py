@@ -113,3 +113,87 @@ def test_non_selfadjoint_dirac_still_loads():
     from twistriple.axioms import check_all
 
     assert "dirac_selfadjoint" in check_all(t).failing()
+
+
+# ------------------------------------------ dumps against the json.dumps encoder
+
+def _reference_document(t):
+    """The document dict as it was built before the direct emitter."""
+    def matrix(m):
+        return [[[float(v.real) + 0.0, float(v.imag) + 0.0] for v in row]
+                for row in np.asarray(m, dtype=complex)]
+
+    doc = {
+        "dim": t.dim,
+        "points": t.rep.n_points,
+        "rep": list(t.rep.point_of),
+        "dirac": matrix(t.dirac),
+        "grading": None if t.grading is None else matrix(t.grading),
+        "real": None,
+        "twist": None,
+    }
+    if t.real is not None:
+        doc["real"] = {
+            "unitary": matrix(t.real.j.u),
+            "eps": t.real.signs.eps,
+            "eps_prime": t.real.signs.eps_prime,
+            "eps_dprime": t.real.signs.eps_dprime,
+        }
+    if t.twist is not None:
+        doc["twist"] = {
+            "nu": matrix(t.twist.nu),
+            "implements_automorphism": bool(t.twist.implements_algebra_automorphism),
+        }
+    return doc
+
+
+def _reference_dumps(t):
+    return json.dumps(_reference_document(t), sort_keys=True, indent=2) + "\n"
+
+
+def _emitter_cases():
+    from twistriple.algebra import REP_C2, REP_C4
+    from twistriple.axioms import RealStructure, SignTriple, SpectralTriple, Twist
+    from twistriple.catalog import build_c4_perm_conformal_composite
+    from twistriple.linalg import Antiunitary
+
+    rng = np.random.default_rng(51)
+    cases = list(all_fixtures())
+    for eps in (1, -1):
+        r = 1.0 if eps == 1 else 1j
+        cases += [build_c3(eps, 0.3 - 1.7j),
+                  build_c3(eps, r * 0.6, r * 2.5, twist="perm"),
+                  build_c4(eps, 1e-7 + 3e5j, -2.0),
+                  build_c4(eps, 1.0 / 7.0, 1e12j, twist="perm"),
+                  build_conformal("c3", eps, 1e-300 + 1j, rho=0.25, zeta=0.5),
+                  build_conformal("c4", eps, 1e8, 1e-8j, rho=0.9, zeta=3.0),
+                  build_c4_perm_conformal_composite(eps, 0.5 + 0.5j, 1.5, rho=0.2, zeta=1.1)]
+    # ungraded, no real structure; and a real triple without eps''
+    cases.append(SpectralTriple(rep=REP_C2, dirac=np.array([[0.5, 1.0j], [-1.0j, 0.25]])))
+    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    cases.append(SpectralTriple(rep=REP_C2, dirac=np.array([[1.0, 2.0], [2.0, -1.0]]),
+                                real=RealStructure(Antiunitary(u),
+                                                   SignTriple(eps=1, eps_prime=-1))))
+    # a twist that does not implement an automorphism, a Fortran-ordered Dirac
+    # operator, and the float extremes, with -0.0 in every matrix
+    t = build_c4(1, 1.0, 2.0, twist="perm")
+    extremes = np.array([[-0.0, 5e-324, 1e-300, 1.7976931348623157e308],
+                         [complex(-0.0, -0.0), -5e-324j, -1e-300, -1.7976931348623157e308j],
+                         [1e16, 1.0 / 3.0, complex(0.1, -0.0), 123456789.125],
+                         [2.0 ** -1074, -2.5e-310, 1e-5, 1e21]], dtype=complex)
+    cases.append(SpectralTriple(
+        rep=REP_C4, dirac=(rng.standard_normal((4, 4)) + 0j).T,
+        grading=extremes, real=RealStructure(Antiunitary(extremes.T), t.real.signs),
+        twist=Twist(-extremes, implements_algebra_automorphism=False)))
+    return cases
+
+
+def test_dumps_is_byte_identical_to_json_encoder():
+    cases = _emitter_cases()
+    assert len(cases) == 24
+    assert not cases[-1].dirac.flags.c_contiguous
+    for t in cases:
+        text = dumps(t)
+        assert text == _reference_dumps(t)
+        assert to_document(t) == json.loads(text) == _reference_document(t)
+        assert dumps(loads(text)) == text

@@ -4,6 +4,7 @@ import pytest
 
 from twistriple.linalg import (
     Antiunitary,
+    _commutation_operator,
     ToleranceConfig,
     commutant_dimension,
     commutator,
@@ -191,6 +192,19 @@ def test_commutant_full_matrix_algebra_is_scalars():
         # two generic matrices generate M_n; their commutant should be scalars
         assert commutant_dimension(gens) == 1
         assert brute_commutant_dim(gens) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_commutation_operator_equals_kron_reference_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    eye = np.eye(n, dtype=complex)
+    for k in range(1, 7):
+        gens = [random_complex_matrix(n, rng) for _ in range(k)]
+        gens[0][0, 0] = complex(-0.0, 0.0)  # signed zeros must come out the same too
+        want = np.vstack([np.kron(eye, g) - np.kron(g.T, eye) for g in gens])
+        got = _commutation_operator(np.stack(gens))
+        assert got.shape == want.shape == (k * n * n, n * n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_commutant_empty_generator_list_rejected():
