@@ -38,6 +38,8 @@ from .catalog import (
     build_c4,
     build_c4_perm_conformal_composite,
     build_conformal,
+    build_family,
+    catalog_family,
     derive_family,
     fluctuated_distance_formula,
     fluctuation_orbit_params,

@@ -18,12 +18,12 @@ the solver's basis against the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, Representation, embed, projection_e
+from .algebra import REP_C2, REP_C3, REP_C4, Representation, projection_e
 from .axioms import (
     RealStructure,
     SignTriple,
@@ -49,10 +49,13 @@ __all__ = [
     "C4_PERM",
     "C3_CONFORMAL",
     "C4_CONFORMAL",
+    "C4_PERM_BAD",
     "FAMILIES",
     "CatalogConstraintError",
     "DiracFamily",
     "ScanReport",
+    "build_family",
+    "catalog_family",
     "build_c3",
     "build_c4",
     "build_conformal",
@@ -70,6 +73,7 @@ C4_UNTWISTED = "c4_untwisted"
 C4_PERM = "c4_perm"
 C3_CONFORMAL = "c3_conformal"
 C4_CONFORMAL = "c4_conformal"
+C4_PERM_BAD = "c4_perm_bad"  # the block-swap fixture: buildable, not one of FAMILIES
 FAMILIES = (C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM, C3_CONFORMAL, C4_CONFORMAL)
 
 GAMMA3 = np.diag([1.0, -1.0, -1.0]).astype(complex)
@@ -87,22 +91,30 @@ class _Family:
     """Everything the catalog knows about one family.
 
     twist is the fixed twist (None when untwisted, or when the twist is the
-    rho-dependent conformal one). slots name the Dirac entries that
-    identify_family reports. defect measures how far a solver basis member
-    is from the closed-form relations; families without a constraint
-    derivation (the conformal ones) have none. orbit maps (d1, d2, phi) to
-    the fluctuated parameters and distance maps (params, phi) to the
-    denominator of the fluctuated distance.
+    rho-dependent conformal one), named twist_name in the builders and the
+    CLI. The Dirac layout: d1 and d2 sit at the upper entries hops, derived
+    maps (eps', d1, d2) to the other upper entries, and default_d2 gives an
+    omitted d2; a conformal family rescales its base family instead. slots
+    name the Dirac entries that identify_family reports. defect measures how
+    far a solver basis member is from the closed-form relations (conformal
+    families have none). orbit maps (d1, d2, phi) to the fluctuated
+    parameters and distance maps (params, phi) to the denominator of the
+    fluctuated distance.
     """
 
     rep: Representation
     gamma: np.ndarray
     u: np.ndarray
     twist: Optional[Twist]
+    twist_name: str
     slots: tuple[tuple[str, tuple[int, int]], ...]
     orbit: Callable[[complex, complex, complex], tuple[complex, complex]]
     distance: Callable[[dict, complex], float]
-    conformal: bool = False
+    hops: tuple[tuple[int, int], tuple[int, int]] = ((0, 2), (0, 1))
+    derived: Callable[[int, complex, complex], dict] = lambda eps, d1, d2: {}
+    default_d2: Callable[[int, complex], complex] = lambda eps, d1: 0j
+    base: Optional[str] = None
+    plus_only: Optional[str] = None  # why eps' = -1 has no member, when it has none
     free_params: tuple[str, ...] = ()
     constraints: tuple[str, ...] = ()
     defect: Optional[Callable[[int, np.ndarray], float]] = None
@@ -134,17 +146,18 @@ _C4_SLOTS = (("d1", (0, 2)), ("d2", (1, 3)))
 
 _FAMILIES = {
     C3_UNTWISTED: _Family(
-        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None,
+        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None, twist_name="none",
         slots=(("d1", (0, 2)), ("d3_slot", (0, 1))),
         orbit=lambda d1, d2, phi: ((1.0 - phi) * d1, d2),
         distance=lambda p, phi: abs(1.0 - phi) * abs(p["d1"]),
+        default_d2=lambda eps, d1: eps * np.conj(d1),
         free_params=("d1",),
         constraints=("d3 = eps'*conj(d1)",),
         defect=lambda eps, b: abs(b[0, 1] - eps * np.conj(b[0, 2])),
     ),
     C3_PERM: _Family(
         rep=REP_C3, gamma=GAMMA3, u=U3,
-        twist=Twist(NU3_PERM, implements_algebra_automorphism=False),
+        twist=Twist(NU3_PERM, implements_algebra_automorphism=False), twist_name="perm",
         slots=(("d1", (0, 2)), ("d2", (0, 1))),
         orbit=lambda d1, d2, phi: (_perm_c3_factor(phi) * d1, d2),
         distance=lambda p, phi: max(abs(_perm_c3_factor(phi)) * abs(p["d1"]), abs(p["d2"])),
@@ -153,10 +166,12 @@ _FAMILIES = {
         defect=lambda eps, b: float(operator_norm(np.conj(b) - eps * b)),
     ),
     C4_UNTWISTED: _Family(
-        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None,
+        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None, twist_name="none",
         slots=_C4_SLOTS + (("d3_slot", (0, 1)), ("d4_slot", (2, 3))),
         orbit=_scale_both,
         distance=_c4_distance,
+        hops=((0, 2), (1, 3)),
+        derived=lambda eps, d1, d2: {(0, 1): eps * np.conj(d1), (2, 3): eps * np.conj(d2)},
         free_params=("d1", "d2"),
         constraints=("d3 = eps'*conj(d1)", "d4 = eps'*conj(d2)"),
         defect=lambda eps, b: max(abs(b[0, 1] - eps * np.conj(b[0, 2])),
@@ -164,60 +179,51 @@ _FAMILIES = {
     ),
     C4_PERM: _Family(
         rep=REP_C4, gamma=GAMMA4, u=U4,
-        twist=Twist(NU4_PERM, implements_algebra_automorphism=True),
+        twist=Twist(NU4_PERM, implements_algebra_automorphism=True), twist_name="perm",
         slots=_C4_SLOTS,
         orbit=_scale_both,
         distance=_c4_distance,
+        hops=((0, 2), (1, 3)),
+        derived=lambda eps, d1, d2: {(0, 1): eps * d2, (2, 3): eps * d1},
         free_params=("d1", "d2"),
         constraints=("d3 = eps'*d2", "d4 = eps'*d1"),
         defect=lambda eps, b: max(abs(b[0, 1] - eps * b[1, 3]),
                                   abs(b[2, 3] - eps * b[0, 2])),
     ),
     C3_CONFORMAL: _Family(
-        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None, conformal=True,
+        rep=REP_C3, gamma=GAMMA3, u=U3, twist=None, twist_name="conformal", base=C3_UNTWISTED,
         slots=(("hop1", (0, 2)), ("offdiag", (0, 1))),
         orbit=_scale_both,
         distance=lambda p, phi: abs(1.0 - phi) * abs(p["hop1"]),
     ),
     C4_CONFORMAL: _Family(
-        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None, conformal=True,
+        rep=REP_C4, gamma=GAMMA4, u=U4, twist=None, twist_name="conformal", base=C4_UNTWISTED,
         slots=(("hop1", (0, 2)), ("hop2", (1, 3)), ("offdiag1", (0, 1)), ("offdiag2", (2, 3))),
         orbit=_scale_both,
         distance=lambda p, phi: abs(1.0 - phi) * max(abs(p["hop1"]), abs(p["hop2"])),
     ),
 }
 
-_PERM_BAD_TWIST = Twist(NU4_PERM_BAD, implements_algebra_automorphism=True)
+# The block-swap fixture: C4_PERM's layout with a twist that breaks twisted regularity.
+# It is buildable but not in FAMILIES, so identify_family and derive_family never report it.
+_BUILDABLE = {**_FAMILIES, C4_PERM_BAD: replace(
+    _FAMILIES[C4_PERM], twist=Twist(NU4_PERM_BAD, implements_algebra_automorphism=True),
+    twist_name="perm_bad", default_d2=lambda eps, d1: complex(eps * np.conj(d1)), defect=None,
+    constraints=("d1 = eps'*conj(d2) (block-swap reality condition)",),
+    plus_only="the perm_bad fixture exists only for eps' = +1: with the block-swap twist, "
+              "eps' = -1 and the grading admit only D = 0")}
+# (space, twist name) -> family id, as build_c3/build_c4/build_conformal and the CLI name them
+_NAMED = {(f"c{fam.dim}", fam.twist_name): family_id for family_id, fam in _BUILDABLE.items()}
 
 
-def _family(family_id: str) -> _Family:
-    if family_id not in _FAMILIES:
+def _family(family_id: str, records: dict = _FAMILIES) -> _Family:
+    if family_id not in records:
         raise ValueError(f"unknown family {family_id!r}")
-    return _FAMILIES[family_id]
+    return records[family_id]
 
 
 class CatalogConstraintError(ValueError):
     """Parameters violate the family's reality constraint."""
-
-
-def _hermitian_from_slots(dim: int, slots: dict[tuple[int, int], complex]) -> np.ndarray:
-    d = np.zeros((dim, dim), dtype=complex)
-    for (i, j), v in slots.items():
-        d[i, j] = v
-        d[j, i] = np.conj(v)
-    return d
-
-
-def _build(fam: _Family, dirac: np.ndarray, eps_prime: int, twist: Optional[Twist],
-           relation: str) -> SpectralTriple:
-    """The family's triple with this Dirac, checked against the epsilon' relation."""
-    real = RealStructure(j=Antiunitary(fam.u.copy()),
-                         signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
-    triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=twist)
-    residual = operator_norm(epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime))
-    if residual > 1e-12 * (1.0 + operator_norm(triple.dirac)):
-        raise CatalogConstraintError(f"parameters violate {relation} (residual {residual:.3e})")
-    return triple
 
 
 def _finite_hops(d1: complex, d2: Optional[complex]) -> tuple[complex, Optional[complex]]:
@@ -228,6 +234,52 @@ def _finite_hops(d1: complex, d2: Optional[complex]) -> tuple[complex, Optional[
     return hops
 
 
+def catalog_family(space: str, twist: str, conformal: bool = True) -> str:
+    """The family `twistriple catalog SPACE --twist TWIST` builds; conformal=False refuses rescaled ones."""
+    if space not in ("c3", "c4"):
+        raise ValueError(f"unknown space {space!r}")
+    family_id = _NAMED.get((space, twist))
+    if family_id is None or (not conformal and _BUILDABLE[family_id].base is not None):
+        raise ValueError(f"unknown C^{space[1:]} twist {twist!r}")
+    return family_id
+
+
+def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[complex] = None,
+                 rho: Optional[float] = None, zeta: Optional[float] = None) -> SpectralTriple:
+    """The member (eps', d1, d2) of a catalog family (or C4_PERM_BAD), laid out by its record.
+
+    An omitted d2 takes the family's default; the triple must satisfy the
+    epsilon' relation to 1e-12 (1 + ||D||), else CatalogConstraintError. A
+    conformal family rescales its base family's member by
+    ConformalFactor(zeta, rho): it needs rho, and no other family takes rho or zeta.
+    """
+    fam = _family(family_id, _BUILDABLE)
+    eps_prime = int(eps_prime)
+    if fam.plus_only is not None and eps_prime != 1:
+        raise CatalogConstraintError(fam.plus_only)
+    d1, d2 = _finite_hops(d1, d2)
+    if fam.base is not None:
+        if rho is None:
+            raise ValueError(f"the conformal family {family_id} needs rho")
+        return rescale(build_family(fam.base, eps_prime, d1, d2),
+                       ConformalFactor(zeta=1.0 if zeta is None else zeta, rho=rho))
+    if rho is not None or zeta is not None:
+        raise ValueError(f"rho and zeta apply only to the conformal families, not to {family_id}")
+    if d2 is None:
+        d2 = fam.default_d2(eps_prime, d1)
+    dirac = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for (i, j), v in {fam.hops[0]: d1, fam.hops[1]: d2, **fam.derived(eps_prime, d1, d2)}.items():
+        dirac[i, j], dirac[j, i] = v, np.conj(v)
+    real = RealStructure(j=Antiunitary(fam.u.copy()),
+                         signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
+    triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=fam.twist)
+    residual = operator_norm(epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime))
+    if residual > 1e-12 * (1.0 + operator_norm(triple.dirac)):
+        relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
+        raise CatalogConstraintError(f"parameters violate {relation} (residual {residual:.3e})")
+    return triple
+
+
 def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
              twist: str = "none") -> SpectralTriple:
     """A C^3 triple of the requested family.
@@ -236,18 +288,7 @@ def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
     that value. Permutation twist: d1 and d2 are free but must satisfy
     conj(d) = eps'*d (real for eps'=+1, imaginary for eps'=-1).
     """
-    eps_prime = int(eps_prime)
-    d1, d2 = _finite_hops(d1, d2)
-    if twist == "none":
-        fam = _FAMILIES[C3_UNTWISTED]
-        slot = eps_prime * np.conj(d1) if d2 is None else d2
-    elif twist == "perm":
-        fam = _FAMILIES[C3_PERM]
-        slot = 0j if d2 is None else d2
-    else:
-        raise ValueError(f"unknown C^3 twist {twist!r}")
-    dirac = _hermitian_from_slots(3, {(0, 1): slot, (0, 2): d1})
-    return _build(fam, dirac, eps_prime, fam.twist, " and ".join(fam.constraints))
+    return build_family(catalog_family("c3", twist, conformal=False), eps_prime, d1, d2)
 
 
 def build_c4(eps_prime: int, d1: complex, d2: Optional[complex] = None,
@@ -263,40 +304,21 @@ def build_c4(eps_prime: int, d1: complex, d2: Optional[complex] = None,
     omitted d2 defaults to 0, except for perm_bad where it defaults to the
     derived conj(d1).
     """
-    eps_prime = int(eps_prime)
-    if twist == "perm_bad" and eps_prime != 1:
-        raise CatalogConstraintError(
-            "the perm_bad fixture exists only for eps' = +1: with the block-swap twist, "
-            "eps' = -1 and the grading admit only D = 0")
-    d1, d2 = _finite_hops(d1, d2)
-    if d2 is None:
-        d2 = complex(eps_prime * np.conj(d1)) if twist == "perm_bad" else 0j
-    if twist == "none":
-        fam = _FAMILIES[C4_UNTWISTED]
-        upper = {(0, 1): eps_prime * np.conj(d1), (2, 3): eps_prime * np.conj(d2)}
-    elif twist in ("perm", "perm_bad"):
-        fam = _FAMILIES[C4_PERM]
-        upper = {(0, 1): eps_prime * d2, (2, 3): eps_prime * d1}
-    else:
-        raise ValueError(f"unknown C^4 twist {twist!r}")
-    dirac = _hermitian_from_slots(4, {(0, 2): d1, (1, 3): d2, **upper})
-    if twist == "perm_bad":
-        return _build(fam, dirac, eps_prime, _PERM_BAD_TWIST,
-                      "d1 = eps'*conj(d2) (block-swap reality condition)")
-    return _build(fam, dirac, eps_prime, fam.twist, ", ".join(fam.constraints))
+    return build_family(catalog_family("c4", twist, conformal=False), eps_prime, d1, d2)
 
 
 def build_conformal(space: str, eps_prime: int, d1: complex, d2: complex = 0j,
-                    rho: float = 0.5, zeta: float = 1.0,
-                    side: str = "algebra") -> SpectralTriple:
-    """Conformally rescaled untwisted triple on C^3 or C^4."""
-    if space == "c3":
-        base = build_c3(eps_prime, d1)
-    elif space == "c4":
-        base = build_c4(eps_prime, d1, d2)
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    return rescale(base, ConformalFactor(zeta=zeta, rho=rho, side=side))
+                    rho: float = 0.5, zeta: float = 1.0) -> SpectralTriple:
+    """Conformally rescaled untwisted triple on C^3 or C^4.
+
+    The C^3 family has the single hop d1, so there a finite d2 is ignored
+    (the (0,1) entry is eps'*conj(d1)); a non-finite d2 is still rejected.
+    """
+    family_id = catalog_family(space, "conformal")
+    d1, d2 = _finite_hops(d1, d2)
+    if "d2" not in _FAMILIES[_FAMILIES[family_id].base].free_params:
+        d2 = None
+    return build_family(family_id, eps_prime, d1, d2, rho=rho, zeta=zeta)
 
 
 def build_c4_perm_conformal_composite(eps_prime: int, d1: complex, d2: complex,
@@ -307,13 +329,8 @@ def build_c4_perm_conformal_composite(eps_prime: int, d1: complex, d2: complex,
     twisted regularity condition, which is the point of this fixture.
     """
     base = build_c4(eps_prime, d1, d2, twist="perm")
-    k = ConformalFactor(zeta=zeta, rho=rho)
-    k_alg = embed(REP_C4, k.values())
-    k_j = base.real.j.conjugate(k_alg)
-    nu_conf = np.linalg.inv(k_alg) @ k_j
-    dirac = k_j @ base.dirac @ k_j
-    return SpectralTriple(rep=REP_C4, dirac=dirac, grading=base.grading, real=base.real,
-                          twist=Twist(nu_conf @ base.nu, implements_algebra_automorphism=True))
+    rescaled = rescale(replace(base, twist=None), ConformalFactor(zeta=zeta, rho=rho))
+    return replace(rescaled, twist=Twist(rescaled.nu @ base.nu, implements_algebra_automorphism=True))
 
 
 @dataclass(frozen=True)
@@ -470,7 +487,7 @@ def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:
 
 def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) -> Optional[dict]:
     """Parameters the twist contributes if it has the family's shape, else None."""
-    if fam.conformal:
+    if fam.base is not None:
         rho = None if twist is None else _conformal_rho(twist.nu, tol)
         return None if rho is None else {"rho": rho}
     if fam.twist is None:

@@ -15,13 +15,7 @@ import sys
 from typing import Optional
 
 from .axioms import SpectralTriple, check_all, is_irreducible, ko_dimension
-from .catalog import (
-    CatalogConstraintError,
-    build_c3,
-    build_c4,
-    build_conformal,
-    identify_family,
-)
+from .catalog import CatalogConstraintError, build_family, catalog_family, identify_family
 from .conformal import ConformalFactor, TwistCompositionError, rescale
 from .distance import spectral_distance
 from .documents import DocumentError, dumps, load, save
@@ -49,8 +43,8 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:g}{z.imag:+g}j"
+def _fmt(v) -> str:
+    return f"{v.real:g}{v.imag:+g}j" if isinstance(v, complex) else f"{v:g}"
 
 
 def _tol_from(args) -> ToleranceConfig:
@@ -109,18 +103,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    # build_family rejects --rho/--zeta on a family that is not conformal
+    if args.twist == "conformal" and args.rho is None:
+        raise CliError("conformal catalog entries need --rho")
     d1 = _parse_complex(args.d1) if args.d1 is not None else 0j
     d2 = _parse_complex(args.d2) if args.d2 is not None else None
-    if args.twist == "conformal":
-        if args.rho is None:
-            raise CliError("conformal catalog entries need --rho")
-        t = build_conformal(args.family, args.eps_prime, d1,
-                            d2 if d2 is not None else 0j,
-                            rho=args.rho, zeta=args.zeta)
-    elif args.family == "c3":
-        t = build_c3(args.eps_prime, d1, d2, twist=args.twist)
-    else:
-        t = build_c4(args.eps_prime, d1, d2, twist=args.twist)
+    t = build_family(catalog_family(args.family, args.twist), args.eps_prime, d1, d2,
+                     rho=args.rho, zeta=args.zeta)
     _write_triple(t, args.output)
     return 0
 
@@ -136,12 +125,7 @@ def _print_family_params(t_old: SpectralTriple, t_new: SpectralTriple,
     print(f"family: {family}", file=stream)
     for key, old in params_old.items():
         new = params_new.get(key)
-        old_s = _fmt_complex(complex(old)) if isinstance(old, complex) else f"{old:g}"
-        if new is None:
-            print(f"  {key}: {old_s}", file=stream)
-        else:
-            new_s = _fmt_complex(complex(new)) if isinstance(new, complex) else f"{new:g}"
-            print(f"  {key}: {old_s} -> {new_s}", file=stream)
+        print(f"  {key}: {_fmt(old)}" + ("" if new is None else f" -> {_fmt(new)}"), file=stream)
 
 
 def cmd_fluctuate(args) -> int:
@@ -255,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", help="complex literal re,im")
     p.add_argument("--d2", help="complex literal re,im")
     p.add_argument("--twist", choices=["none", "perm", "perm_bad", "conformal"], default="none")
-    p.add_argument("--rho", type=float, help="conformal parameter in (0,1)")
-    p.add_argument("--zeta", type=float, default=1.0, help="conformal overall scale")
+    p.add_argument("--rho", type=float, help="conformal parameter in (0,1); --twist conformal only")
+    p.add_argument("--zeta", type=float, help="conformal overall scale (default 1); --twist conformal only")
     p.add_argument("-o", "--output", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_catalog)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import embed
 from .axioms import SpectralTriple, Twist
-from .forms import fluctuate
+from .forms import fluctuate, selfadjoint_one_form
 from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
 
 __all__ = [
@@ -138,8 +138,6 @@ def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: c
     """
     if t.twist is not None:
         raise ValueError("compatibility identity starts from an untwisted triple")
-    from .forms import selfadjoint_one_form  # local import to avoid cycle at module load
-
     b = selfadjoint_one_form(t, b_phi)
     rescaled = rescale(t, k, tol)
     _, k_j, sandwich = _factor_matrices(t, k)

@@ -102,10 +102,7 @@ def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAU
 
 
 def _omega1_span(t: SpectralTriple) -> np.ndarray:
-    e = projection_e(t.rep)
-    de = commutator(t.dirac, e)
-    one = np.eye(t.dim, dtype=complex)
-    return np.array([(e @ de).ravel(), ((one - e) @ de).ravel()])
+    return np.array([one_form(t, 1.0, 0.0).value.ravel(), one_form(t, 0.0, 1.0).value.ravel()])
 
 
 def omega1_equal(t1: SpectralTriple, t2: SpectralTriple,

@@ -28,6 +28,7 @@ from twistriple.catalog import (
     build_c4,
     build_c4_perm_conformal_composite,
     build_conformal,
+    build_family,
     derive_family,
     fluctuated_distance_formula,
     fluctuation_orbit_params,
@@ -55,6 +56,8 @@ from twistriple.linalg import ToleranceConfig
 TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
 RHO_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 ZETA_GRID = (0.5, 1.0, 2.0)
+ONE_HOP = (C3_UNTWISTED, C3_CONFORMAL)  # d2 is derived from d1
+CONFORMAL = (C3_CONFORMAL, C4_CONFORMAL)
 
 
 def verdict(number: int, ok: bool, label: str) -> bool:
@@ -91,6 +94,12 @@ def span_rank(matrices):
 
 def same_span(first, second):
     return span_rank(first) == span_rank(second) == span_rank(first + second)
+
+
+def member(family, eps, d1, d2, rho, zeta):
+    """The family member; one-hop families take no d2, and only conformal ones take (rho, zeta)."""
+    return build_family(family, eps, d1, None if family in ONE_HOP else d2,
+                        *((rho, zeta) if family in CONFORMAL else ()))
 
 
 def catalog_triples(rng):
@@ -161,20 +170,12 @@ def test_criterion_4_distance_formulas():
     oracle_failures = []
 
     def draw(family):
+        # draw order: eps', then (rho, zeta) for a conformal family, then its hops
         eps = 1 if rng.random() < 0.5 else -1
-        if family == C3_UNTWISTED:
-            return build_c3(eps, rand_c(rng))
-        if family == C3_PERM:
-            return build_c3(eps, perm_c3_param(rng, eps), perm_c3_param(rng, eps), twist="perm")
-        if family == C4_UNTWISTED:
-            return build_c4(eps, rand_c(rng), rand_c(rng))
-        if family == C4_PERM:
-            return build_c4(eps, rand_c(rng), rand_c(rng), twist="perm")
-        rho = rng.uniform(0.1, 0.9)
-        zeta = rng.uniform(0.5, 2.0)
-        if family == C3_CONFORMAL:
-            return build_conformal("c3", eps, rand_c(rng), rho=rho, zeta=zeta)
-        return build_conformal("c4", eps, rand_c(rng), rand_c(rng), rho=rho, zeta=zeta)
+        rho, zeta = (rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)) if family in CONFORMAL else (None, None)
+        hop = (lambda: perm_c3_param(rng, eps)) if family == C3_PERM else (lambda: rand_c(rng))
+        d1 = hop()
+        return member(family, eps, d1, None if family in ONE_HOP else hop(), rho, zeta)
 
     families = (C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM, C3_CONFORMAL, C4_CONFORMAL)
     for family in families:
@@ -206,21 +207,8 @@ def test_criterion_5_fluctuation_orbits():
     rng = np.random.default_rng(105)
     worst = 0.0
 
-    def rebuild(family, eps, d1, d2, rho, zeta):
-        if family == C3_UNTWISTED:
-            return build_c3(eps, d1)
-        if family == C3_PERM:
-            return build_c3(eps, d1, d2, twist="perm")
-        if family == C4_UNTWISTED:
-            return build_c4(eps, d1, d2)
-        if family == C4_PERM:
-            return build_c4(eps, d1, d2, twist="perm")
-        space = "c3" if family == C3_CONFORMAL else "c4"
-        return build_conformal(space, eps, d1, d2, rho=rho, zeta=zeta)
-
     core = (C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM)
-    conformal = (C3_CONFORMAL, C4_CONFORMAL)
-    for family in core + conformal:
+    for family in core + CONFORMAL:
         n = 1000 if family in core else 200
         for _ in range(n):
             eps = 1 if rng.random() < 0.5 else -1
@@ -230,10 +218,10 @@ def test_criterion_5_fluctuation_orbits():
                 d1, d2 = rand_c(rng), rand_c(rng)
             rho, zeta = rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)
             phi = rand_c(rng)
-            t = rebuild(family, eps, d1, d2, rho, zeta)
+            t = member(family, eps, d1, d2, rho, zeta)
             out = fluctuate(t, selfadjoint_one_form(t, phi), TOL12)
             nd1, nd2 = fluctuation_orbit_params(family, d1, d2, phi)
-            ref = rebuild(family, eps, nd1, nd2, rho, zeta)
+            ref = member(family, eps, nd1, nd2, rho, zeta)
             worst = max(worst, float(np.max(np.abs(out.dirac - ref.dirac))))
     semigroup_ok = True
     for _ in range(50):

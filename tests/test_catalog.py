@@ -12,11 +12,16 @@ from twistriple.catalog import (
     C4_CONFORMAL,
     C4_PERM,
     C4_UNTWISTED,
+    C4_PERM_BAD,
+    FAMILIES,
+    _FAMILIES,
     _SCAN_BLOCK,
     CatalogConstraintError,
     build_c3,
     build_c4,
     build_conformal,
+    build_family,
+    catalog_family,
     derive_family,
     fluctuated_distance_formula,
     fluctuation_orbit_params,
@@ -123,6 +128,44 @@ def test_build_rejects_unknown_twist():
         build_c4(1, 1.0, twist="spiral")
 
 
+def test_catalog_family_names_every_buildable_family():
+    named = {(space, twist): catalog_family(space, twist)
+             for space in ("c3", "c4") for twist in ("none", "perm", "perm_bad", "conformal")
+             if (space, twist) != ("c3", "perm_bad")}
+    assert sorted(named.values()) == sorted(FAMILIES + (C4_PERM_BAD,))
+    with pytest.raises(ValueError, match=r"unknown C\^3 twist 'perm_bad'"):
+        catalog_family("c3", "perm_bad")
+    with pytest.raises(ValueError, match=r"unknown C\^4 twist 'conformal'"):
+        catalog_family("c4", "conformal", conformal=False)
+    with pytest.raises(ValueError, match="unknown space 'c5'"):
+        catalog_family("c5", "none")
+
+
+def test_build_family_takes_rho_and_zeta_only_for_conformal_families():
+    for fam in (C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM, C4_PERM_BAD):
+        with pytest.raises(ValueError, match="apply only to the conformal families"):
+            build_family(fam, 1, 1.0, rho=0.3)
+        with pytest.raises(ValueError, match="apply only to the conformal families"):
+            build_family(fam, 1, 1.0, zeta=9.0)
+    for fam in (C3_CONFORMAL, C4_CONFORMAL):
+        with pytest.raises(ValueError, match="needs rho"):
+            build_family(fam, 1, 1.0, zeta=2.0)
+    with pytest.raises(ValueError, match="unknown family 'c5_untwisted'"):
+        build_family("c5_untwisted", 1, 1.0)
+
+
+def test_c3_conformal_checks_its_d2_like_c3_untwisted():
+    for eps in (1, -1):
+        d1 = 1.0 - 0.5j
+        omitted = build_family(C3_CONFORMAL, eps, d1, rho=0.5)
+        forced = build_family(C3_CONFORMAL, eps, d1, eps * np.conj(d1), rho=0.5)
+        assert np.array_equal(omitted.dirac, forced.dirac)
+        with pytest.raises(CatalogConstraintError, match=r"d3 = eps'\*conj\(d1\)"):
+            build_family(C3_CONFORMAL, eps, d1, 7.0, rho=0.5)
+        with pytest.raises(CatalogConstraintError, match=r"d3 = eps'\*conj\(d1\)"):
+            build_family(C3_UNTWISTED, eps, d1, 7.0)
+
+
 def test_conformal_builder_matches_manual_rescale():
     from twistriple.conformal import ConformalFactor, rescale
 
@@ -161,14 +204,15 @@ def test_derive_family_matches_closed_forms(eps):
 
 
 def test_derive_family_members_build_valid_triples():
-    for fam_id, build in [
-        (C3_UNTWISTED, lambda b, eps: build_c3(eps, b[0, 2], b[0, 1])),
-        (C4_PERM, lambda b, eps: build_c4(eps, b[0, 2], b[1, 3], twist="perm")),
-    ]:
+    # the solver pins each record's layout: a basis member b is rebuilt from
+    # its d1 entry (0, 2) and the entry the record puts d2 in
+    for fam_id in (C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM):
+        d2_entry = _FAMILIES[fam_id].hops[1]
         for eps in (1, -1):
-            fam = derive_family(fam_id, eps)
-            for b in fam.basis:
-                assert check_all(build(b, eps), TOL12).passed
+            for b in derive_family(fam_id, eps).basis:
+                t = build_family(fam_id, eps, b[0, 2], b[d2_entry])
+                assert np.max(np.abs(t.dirac - b)) < 1e-12
+                assert check_all(t, TOL12).passed
 
 
 def test_derive_family_rejects_conformal_ids():
@@ -303,24 +347,10 @@ def test_orbit_params_agree_with_matrix_fluctuation(fam):
         else:
             d1, d2 = rand_c(rng), rand_c(rng)
         phi = rand_c(rng)
-        if fam == C3_UNTWISTED:
-            t = build_c3(eps, d1)
-        elif fam == C3_PERM:
-            t = build_c3(eps, d1, d2, twist="perm")
-        elif fam == C4_UNTWISTED:
-            t = build_c4(eps, d1, d2)
-        else:
-            t = build_c4(eps, d1, d2, twist="perm")
+        t = build_family(fam, eps, d1, None if fam == C3_UNTWISTED else d2)  # its d2 is derived
         out = fluctuate(t, selfadjoint_one_form(t, phi), TOL12)
         nd1, nd2 = fluctuation_orbit_params(fam, d1, d2, phi)
-        if fam == C3_UNTWISTED:
-            ref = build_c3(eps, nd1)
-        elif fam == C3_PERM:
-            ref = build_c3(eps, nd1, nd2, twist="perm")
-        elif fam == C4_UNTWISTED:
-            ref = build_c4(eps, nd1, nd2)
-        else:
-            ref = build_c4(eps, nd1, nd2, twist="perm")
+        ref = build_family(fam, eps, nd1, None if fam == C3_UNTWISTED else nd2)
         assert np.max(np.abs(out.dirac - ref.dirac)) < 1e-12
 
 

@@ -86,6 +86,30 @@ def test_catalog_conformal_requires_rho(tmp_path, capsys):
     assert code == 2 and "--rho" in err
 
 
+@pytest.mark.parametrize("twist", ["none", "perm", "perm_bad"])
+@pytest.mark.parametrize("factor", [("--rho", "0.3", "--zeta", "9"), ("--rho", "0.3"),
+                                    ("--zeta", "9"), ("--zeta", "1")])
+def test_catalog_rejects_a_factor_without_twist_conformal(tmp_path, capsys, twist, factor):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "catalog", "c4", "--twist", twist, "--d1", "1,0", *factor,
+                         "-o", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert "rho and zeta apply only to the conformal families" in err
+
+
+def test_catalog_c3_conformal_checks_d2(tmp_path, capsys):
+    code, out, err = run(capsys, "catalog", "c3", "--twist", "conformal", "--rho", "0.5",
+                         "--d1", "1,0", "--d2", "7,0")
+    assert code == 2 and out == "" and "d3 = eps'*conj(d1)" in err
+    # the forced value eps'*conj(d1) is accepted and gives the d2-less triple
+    code, forced, _ = run(capsys, "catalog", "c3", "--twist", "conformal", "--rho", "0.5",
+                          "--eps-prime=-1", "--d1", "1,2", "--d2=-1,2")
+    assert code == 0
+    code, omitted, _ = run(capsys, "catalog", "c3", "--twist", "conformal", "--rho", "0.5",
+                           "--eps-prime=-1", "--d1", "1,2")
+    assert code == 0 and forced == omitted
+
+
 # ------------------------------------------------------------------- fluctuate
 
 def test_fluctuate_halves_d1_doubles_distance(tmp_path, capsys):
