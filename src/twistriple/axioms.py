@@ -25,6 +25,7 @@ from .linalg import (
     commutator,
     commutant_dimension,
 )
+from .signs import SignTriple, ko_dimension
 
 __all__ = [
     "SignTriple",
@@ -44,26 +45,6 @@ __all__ = [
     "ko_dimension",
     "is_irreducible",
 ]
-
-
-def _sign(value: int) -> int:
-    v = int(value)
-    if v not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    return v
-
-
-@dataclass(frozen=True)
-class SignTriple:
-    eps: int
-    eps_prime: int
-    eps_dprime: Optional[int] = None  # present exactly for graded triples
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", _sign(self.eps))
-        object.__setattr__(self, "eps_prime", _sign(self.eps_prime))
-        if self.eps_dprime is not None:
-            object.__setattr__(self, "eps_dprime", _sign(self.eps_dprime))
 
 
 @dataclass(frozen=True)
@@ -367,31 +348,6 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     if t.twist is not None:
         terms += _twist_invariant_terms(t, basis, tol)
     return CheckReport(_entries(terms))
-
-
-# KO-dimension table: signs (eps, eps') for odd n, (eps, eps', eps'') for even n.
-_KO_EVEN = {
-    (1, 1, 1): 0,
-    (-1, 1, -1): 2,
-    (-1, 1, 1): 4,
-    (1, 1, -1): 6,
-}
-_KO_ODD = {
-    (1, -1): 1,
-    (-1, 1): 3,
-    (-1, -1): 5,
-    (1, 1): 7,
-}
-
-
-def ko_dimension(signs: SignTriple) -> int:
-    """KO-dimension mod 8; graded sign triples map to even n, pairs to odd n."""
-    if signs.eps_dprime is None:
-        return _KO_ODD[(signs.eps, signs.eps_prime)]
-    key = (signs.eps, signs.eps_prime, signs.eps_dprime)
-    if key not in _KO_EVEN:
-        raise ValueError(f"sign combination {key} is not in the KO-dimension table")
-    return _KO_EVEN[key]
 
 
 def is_irreducible(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

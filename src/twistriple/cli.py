@@ -12,15 +12,14 @@ import argparse
 import cmath
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .axioms import SpectralTriple, check_all, is_irreducible, ko_dimension
-from .catalog import CatalogConstraintError, build_family, catalog_family, identify_family
-from .conformal import ConformalFactor, TwistCompositionError, rescale
-from .distance import spectral_distance
-from .documents import DocumentError, dumps, load, save
-from .forms import antihermitian_one_form, fluctuate, fluctuate_chiral, selfadjoint_one_form
-from .linalg import ToleranceConfig
+if TYPE_CHECKING:
+    from .axioms import SpectralTriple
+    from .linalg import ToleranceConfig
+
+# Each command imports the package modules it uses, so that a command pays
+# only for those (kodim needs no numpy, check and distance no catalog).
 
 __all__ = ["main"]
 
@@ -48,10 +47,27 @@ def _fmt(v) -> str:
 
 
 def _tol_from(args) -> ToleranceConfig:
+    from .linalg import ToleranceConfig
+
     return ToleranceConfig(abs_tol=args.tol, rank_tol=1e-9)
 
 
+def _provenance(tol: ToleranceConfig) -> dict:
+    """The versions and tolerances that produced a --json report."""
+    import numpy
+
+    from . import __version__
+
+    return {
+        "versions": {"twistriple": __version__, "numpy": numpy.__version__,
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
+        "tol": {"abs_tol": tol.abs_tol, "rank_tol": tol.rank_tol},
+    }
+
+
 def _load(path: str) -> SpectralTriple:
+    from .documents import load
+
     try:
         return load(path)
     except OSError as exc:
@@ -59,6 +75,8 @@ def _load(path: str) -> SpectralTriple:
 
 
 def _write_triple(t: SpectralTriple, output: Optional[str]):
+    from .documents import dumps, save
+
     if output is None:
         sys.stdout.write(dumps(t))
     else:
@@ -71,6 +89,8 @@ def _params_stream(args) -> "object":
 
 
 def cmd_check(args) -> int:
+    from .axioms import check_all, is_irreducible, ko_dimension
+
     t = _load(args.file)
     tol = _tol_from(args)
     report = check_all(t, tol)
@@ -89,6 +109,7 @@ def cmd_check(args) -> int:
             "overall_pass": report.passed,
             "ko_dimension": ko,
             "irreducible": irreducible,
+            **_provenance(tol),
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -103,6 +124,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import build_family, catalog_family
+
     # build_family rejects --rho/--zeta on a family that is not conformal
     if args.twist == "conformal" and args.rho is None:
         raise CliError("conformal catalog entries need --rho")
@@ -116,6 +139,8 @@ def cmd_catalog(args) -> int:
 
 def _print_family_params(t_old: SpectralTriple, t_new: SpectralTriple,
                          tol: ToleranceConfig, stream):
+    from .catalog import identify_family
+
     ident_old = identify_family(t_old, tol)
     if ident_old is None:
         return
@@ -129,6 +154,8 @@ def _print_family_params(t_old: SpectralTriple, t_new: SpectralTriple,
 
 
 def cmd_fluctuate(args) -> int:
+    from .forms import antihermitian_one_form, fluctuate, fluctuate_chiral, selfadjoint_one_form
+
     t = _load(args.file)
     tol = _tol_from(args)
     phi = _parse_complex(args.phi)
@@ -146,6 +173,8 @@ def cmd_fluctuate(args) -> int:
 
 
 def cmd_rescale(args) -> int:
+    from .conformal import ConformalFactor, rescale
+
     t = _load(args.file)
     tol = _tol_from(args)
     k = ConformalFactor(zeta=args.zeta, rho=args.rho, side=args.side)
@@ -155,14 +184,18 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .distance import spectral_distance
+
     t = _load(args.file)
-    result = spectral_distance(t, _tol_from(args))
+    tol = _tol_from(args)
+    result = spectral_distance(t, tol)
     if args.json:
         payload = {
             "value": None if result.unbounded else result.value,
             "unbounded": result.unbounded,
             "norm_de": result.norm_de,
             "norm_twisted": result.norm_twisted,
+            **_provenance(tol),
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -194,7 +227,7 @@ def cmd_scan_c2(args) -> int:
 
 
 def cmd_kodim(args) -> int:
-    from .axioms import SignTriple
+    from .signs import SignTriple, ko_dimension
 
     signs = SignTriple(eps=args.eps, eps_prime=args.eps_prime, eps_dprime=args.eps_dprime)
     try:
@@ -287,8 +320,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliError, DocumentError, CatalogConstraintError,
-            TwistCompositionError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # every package error type is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,6 +83,12 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     one scalar draw after another (re c_+, im c_+, re c_-, im c_- per
     generic sample; re w, im w per directional one), and each block is
     evaluated as one stack of algebra elements c_+ E_+ + c_- E_-.
+
+    On two points a = c_- 1 + (c_+ - c_-) e, so every derivative of a is
+    (c_+ - c_-) times one fixed matrix, and every non-skipped sample lands
+    on the same boundary value. The oracle therefore checks the derivative
+    norms that the closed form uses, by an independent route; it does not
+    search for a supremum.
     """
     if t.rep.n_points != 2:
         raise ValueError("two-point representations only")

@@ -51,6 +51,20 @@ def _object_text(fields: list[tuple[str, str]], indent: int) -> str:
 
 
 def _matrix_from_doc(obj: Any, dim: int, name: str) -> np.ndarray:
+    # One conversion for a well-formed matrix; the entry walk words the error.
+    try:
+        pairs = np.asarray(obj)
+    except ValueError:  # ragged rows or entries
+        pairs = None
+    if pairs is not None and pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "biuf":
+        pairs = pairs.astype(float)
+        if np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(dim, dim)
+    return _matrix_by_entry(obj, dim, name)
+
+
+def _matrix_by_entry(obj: Any, dim: int, name: str) -> np.ndarray:
+    """The matrix converted entry by entry, raising DocumentError at the first bad one."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise DocumentError(f"{name}: expected {dim} rows")
     out = np.zeros((dim, dim), dtype=complex)
@@ -61,7 +75,10 @@ def _matrix_from_doc(obj: Any, dim: int, name: str) -> np.ndarray:
             if (not isinstance(entry, list) or len(entry) != 2
                     or not all(isinstance(x, (int, float)) for x in entry)):
                 raise DocumentError(f"{name}: entry ({i},{j}) must be a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # an integer beyond the float range
+                re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise DocumentError(f"{name}: entry ({i},{j}) is not finite")
             out[i, j] = complex(re, im)

@@ -46,6 +46,42 @@ def test_check_truncated_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    base = tmp_path / "c3.json"
+    assert main(["catalog", "c3", "--d1", "1,0", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    doc["dirac"][0][0][0] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: dirac: entry (0,0) is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["check", "distance"])
+def test_json_reports_carry_versions_and_tolerances(tmp_path, capsys, command):
+    import sys
+
+    import numpy
+
+    import twistriple
+
+    path = str(tmp_path / "c4.json")
+    main(["catalog", "c4", "--d1", "3,0", "--d2", "4,0", "-o", path])
+    plain = json.loads(run(capsys, command, path, "--json")[1])
+    code, out, _ = run(capsys, command, path, "--json", "--tol", "1e-7")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["versions"] == {"twistriple": twistriple.__version__,
+                                   "numpy": numpy.__version__,
+                                   "python": ".".join(map(str, sys.version_info[:3]))}
+    assert payload["tol"] == {"abs_tol": 1e-7, "rank_tol": 1e-9}
+    assert plain["tol"]["abs_tol"] == 1e-9
+    old_keys = ({"entries", "overall_pass", "ko_dimension", "irreducible"} if command == "check"
+                else {"value", "unbounded", "norm_de", "norm_twisted"})
+    assert set(payload) == old_keys | {"versions", "tol"}
+
+
 # --------------------------------------------------------------------- catalog
 
 def test_catalog_constraint_violation_names_relation(tmp_path, capsys):

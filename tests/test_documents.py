@@ -197,3 +197,124 @@ def test_dumps_is_byte_identical_to_json_encoder():
         assert text == _reference_dumps(t)
         assert to_document(t) == json.loads(text) == _reference_document(t)
         assert dumps(loads(text)) == text
+
+
+# ------------------------------------- matrix loading against the per-entry loader
+
+def _reference_matrix_from_doc(obj, dim, name):
+    """The loader as it was before the single-conversion path: entry by entry."""
+    import math
+
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise DocumentError(f"{name}: expected {dim} rows")
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != dim:
+            raise DocumentError(f"{name}: row {i} must have {dim} entries")
+        for j, entry in enumerate(row):
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not all(isinstance(x, (int, float)) for x in entry)):
+                raise DocumentError(f"{name}: entry ({i},{j}) must be a [re, im] pair")
+            re, im = float(entry[0]), float(entry[1])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise DocumentError(f"{name}: entry ({i},{j}) is not finite")
+            out[i, j] = complex(re, im)
+    return out
+
+
+# JSON numbers the loader must take exactly as float() does, including the
+# int64/uint64 boundaries numpy converts natively and ints it cannot hold
+VALID_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1e-300, 1.0 / 3.0, 0, 1, -7, True, False, 2 ** 53 + 1, -(2 ** 63),
+                 2 ** 63 - 1, 2 ** 63 + 1025, 2 ** 64 - 1, 2 ** 64 + 1, -(2 ** 64) - 3, 10 ** 30,
+                 10 ** 308]
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400)]
+BAD_VALUES = [None, "1.0", "", [], [1.0], [1.0, 2.0], {"re": 1.0}]
+
+
+def _valid_matrices(rng):
+    """JSON matrices of every dim, drawn from one number family or mixed across them."""
+    pools = [VALID_NUMBERS, [True, False], [0, 1, -3, 2 ** 40],
+             [2 ** 63, 2 ** 64 - 1, 2 ** 63 + 1025], [-0.0, 5e-324, 0.5]]
+    out = []
+    for dim in (1, 2, 3, 4):
+        for pool in pools:
+            for _ in range(6):
+                out.append((dim, [[[pool[int(rng.integers(len(pool)))] for _ in range(2)]
+                                   for _ in range(dim)] for _ in range(dim)]))
+        out.append((dim, [[[rng.standard_normal(), rng.standard_normal()] for _ in range(dim)]
+                          for _ in range(dim)]))
+    return out
+
+
+def _malformed_matrices(rng):
+    """Every shape and value fault, at the first, last and a random position."""
+    import copy
+
+    out = []
+    for dim in (1, 2, 3, 4):
+        base = [[[float(rng.standard_normal()), float(rng.standard_normal())]
+                 for _ in range(dim)] for _ in range(dim)]
+        for whole in (None, {}, "m", 3.0, [], base[:-1], base + [base[0]],
+                      [[[x] for x in row] for row in base]):
+            out.append((dim, whole))
+        # the same numbers shaped dim+1 square, and dim x dim x 3: consistent, wrong shape
+        out.append((dim, [[[1.0, 2.0]] * (dim + 1)] * (dim + 1)))
+        out.append((dim, [[[1.0, 2.0, 3.0]] * dim] * dim))
+        out.append((dim, [[[[1.0], [2.0]]] * dim] * dim))
+        positions = {(0, 0), (dim - 1, dim - 1), (int(rng.integers(dim)), int(rng.integers(dim)))}
+        for i, j in sorted(positions):
+            for row in (None, 1.0, "r", {}, base[i][:-1], base[i] + [[0.0, 0.0]], []):
+                m = copy.deepcopy(base)
+                m[i] = row
+                out.append((dim, m))
+            for entry in BAD_VALUES + [[1.0, 2.0, 3.0], [[1.0, 2.0], 3.0], 4.0]:
+                m = copy.deepcopy(base)
+                m[i][j] = copy.deepcopy(entry)
+                out.append((dim, m))
+            for bad in BAD_NUMBERS + BAD_VALUES:
+                for k in (0, 1):
+                    m = copy.deepcopy(base)
+                    m[i][j][k] = bad
+                    out.append((dim, m))
+            # two faults: the first in row-major order names the message
+            m = copy.deepcopy(base)
+            m[i][j][0] = float("nan")
+            m[dim - 1][dim - 1] = "x"
+            out.append((dim, m))
+    return out
+
+
+def _load_outcome(fn, obj, dim):
+    try:
+        m = fn(obj, dim, "dirac")
+    except (DocumentError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+def test_matrix_loading_matches_the_per_entry_loader():
+    from twistriple.documents import _matrix_from_doc
+
+    rng = np.random.default_rng(20261018)
+    valid, malformed = _valid_matrices(rng), _malformed_matrices(rng)
+    assert len(valid) == 124 and len(malformed) == 422
+    for dim, obj in valid + malformed:
+        obj = json.loads(json.dumps(obj))  # only what a JSON document can hold
+        got, want = _load_outcome(_matrix_from_doc, obj, dim), _load_outcome(
+            _reference_matrix_from_doc, obj, dim)
+        if want[0] is OverflowError:  # the one intended difference: see the next test
+            assert got[0] is DocumentError and got[1].endswith("is not finite"), obj
+        else:
+            assert got == want, obj
+    for dim, obj in valid:
+        assert _load_outcome(_matrix_from_doc, obj, dim)[0] == (dim, dim)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_integer_beyond_float_range_is_a_document_error(value, part):
+    doc = json.loads(dumps(build_c3(1, 1.0)))
+    doc["dirac"][0][1][part] = value
+    with pytest.raises(DocumentError, match=r"^dirac: entry \(0,1\) is not finite$"):
+        loads(json.dumps(doc))
