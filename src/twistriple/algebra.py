@@ -8,6 +8,7 @@ calculus operations (one-forms, distances) require exactly two points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +60,29 @@ def embed(rep: Representation, a: Sequence[complex]) -> np.ndarray:
     return np.diag([values[p] for p in rep.point_of]).astype(complex)
 
 
-def projection_e(rep: Representation) -> np.ndarray:
-    """The projection (1, 0) of a two-point representation."""
+@lru_cache(maxsize=256)
+def _point_projections(rep: Representation) -> np.ndarray:
+    """The read-only stack (n_points, dim, dim) of the embedded point projections.
+
+    Entry p is embed(rep, e_p) for the p-th unit element; it depends only on
+    the representation, so it is built once per representation and shared.
+    """
+    k = rep.n_points
+    stack = np.stack([embed(rep, [1.0 if q == p else 0.0 for q in range(k)]) for p in range(k)])
+    stack.flags.writeable = False
+    return stack
+
+
+def _two_point_projections(rep: Representation) -> np.ndarray:
+    """The shared read-only stack (e, 1 - e) of a two-point representation."""
     if rep.n_points != 2:
         raise ValueError("projection e is defined for two-point algebras only")
-    return embed(rep, (1.0, 0.0))
+    return _point_projections(rep)
+
+
+def projection_e(rep: Representation) -> np.ndarray:
+    """The projection (1, 0) of a two-point representation, as a fresh array."""
+    return _two_point_projections(rep)[0].copy()
 
 
 def check_bimodule_relation(rep: Representation, d: np.ndarray,
@@ -72,10 +91,9 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
 
     By linearity it suffices to test a = e.
     """
-    e = projection_e(rep)
+    e, not_e = _two_point_projections(rep)
     de = commutator(_as_square(d), e)
-    one = np.eye(rep.dim, dtype=complex)
-    return float(np.linalg.norm(e @ de - de @ (one - e))) < tol.abs_tol
+    return float(np.linalg.norm(e @ de - de @ not_e)) < tol.abs_tol
 
 
 def permute(rep: Representation, perm: Sequence[int], a: Sequence[complex]) -> tuple[complex, ...]:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, embed
+from .algebra import Representation, _point_projections
 from .linalg import (
     DEFAULT_TOL,
     Antiunitary,
@@ -24,6 +24,7 @@ from .linalg import (
     _as_square,
     commutator,
     commutant_dimension,
+    operator_norms,
 )
 from .signs import SignTriple, ko_dimension
 
@@ -111,13 +112,8 @@ class SpectralTriple:
         return replace(self, dirac=np.asarray(dirac, dtype=complex))
 
     def algebra_basis(self) -> list[np.ndarray]:
-        """Embedded basis {e, 1-e} (two points) or the point projections."""
-        k = self.rep.n_points
-        out = []
-        for p in range(k):
-            values = [1.0 if q == p else 0.0 for q in range(k)]
-            out.append(embed(self.rep, values))
-        return out
+        """Embedded basis {e, 1-e} (two points) or the point projections, as fresh arrays."""
+        return list(_point_projections(self.rep).copy())
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def _entries(terms: list[_Term]) -> list[CheckEntry]:
     """Check entries of the terms, in order, with one stacked operator norm."""
     stacks = [r.reshape(-1, *r.shape[-2:]) for _, r, _ in terms if isinstance(r, np.ndarray)]
     if stacks:
-        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(-2, -1))
+        norms = operator_norms(np.concatenate(stacks))
         starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
         worst = iter(np.maximum.reduceat(norms, starts).tolist())
     return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r), tol)
@@ -212,7 +208,7 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     all three are single matrices. The basis is shared by every entry.
     """
     diffs = _order_one_diffs(dirac, u, nu, basis)
-    worst = np.linalg.norm(diffs, 2, axis=(-2, -1)).max(axis=-1)
+    worst = operator_norms(diffs).max(axis=-1)
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -294,12 +290,12 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
 
 def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[a, J b J^-1] = 0 over the algebra basis pairs."""
-    return _entries(_order_zero_terms(t, np.stack(t.algebra_basis()), tol))[0]
+    return _entries(_order_zero_terms(t, _point_projections(t.rep), tol))[0]
 
 
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    return _entries(_order_one_terms(t, np.stack(t.algebra_basis()), tol))[0]
+    return _entries(_order_one_terms(t, _point_projections(t.rep), tol))[0]
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
@@ -314,7 +310,7 @@ def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_T
 
 def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckEntry]:
     """All grading conditions; the J sign uses eps'' from the triple's signs."""
-    return _entries(_grading_terms(t, np.stack(t.algebra_basis()), tol))
+    return _entries(_grading_terms(t, _point_projections(t.rep), tol))
 
 
 def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
@@ -325,7 +321,7 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     worst residual per condition. j_unitary and j_squared_sign are Frobenius
     defects; a twist whose nu^2 is singular reports twisted_order_one = inf.
     """
-    basis = np.stack(t.algebra_basis())
+    basis = _point_projections(t.rep)
     terms: list[_Term] = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, tol.abs_tol)]
     if t.grading is not None:
         terms += _grading_terms(t, basis, tol)
@@ -352,10 +348,8 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
 
 def is_irreducible(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Trivial commutant of the set {gamma} u {a} u {[D, b]} over the algebra basis."""
-    gens: list[np.ndarray] = []
+    basis = _point_projections(t.rep)
+    gens = [basis, commutator(t.dirac, basis)]
     if t.grading is not None:
-        gens.append(t.grading)
-    basis = t.algebra_basis()
-    gens.extend(basis)
-    gens.extend(commutator(t.dirac, b) for b in basis)
-    return commutant_dimension(gens, tol) == 1
+        gens.insert(0, t.grading[None])
+    return commutant_dimension(np.concatenate(gens), tol) == 1

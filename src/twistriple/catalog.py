@@ -39,6 +39,7 @@ from .linalg import (
     ToleranceConfig,
     commutator,
     operator_norm,
+    operator_norms,
     solve_linear_family,
 )
 
@@ -273,8 +274,9 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     real = RealStructure(j=Antiunitary(fam.u.copy()),
                          signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
     triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=fam.twist)
-    residual = operator_norm(epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime))
-    if residual > 1e-12 * (1.0 + operator_norm(triple.dirac)):
+    residual, scale = operator_norms(np.stack([
+        epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime), triple.dirac])).tolist()
+    if residual > 1e-12 * (1.0 + scale):
         relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
         raise CatalogConstraintError(f"parameters violate {relation} (residual {residual:.3e})")
     return triple
@@ -463,7 +465,8 @@ def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> f
 
 
 def _matches(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
-    return operator_norm(np.asarray(a) - np.asarray(b)) < tol.abs_tol
+    """Whether a and b, two matrices or two stacks of them, agree to abs_tol in every operator norm."""
+    return bool((operator_norms(np.asarray(a) - np.asarray(b)) < tol.abs_tol).all())
 
 
 def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:
@@ -505,7 +508,7 @@ def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Op
         params = _twist_params(fam, t.twist, tol)
         if params is None:
             continue
-        if not _matches(t.grading, fam.gamma, tol) or not _matches(t.real.j.u, fam.u, tol):
+        if not _matches(np.stack([t.grading, t.real.j.u]), np.stack([fam.gamma, fam.u]), tol):
             return None
         params.update((name, complex(t.dirac[i, j])) for name, (i, j) in fam.slots)
         return (family_id, params)

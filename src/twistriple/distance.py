@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import embed, projection_e
+from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, commutator, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, commutator, operator_norms
 
 __all__ = [
     "DistanceResult",
@@ -40,10 +40,9 @@ class DistanceResult:
         return math.isinf(self.value)
 
 
-def _twisted_derivative_of_e(t: SpectralTriple) -> Optional[np.ndarray]:
+def _twisted_derivative_of_e(t: SpectralTriple, e: np.ndarray) -> Optional[np.ndarray]:
     if t.twist is None:
         return None
-    e = projection_e(t.rep)
     nu = t.twist.nu
     return t.dirac @ e - nu @ e @ np.linalg.inv(nu) @ t.dirac
 
@@ -52,14 +51,14 @@ def spectral_distance(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Distance between the two points, or an unbounded result."""
     if t.rep.n_points != 2:
         raise ValueError("spectral distance is defined for two-point representations")
-    e = projection_e(t.rep)
-    norm_de = operator_norm(commutator(t.dirac, e))
-    norm_twisted = None
-    effective = norm_de
-    twisted = _twisted_derivative_of_e(t)
+    e = _two_point_projections(t.rep)[0]
+    derivatives = [commutator(t.dirac, e)]
+    twisted = _twisted_derivative_of_e(t, e)
     if twisted is not None:
-        norm_twisted = operator_norm(twisted)
-        effective = max(effective, norm_twisted)
+        derivatives.append(twisted)
+    norms = operator_norms(np.stack(derivatives)).tolist()
+    norm_de, norm_twisted = norms[0], (norms[1] if twisted is not None else None)
+    effective = max(norms)
     if effective < tol.rank_tol:
         return DistanceResult(value=math.inf, norm_de=norm_de, norm_twisted=norm_twisted)
     return DistanceResult(value=1.0 / effective, norm_de=norm_de, norm_twisted=norm_twisted)
@@ -98,16 +97,15 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     if t.twist is not None:
         nu = t.twist.nu
         nu_inv = np.linalg.inv(nu)
-    e_plus = embed(t.rep, (1.0, 0.0))
-    e_minus = embed(t.rep, (0.0, 1.0))
+    e_plus, e_minus = _two_point_projections(t.rep)
 
     def block_best(cp: np.ndarray, cm: np.ndarray) -> float:
         """Best boundary value of a block; samples with |c_+ - c_-| < 1e-12 are skipped."""
         a = cp[:, None, None] * e_plus + cm[:, None, None] * e_minus
         da = t.dirac @ a
-        worst = np.linalg.norm(da - a @ t.dirac, 2, axis=(-2, -1))
+        worst = operator_norms(da - a @ t.dirac)
         if nu is not None:
-            worst = np.maximum(worst, np.linalg.norm(da - nu @ a @ nu_inv @ t.dirac, 2, axis=(-2, -1)))
+            worst = np.maximum(worst, operator_norms(da - nu @ a @ nu_inv @ t.dirac))
         gap = np.abs(cp - cm)
         ratios = np.divide(gap, worst, out=np.zeros_like(worst), where=(gap >= 1e-12) & (worst > 0.0))
         return float(ratios.max())

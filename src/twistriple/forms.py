@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import projection_e
+from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, commutator, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, commutator, operator_norm, operator_norms
 
 __all__ = [
     "OneForm",
@@ -40,10 +40,9 @@ class OneForm:
 
 def one_form(t: SpectralTriple, phi1: complex, phi2: complex) -> OneForm:
     """(phi1 e + phi2 (1-e)) [D, e] with its coefficients recorded."""
-    e = projection_e(t.rep)
+    e, not_e = _two_point_projections(t.rep)
     de = commutator(t.dirac, e)
-    one = np.eye(t.dim, dtype=complex)
-    value = (complex(phi1) * e + complex(phi2) * (one - e)) @ de
+    value = (complex(phi1) * e + complex(phi2) * not_e) @ de
     return OneForm(value=value, phi1=complex(phi1), phi2=complex(phi2), base_dirac=t.dirac.copy())
 
 
@@ -60,7 +59,8 @@ def is_selfadjoint_form(a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
-    if operator_norm(a.base_dirac - t.dirac) > tol.abs_tol * (1.0 + operator_norm(t.dirac)):
+    gap, scale = operator_norms(np.stack([a.base_dirac - t.dirac, t.dirac])).tolist()
+    if gap > tol.abs_tol * (1.0 + scale):
         raise ValueError("one-form was built from a different Dirac operator")
 
 

@@ -5,12 +5,20 @@ operator norm is LAPACK's largest singular value, and rank/nullspace
 decisions use a relative singular-value threshold. Inputs are checked for
 shape and finiteness once, where matrices enter the package (triple, twist
 and antiunitary constructors, documents, the CLI), not inside the kernels.
+
+Every operator norm in the package goes through one kernel,
+`operator_norms(stack) = np.linalg.svd(stack, compute_uv=False)[..., 0]`:
+LAPACK returns the singular values in descending order, so this is bitwise
+what `np.linalg.norm(stack, 2, axis=(-2, -1))` computes, without that
+wrapper's axis bookkeeping and its final `amax`. `operator_norm` is the
+same kernel on one matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +29,7 @@ __all__ = [
     "Antiunitary",
     "commutator",
     "operator_norm",
+    "operator_norms",
     "commutant_dimension",
     "solve_linear_family",
     "hermitian_basis",
@@ -53,7 +62,7 @@ def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -63,9 +72,14 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def operator_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (..., m, n)."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
 def operator_norm(m) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(m, 2))
+    return float(operator_norms(m))
 
 
 @dataclass(frozen=True)
@@ -127,18 +141,21 @@ def commutant_dimension(generators: Sequence[np.ndarray],
                         tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Complex dimension of {X : [X, G] = 0 for every generator G}.
 
+    The generators are a sequence of n x n matrices or one stack (k, n, n).
     The commutation constraints of all generators form one (k n^2, n^2)
     operator on the matrix space, built by broadcasting over the generator
     stack, and the nullspace dimension is read off its singular values.
     """
-    gens = [np.asarray(g) for g in generators]
-    if not gens:
+    if len(generators) == 0:
         raise ValueError("need at least one generator (empty set has full commutant)")
-    n = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (n, n):
-            raise ValueError("generators must share one dimension")
-    s = np.linalg.svd(_commutation_operator(np.stack(gens)), compute_uv=False)
+    try:
+        gens = np.stack(generators)
+    except ValueError:  # ragged shapes
+        raise ValueError("generators must share one dimension") from None
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise ValueError("generators must share one dimension")
+    n = gens.shape[-1]
+    s = np.linalg.svd(_commutation_operator(gens), compute_uv=False)
     return n * n - _rank(s, tol.rank_tol)
 
 
@@ -167,31 +184,50 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
     return basis
 
 
+@lru_cache(maxsize=8)
+def _hermitian_stack(dim: int) -> np.ndarray:
+    """hermitian_basis(dim) as one read-only stack (dim^2, dim, dim), built once per dim."""
+    stack = np.stack(hermitian_basis(dim))
+    stack.flags.writeable = False
+    return stack
+
+
+@lru_cache(maxsize=8)
+def _upper_coords(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the strictly upper entries (row-major) and their re/im coordinates."""
+    rows, cols = np.triu_indices(dim, 1)
+    re = np.arange(dim, dim * dim, 2)
+    index = (rows, cols, re, re + 1)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def _hermitian_from_coord_rows(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrices (k, dim, dim) of the coordinate rows (k, dim^2)."""
+    rows, cols, re, im = _upper_coords(dim)
+    m = np.zeros((coords.shape[0], dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    m[:, diag, diag] = coords[:, :dim]
+    m[:, rows, cols] = coords[:, re] + 1j * coords[:, im]
+    m[:, cols, rows] = coords[:, re] - 1j * coords[:, im]
+    return m
+
+
 def hermitian_from_coords(coords: np.ndarray, dim: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} coordinates")
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.diag_indices(dim)] = coords[:dim]
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m[i, j] = coords[k] + 1j * coords[k + 1]
-            m[j, i] = coords[k] - 1j * coords[k + 1]
-            k += 2
-    return m
+    return _hermitian_from_coord_rows(coords[None], dim)[0]
 
 
 def coords_from_hermitian(m: np.ndarray) -> np.ndarray:
     dim = m.shape[0]
+    rows, cols, re, im = _upper_coords(dim)
     coords = np.empty(dim * dim)
     coords[:dim] = m.diagonal().real
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coords[k] = m[i, j].real
-            coords[k + 1] = m[i, j].imag
-            k += 2
+    coords[re] = m[rows, cols].real
+    coords[im] = m[rows, cols].imag
     return coords
 
 
@@ -199,18 +235,19 @@ def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
     """Reduced row echelon form; rows ordered by pivot column."""
     a = np.array(rows, dtype=float)
     nrow, ncol = a.shape
+    index = np.arange(nrow)
     r = 0
     for c in range(ncol):
         if r >= nrow:
             break
-        pivot = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[pivot, c]) <= tol:
+        below = np.abs(a[r:, c])
+        pivot = int(below.argmax())
+        if below[pivot] <= tol:
             continue
-        a[[r, pivot]] = a[[pivot, r]]
+        a[[r, r + pivot]] = a[[r + pivot, r]]
         a[r] = a[r] / a[r, c]
-        for i in range(nrow):
-            if i != r:
-                a[i] = a[i] - a[i, c] * a[r]
+        others = index != r
+        a[others] -= a[others, c, None] * a[r]
         r += 1
     return a[:r]
 
@@ -220,24 +257,29 @@ def solve_linear_family(constraints: Sequence[Callable[[np.ndarray], np.ndarray]
                         tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Real basis of the Hermitian matrices annihilated by all constraints.
 
-    Each constraint is a real-linear map taking a Hermitian dim x dim matrix
-    to an arbitrary complex matrix; its kernel is computed over the real
+    Each constraint is a real-linear map taking Hermitian dim x dim matrices
+    to arbitrary complex arrays, and it must broadcast over a leading stack
+    axis: it is called once, on the read-only stack (dim^2, dim, dim) of
+    `hermitian_basis(dim)`, and must return one output per basis matrix
+    along axis 0 (`gamma @ d + d @ gamma` does; `d.T` and `np.trace(d)` do
+    not, and raise ValueError). Its kernel is computed over the real
     coordinates from `hermitian_basis`. The returned basis is orthonormal in
     those coordinates and deterministically ordered by reduced-row-echelon
     pivots, so repeated runs (and platforms) agree.
     """
-    basis = hermitian_basis(dim)
     if not constraints:
-        return [b.copy() for b in basis]
-    cols = []
-    for b in basis:
-        pieces = []
-        for f in constraints:
-            y = np.asarray(f(b), dtype=complex).ravel()
-            pieces.append(y.real)
-            pieces.append(y.imag)
-        cols.append(np.concatenate(pieces))
-    a = np.array(cols).T  # (outputs, ncoord)
+        return hermitian_basis(dim)
+    basis = _hermitian_stack(dim)
+    count = basis.shape[0]
+    pieces = []
+    for f in constraints:
+        y = np.asarray(f(basis), dtype=complex)
+        if y.shape[:1] != (count,):
+            raise ValueError(f"a constraint mapped the stack of {count} basis matrices to shape "
+                             f"{y.shape}; constraints must broadcast over the leading axis")
+        y = y.reshape(count, -1)
+        pieces += [y.real, y.imag]
+    a = np.concatenate(pieces, axis=1).T  # (outputs, ncoord)
     _, s, vt = np.linalg.svd(a)
     rank = _rank(s, tol.rank_tol)
     kernel = vt[rank:]
@@ -250,7 +292,7 @@ def solve_linear_family(constraints: Sequence[Callable[[np.ndarray], np.ndarray]
         v = row.copy()
         for w in ortho:
             v -= np.dot(v, w) * w
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v @ v)
         if nv > tol.rank_tol:
             ortho.append(v / nv)
-    return [hermitian_from_coords(v, dim) for v in ortho]
+    return list(_hermitian_from_coord_rows(np.array(ortho).reshape(-1, dim * dim), dim))

@@ -8,9 +8,6 @@ re-exports its names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 __all__ = ["SignTriple", "ko_dimension"]
 
 
@@ -21,17 +18,43 @@ def _sign(value: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class SignTriple:
-    eps: int
-    eps_prime: int
-    eps_dprime: Optional[int] = None  # present exactly for graded triples
+    """The signs (eps, eps', eps''); eps'' is present exactly for graded triples.
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", _sign(self.eps))
-        object.__setattr__(self, "eps_prime", _sign(self.eps_prime))
-        if self.eps_dprime is not None:
-            object.__setattr__(self, "eps_dprime", _sign(self.eps_dprime))
+    An immutable value: equal and equally hashed when the three signs agree.
+    A plain slotted class rather than a frozen dataclass, so that importing
+    it does not import `dataclasses` (and `inspect`).
+    """
+
+    __slots__ = ("eps", "eps_prime", "eps_dprime")
+
+    def __init__(self, eps: int, eps_prime: int, eps_dprime: int | None = None):
+        object.__setattr__(self, "eps", _sign(eps))
+        object.__setattr__(self, "eps_prime", _sign(eps_prime))
+        object.__setattr__(self, "eps_dprime", None if eps_dprime is None else _sign(eps_dprime))
+
+    def _key(self) -> tuple:
+        return (self.eps, self.eps_prime, self.eps_dprime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SignTriple(eps={self.eps!r}, eps_prime={self.eps_prime!r}, eps_dprime={self.eps_dprime!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (SignTriple, self._key())
 
 
 # KO-dimension table: signs (eps, eps') for odd n, (eps, eps', eps'') for even n.

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -481,6 +484,26 @@ def test_ko_dimension_parity_matches_grading():
 def test_ko_dimension_rejects_absent_combination():
     with pytest.raises(ValueError):
         ko_dimension(SignTriple(1, -1, 1))
+
+
+def test_sign_triple_is_an_immutable_value():
+    s = SignTriple(eps=1, eps_prime=1, eps_dprime=1)
+    assert repr(s) == "SignTriple(eps=1, eps_prime=1, eps_dprime=1)"
+    assert repr(SignTriple(-1, 1)) == "SignTriple(eps=-1, eps_prime=1, eps_dprime=None)"
+    assert s == SignTriple(1.0, 1, True) and hash(s) == hash(SignTriple(1, 1, 1))
+    assert s != SignTriple(1, 1) and s != SignTriple(1, -1, 1) and s != (1, 1, 1)
+    assert len({s, SignTriple(1, 1, 1), SignTriple(1, 1)}) == 2
+    for name in ("eps", "eps_prime", "eps_dprime", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, -1)
+    with pytest.raises(AttributeError):
+        del s.eps
+    assert (s.eps, s.eps_prime, s.eps_dprime) == (1, 1, 1)
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(ValueError, match="signs must be"):
+        SignTriple(1, 0)
+    with pytest.raises(ValueError, match="signs must be"):
+        SignTriple(1, 1, 2)
 
 
 # -------------------------------------------------------------- irreducibility

@@ -134,6 +134,13 @@ ENTRY_CASES = {
 }
 
 
+def test_kodim_loads_no_dataclasses():
+    code, out, _, modules = run_entry_point("kodim", "--eps", "1", "--eps-prime", "1", "--eps-dprime", "1")
+    assert (code, out.strip()) == (0, "0")
+    assert "twistriple.signs" in modules
+    assert "dataclasses" not in modules and "numpy" not in modules
+
+
 @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
 def test_entry_point_exit_codes_output_and_imports(case, files, capsys):
     argv, code, loaded, not_loaded = ENTRY_CASES[case]

@@ -1,0 +1,266 @@
+"""Parity of the stacked kernels with the per-matrix code they replaced, and
+isolation of the constants they cache.
+
+- `operator_norms` / `operator_norm` against `np.linalg.norm(., 2)`, exactly,
+  on random stacks of dims 1-8 from 1e-300 to 1e300 and on zero matrices.
+- `solve_linear_family`, which evaluates each constraint once on the cached
+  stack of Hermitian basis matrices, against the earlier solver (copied
+  below) that called every constraint once per basis member: bitwise-equal
+  bases for the four core families, both eps', and the constraint sets of
+  tests/test_linalg.py.
+- The solver's contract: a constraint must broadcast over the leading stack
+  axis, else ValueError.
+- The cached point projections and Hermitian basis stack are read-only, and
+  the public arrays (`projection_e`, `algebra_basis`) are fresh copies whose
+  mutation changes no later result.
+"""
+
+import numpy as np
+import pytest
+
+from twistriple.algebra import REP_C3, REP_C4, Representation, _point_projections, projection_e
+from twistriple.axioms import check_all, epsilon_prime_residual
+from twistriple.catalog import (
+    GAMMA3,
+    GAMMA4,
+    NU3_PERM,
+    NU4_PERM,
+    U3,
+    U4,
+    build_c3,
+    build_c4,
+    build_conformal,
+    derive_family,
+)
+from twistriple.distance import spectral_distance
+from twistriple.forms import fluctuate, selfadjoint_one_form
+from twistriple.linalg import (
+    DEFAULT_TOL,
+    _hermitian_stack,
+    _rank,
+    operator_norm,
+    operator_norms,
+    solve_linear_family,
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and dtype and the same bytes: signed zeros must agree too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------ the norm kernel
+
+SCALES = (0.0, 1e-300, 1e-150, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e150, 1e300)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_operator_norms_equal_numpy_spectral_norm_exactly(n):
+    rng = np.random.default_rng(500 + n)
+    for scale in SCALES:
+        for dtype in (complex, float):
+            stack = rng.standard_normal((40, n, n)) * scale
+            if dtype is complex:
+                stack = stack + 1j * rng.standard_normal((40, n, n)) * scale
+            stack[0] = 0.0
+            want = np.linalg.norm(stack, 2, axis=(-2, -1))
+            assert same_bits(operator_norms(stack), want)
+            assert same_bits(operator_norms(stack.reshape(4, 10, n, n)), want.reshape(4, 10))
+            for m in stack[:10]:
+                assert operator_norm(m) == float(np.linalg.norm(m, 2))
+
+
+def test_operator_norm_of_zero_matrices():
+    for n in range(1, 9):
+        z = np.zeros((n, n), dtype=complex)
+        assert operator_norm(z) == 0.0 == float(np.linalg.norm(z, 2))
+        assert same_bits(operator_norms(np.zeros((3, n, n))), np.zeros(3))
+
+
+# ---------------------------------------------- the solver, as it was before
+
+def _ref_hermitian_basis(dim):
+    basis = []
+    for i in range(dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[i, i] = 1.0
+        basis.append(m)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = 1.0
+            m[j, i] = 1.0
+            basis.append(m)
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = 1.0j
+            m[j, i] = -1.0j
+            basis.append(m)
+    return basis
+
+
+def _ref_hermitian_from_coords(coords, dim):
+    coords = np.asarray(coords, dtype=float)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.diag_indices(dim)] = coords[:dim]
+    k = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m[i, j] = coords[k] + 1j * coords[k + 1]
+            m[j, i] = coords[k] - 1j * coords[k + 1]
+            k += 2
+    return m
+
+
+def _ref_rref(rows, tol):
+    a = np.array(rows, dtype=float)
+    nrow, ncol = a.shape
+    r = 0
+    for c in range(ncol):
+        if r >= nrow:
+            break
+        pivot = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[pivot, c]) <= tol:
+            continue
+        a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] / a[r, c]
+        for i in range(nrow):
+            if i != r:
+                a[i] = a[i] - a[i, c] * a[r]
+        r += 1
+    return a[:r]
+
+
+def _ref_solve_linear_family(constraints, dim, tol=DEFAULT_TOL):
+    """One constraint call per basis member, one coordinate conversion per result."""
+    basis = _ref_hermitian_basis(dim)
+    if not constraints:
+        return [b.copy() for b in basis]
+    cols = []
+    for b in basis:
+        pieces = []
+        for f in constraints:
+            y = np.asarray(f(b), dtype=complex).ravel()
+            pieces.append(y.real)
+            pieces.append(y.imag)
+        cols.append(np.concatenate(pieces))
+    a = np.array(cols).T
+    _, s, vt = np.linalg.svd(a)
+    rank = _rank(s, tol.rank_tol)
+    kernel = vt[rank:]
+    if kernel.shape[0] == 0:
+        return []
+    canon = _ref_rref(kernel, tol.rank_tol)
+    ortho = []
+    for row in canon:
+        v = row.copy()
+        for w in ortho:
+            v -= np.dot(v, w) * w
+        nv = np.linalg.norm(v)
+        if nv > tol.rank_tol:
+            ortho.append(v / nv)
+    return [_ref_hermitian_from_coords(v, dim) for v in ortho]
+
+
+def assert_same_basis(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+# (family, gamma, U, nu): the data derive_family solves with
+CORE_FAMILIES = {
+    "c3_untwisted": (GAMMA3, U3, np.eye(3, dtype=complex)),
+    "c3_perm": (GAMMA3, U3, NU3_PERM),
+    "c4_untwisted": (GAMMA4, U4, np.eye(4, dtype=complex)),
+    "c4_perm": (GAMMA4, U4, NU4_PERM),
+}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("family", sorted(CORE_FAMILIES))
+def test_stacked_solver_matches_per_member_solver_bitwise(family, eps):
+    gamma, u, nu = CORE_FAMILIES[family]
+    constraints = [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps)]
+    dim = gamma.shape[0]
+    want = _ref_solve_linear_family(constraints, dim)
+    assert_same_basis(solve_linear_family(constraints, dim), want)
+    assert_same_basis(derive_family(family, eps).basis, want)
+
+
+def _test_linalg_constraint_sets():
+    gamma3 = np.diag([1.0, -1.0, -1.0]).astype(complex)
+    gamma4 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    u4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    return {
+        "gamma3": ([lambda d: gamma3 @ d + d @ gamma3], 3),
+        "none3": ([], 3),
+        "c4_reality": ([lambda d: gamma4 @ d + d @ gamma4, lambda d: d @ u4 - u4 @ np.conj(d)], 4),
+        "traceless2": ([lambda d: np.trace(d, axis1=-2, axis2=-1)], 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_test_linalg_constraint_sets()))
+def test_stacked_solver_matches_on_test_linalg_constraint_sets(name):
+    constraints, dim = _test_linalg_constraint_sets()[name]
+    got = solve_linear_family(constraints, dim)
+    assert_same_basis(got, _ref_solve_linear_family(constraints, dim))
+    for b in got:
+        assert b.flags.writeable
+
+
+@pytest.mark.parametrize("constraint", [lambda d: d.T, lambda d: np.trace(d), lambda d: d[0],
+                                        lambda d: 0.0])
+def test_solver_rejects_constraints_that_do_not_broadcast(constraint):
+    with pytest.raises(ValueError, match="broadcast over the leading axis"):
+        solve_linear_family([constraint], 3)
+
+
+def test_solver_accepts_broadcasting_constraints_of_any_output_shape():
+    # one complex number per member (trace) and one vector per member (first row)
+    traceless = solve_linear_family([lambda d: np.trace(d, axis1=-2, axis2=-1)], 3)
+    assert len(traceless) == 8
+    assert all(abs(np.trace(b)) < 1e-12 for b in traceless)
+    first_row_zero = solve_linear_family([lambda d: d[..., 0, :]], 3)
+    assert len(first_row_zero) == 4
+    assert all(np.abs(b[0]).max() == 0.0 for b in first_row_zero)
+
+
+# ------------------------------------------------------------ cache isolation
+
+def test_cached_stacks_are_read_only():
+    for rep in (REP_C3, REP_C4, Representation((0, 1, 2))):
+        stack = _point_projections(rep)
+        assert stack.shape == (rep.n_points, rep.dim, rep.dim)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 5.0
+        assert _point_projections(Representation(rep.point_of)) is stack  # keyed by value
+    for dim in (2, 3, 4):
+        assert not _hermitian_stack(dim).flags.writeable
+
+
+def _results(t, phi):
+    report = [(e.condition, e.residual) for e in check_all(t).entries]
+    d = spectral_distance(t)
+    fluct = fluctuate(t, selfadjoint_one_form(t, phi)).dirac
+    return report, (d.value, d.norm_de, d.norm_twisted), fluct.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_c3(1, 1.5 - 0.5j),
+    lambda: build_c4(-1, 2.0 + 1.0j, 0.5j, twist="perm"),
+    lambda: build_conformal("c4", 1, 3.0, 4.0, rho=0.3, zeta=1.5),
+])
+def test_public_projections_are_fresh_and_writing_them_changes_nothing(make):
+    t = make()
+    before = _results(t, 0.25 + 0.5j)
+    e = projection_e(t.rep)
+    basis = t.algebra_basis()
+    assert e.flags.writeable and all(b.flags.writeable for b in basis)
+    assert same_bits(np.stack(basis), _point_projections(t.rep))
+    e[...] = 7.0
+    for b in basis:
+        b[...] = -3.0
+    assert same_bits(projection_e(t.rep), _point_projections(t.rep)[0])
+    assert _results(t, 0.25 + 0.5j) == before
