@@ -7,6 +7,7 @@ calculus operations (one-forms, distances) require exactly two points.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -29,7 +30,10 @@ class Representation:
     point_of: tuple[int, ...]
 
     def __post_init__(self):
-        pts = tuple(int(p) for p in self.point_of)
+        try:
+            pts = tuple(operator.index(p) for p in self.point_of)
+        except TypeError:
+            raise ValueError("point indices must be integers") from None
         object.__setattr__(self, "point_of", pts)
         if not pts:
             raise ValueError("representation must have positive dimension")

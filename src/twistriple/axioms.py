@@ -271,14 +271,10 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
     if twist.implements_algebra_automorphism:
         if invertible:
             m = np.linalg.inv(nu) @ basis @ nu
-            # Nearest embedded element: average the diagonal over each point block.
-            point = np.asarray(t.rep.point_of)
-            diag = np.diagonal(m, axis1=-2, axis2=-1)
-            means = np.stack([diag[:, point == p].mean(axis=-1) for p in range(t.rep.n_points)],
-                             axis=-1)
-            residual = m.copy()
-            idx = np.arange(t.dim)
-            residual[:, idx, idx] -= means[:, point]
+            # Nearest embedded element: the diagonal averaged over each point block (w marks them).
+            w = np.diagonal(basis, axis1=-2, axis2=-1).real
+            means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
+            residual = m - np.einsum("kp,pij->kij", means, basis)
             terms.append(("twist_preserves_algebra", residual, tol.abs_tol))
         else:
             terms.append(("twist_preserves_algebra", 1.0, 0.5))

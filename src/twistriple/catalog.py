@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, Representation, projection_e
+from .algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections
 from .axioms import (
     RealStructure,
     SignTriple,
@@ -42,6 +42,7 @@ from .linalg import (
     operator_norms,
     solve_linear_family,
 )
+from .signs import _sign
 
 __all__ = [
     "C3_UNTWISTED",
@@ -255,7 +256,7 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     ConformalFactor(zeta, rho): it needs rho, and no other family takes rho or zeta.
     """
     fam = _family(family_id, _BUILDABLE)
-    eps_prime = int(eps_prime)
+    eps_prime = _sign(eps_prime)
     if fam.plus_only is not None and eps_prime != 1:
         raise CatalogConstraintError(fam.plus_only)
     d1, d2 = _finite_hops(d1, d2)
@@ -359,9 +360,7 @@ def derive_family(family_id: str, eps_prime: int,
     fam = _FAMILIES.get(family_id)
     if fam is None or fam.defect is None:
         raise ValueError(f"no constraint derivation for family {family_id!r}")
-    eps_prime = int(eps_prime)
-    if eps_prime not in (1, -1):
-        raise ValueError("eps' must be +1 or -1")
+    eps_prime = _sign(eps_prime, "eps' must be +1 or -1")
     gamma, u, nu = fam.gamma, fam.u, fam.nu
     basis = solve_linear_family(
         [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps_prime)],
@@ -422,8 +421,8 @@ def scan_c2_nonexistence(trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    e = projection_e(REP_C2)
-    basis = [e, np.eye(2, dtype=complex) - e]
+    basis = _point_projections(REP_C2)
+    e = basis[0]
     failures = 0
     for start in range(0, trials, _SCAN_BLOCK):
         size = min(_SCAN_BLOCK, trials - start)

@@ -5,7 +5,8 @@ A positive invertible element of the two-point algebra is k = zeta (rho e +
 rho) plus a side: 'algebra' factors act through their commutant image
 k_J = J k J^-1, 'commutant-image' factors act through the embedded element
 directly. Both sides induce the same twist, computed here from the factor
-matrices rather than read off any closed form.
+matrices rather than read off any closed form. `rescale` also rescales
+nu-twisted triples (algebra-side factors only); `compose_twist` is the same map.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import embed
 from .axioms import SpectralTriple, Twist
-from .forms import fluctuate, selfadjoint_one_form
+from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
 from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
 
 __all__ = [
@@ -58,14 +59,13 @@ class ConformalFactor:
         return (self.zeta * (1.0 - self.rho), self.zeta * self.rho)
 
 
-def _factor_matrices(t: SpectralTriple, k: ConformalFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(embedded element, its J-conjugate, the sandwich matrix used on D)."""
+def _factor_matrices(t: SpectralTriple, k: ConformalFactor) -> tuple[np.ndarray, np.ndarray]:
+    """(a, s): s sandwiches D and nu = a^-1 s; (k, k_J) algebra side, (k_J, k) commutant side."""
     if t.real is None:
         raise ValueError("conformal rescaling needs a real structure")
     k_alg = embed(t.rep, k.values())
     k_j = t.real.j.conjugate(k_alg)
-    sandwich = k_j if k.side == SIDE_ALGEBRA else k_alg
-    return k_alg, k_j, sandwich
+    return (k_alg, k_j) if k.side == SIDE_ALGEBRA else (k_j, k_alg)
 
 
 def rescale(t: SpectralTriple, k: ConformalFactor,
@@ -73,18 +73,26 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     """Rescaled triple with dirac = s D s and the induced twist.
 
     For an untwisted triple the twist is nu = k^-1 k_J (algebra side) or its
-    mirror k_J^-1 k (commutant side); a pre-twisted triple is delegated to
-    compose_twist.
+    mirror k_J^-1 k (commutant side). A nu-twisted triple takes algebra-side
+    factors only and gets the twist mu = k_J nu k^-1; this is valid only when
+    k k_J is invariant under conjugation by nu, otherwise the rescaled datum
+    is not a twisted real triple and a TwistCompositionError is raised.
     """
-    if t.twist is not None:
-        return compose_twist(t, k, tol)
-    k_alg, k_j, sandwich = _factor_matrices(t, k)
-    dirac = sandwich @ t.dirac @ sandwich
-    if k.side == SIDE_ALGEBRA:
-        nu = np.linalg.inv(k_alg) @ k_j
+    if t.twist is not None and k.side != SIDE_ALGEBRA:
+        raise ValueError("composition with an existing twist uses algebra-side factors")
+    a, s = _factor_matrices(t, k)
+    if t.twist is None:
+        twist = Twist(nu=np.linalg.inv(a) @ s, implements_algebra_automorphism=True)
     else:
-        nu = np.linalg.inv(k_j) @ k_alg
-    return replace(t, dirac=dirac, twist=Twist(nu=nu, implements_algebra_automorphism=True))
+        nu = t.twist.nu
+        kk = a @ s
+        defect = operator_norm(nu @ kk @ np.linalg.inv(nu) - kk)
+        if defect > tol.abs_tol * (1.0 + operator_norm(kk)):
+            raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
+                                        "composed datum would not be a twisted real triple")
+        twist = Twist(nu=s @ nu @ np.linalg.inv(a),
+                      implements_algebra_automorphism=t.twist.implements_algebra_automorphism)
+    return replace(t, dirac=s @ t.dirac @ s, twist=twist)
 
 
 def equivalent_commutant_factor(k: ConformalFactor) -> ConformalFactor:
@@ -104,28 +112,8 @@ def equivalent_commutant_factor(k: ConformalFactor) -> ConformalFactor:
 
 def compose_twist(t: SpectralTriple, k: ConformalFactor,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
-    """Rescale a nu-twisted triple, producing the twist mu = k_J nu k^-1.
-
-    Valid only when k k_J is invariant under conjugation by nu; otherwise the
-    rescaled datum is not a twisted real triple and a TwistCompositionError
-    is raised.
-    """
-    if t.twist is None:
-        return rescale(t, k, tol)
-    if k.side != SIDE_ALGEBRA:
-        raise ValueError("composition with an existing twist uses algebra-side factors")
-    k_alg, k_j, _ = _factor_matrices(t, k)
-    nu = t.twist.nu
-    kk = k_alg @ k_j
-    defect = operator_norm(nu @ kk @ np.linalg.inv(nu) - kk)
-    if defect > tol.abs_tol * (1.0 + operator_norm(kk)):
-        raise TwistCompositionError(
-            f"kk_J not twist-invariant (defect {defect:.3e}); composed datum would not be a twisted real triple"
-        )
-    dirac = k_j @ t.dirac @ k_j
-    mu = k_j @ nu @ np.linalg.inv(k_alg)
-    return replace(t, dirac=dirac,
-                   twist=Twist(nu=mu, implements_algebra_automorphism=t.twist.implements_algebra_automorphism))
+    """The rescaling map of `rescale`, under the name of its twisted case mu = k_J nu k^-1."""
+    return rescale(t, k, tol)
 
 
 def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: complex,
@@ -140,9 +128,7 @@ def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: c
         raise ValueError("compatibility identity starts from an untwisted triple")
     b = selfadjoint_one_form(t, b_phi)
     rescaled = rescale(t, k, tol)
-    _, k_j, sandwich = _factor_matrices(t, k)
-    a_mat = sandwich @ b.value @ sandwich
-    nu = rescaled.nu
-    lhs = rescaled.dirac + a_mat + t.eps_prime * nu @ t.real.j.conjugate(a_mat) @ nu
-    rhs = sandwich @ fluctuate(t, b, tol).dirac @ sandwich
+    s = _factor_matrices(t, k)[1]
+    lhs = _fluctuated_dirac(rescaled, s @ b.value @ s)
+    rhs = s @ fluctuate(t, b, tol).dirac @ s
     return operator_norm(lhs - rhs) < tol.abs_tol * (1.0 + operator_norm(rhs))

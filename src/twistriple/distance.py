@@ -40,28 +40,19 @@ class DistanceResult:
         return math.isinf(self.value)
 
 
-def _twisted_derivative_of_e(t: SpectralTriple, e: np.ndarray) -> Optional[np.ndarray]:
-    if t.twist is None:
-        return None
-    nu = t.twist.nu
-    return t.dirac @ e - nu @ e @ np.linalg.inv(nu) @ t.dirac
-
-
 def spectral_distance(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> DistanceResult:
     """Distance between the two points, or an unbounded result."""
     if t.rep.n_points != 2:
         raise ValueError("spectral distance is defined for two-point representations")
     e = _two_point_projections(t.rep)[0]
     derivatives = [commutator(t.dirac, e)]
-    twisted = _twisted_derivative_of_e(t, e)
-    if twisted is not None:
-        derivatives.append(twisted)
+    if t.twist is not None:  # the twisted derivative D e - (nu e nu^-1) D
+        nu = t.twist.nu
+        derivatives.append(t.dirac @ e - nu @ e @ np.linalg.inv(nu) @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
-    norm_de, norm_twisted = norms[0], (norms[1] if twisted is not None else None)
     effective = max(norms)
-    if effective < tol.rank_tol:
-        return DistanceResult(value=math.inf, norm_de=norm_de, norm_twisted=norm_twisted)
-    return DistanceResult(value=1.0 / effective, norm_de=norm_de, norm_twisted=norm_twisted)
+    return DistanceResult(value=math.inf if effective < tol.rank_tol else 1.0 / effective,
+                          norm_de=norms[0], norm_twisted=norms[1] if len(norms) > 1 else None)
 
 
 # Samples per stacked evaluation: bounds the oracle's memory for any sample count.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from typing import Any, Optional
 
 import numpy as np
@@ -91,6 +92,13 @@ def _sign_from_doc(obj: Any, name: str) -> int:
     return int(obj)
 
 
+def _int_from_doc(obj: Any) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError rather than being truncated."""
+    if isinstance(obj, bool):
+        raise TypeError(f"expected an integer, got {json.dumps(obj)}")
+    return operator.index(obj)
+
+
 def to_document(t: SpectralTriple) -> dict:
     """The triple as the JSON object that `dumps` writes."""
     return json.loads(dumps(t))
@@ -100,15 +108,15 @@ def from_document(doc: Any) -> SpectralTriple:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     try:
-        dim = int(doc["dim"])
-        points = int(doc["points"])
+        dim = _int_from_doc(doc["dim"])
+        points = _int_from_doc(doc["points"])
         rep_list = doc["rep"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"missing or malformed header field: {exc}") from exc
     if not isinstance(rep_list, list) or len(rep_list) != dim:
         raise DocumentError("rep must list one point index per basis vector")
     try:
-        rep = Representation(tuple(int(p) for p in rep_list))
+        rep = Representation(tuple(_int_from_doc(p) for p in rep_list))
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"invalid representation: {exc}") from exc
     if rep.n_points != points:

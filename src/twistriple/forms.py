@@ -64,6 +64,12 @@ def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
         raise ValueError("one-form was built from a different Dirac operator")
 
 
+def _fluctuated_dirac(t: SpectralTriple, x: np.ndarray) -> np.ndarray:
+    """D + X + eps' nu (J X J^-1) nu, the one fluctuation formula (t must be real)."""
+    nu = t.nu
+    return t.dirac + x + t.eps_prime * nu @ t.real.j.conjugate(x) @ nu
+
+
 def fluctuate(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
     """Gauge fluctuation D -> D + alpha + eps' nu (J alpha J^-1) nu.
 
@@ -75,10 +81,7 @@ def fluctuate(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL)
     if not is_selfadjoint_form(a, tol):
         raise ValueError("fluctuation requires a selfadjoint one-form")
     _require_matching_base(t, a, tol)
-    nu = t.nu
-    alpha = a.value
-    dirac = t.dirac + alpha + t.eps_prime * nu @ t.real.j.conjugate(alpha) @ nu
-    return t.with_dirac(dirac)
+    return t.with_dirac(_fluctuated_dirac(t, a.value))
 
 
 def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
@@ -95,10 +98,7 @@ def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAU
     if operator_norm(a.value + a.value.conj().T) > tol.abs_tol:
         raise ValueError("chiral fluctuation requires an antihermitian one-form")
     _require_matching_base(t, a, tol)
-    nu = t.nu
-    ga = t.grading @ a.value
-    dirac = t.dirac + ga + t.eps_prime * nu @ t.real.j.conjugate(ga) @ nu
-    return t.with_dirac(dirac)
+    return t.with_dirac(_fluctuated_dirac(t, t.grading @ a.value))
 
 
 def _omega1_span(t: SpectralTriple) -> np.ndarray:

@@ -11,11 +11,13 @@ from __future__ import annotations
 __all__ = ["SignTriple", "ko_dimension"]
 
 
-def _sign(value: int) -> int:
-    v = int(value)
-    if v not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    return v
+def _sign(value: int, message: str = "signs must be +1 or -1") -> int:
+    """+1 or -1 as an int, for any value equal to one of them (1.0 too); ValueError otherwise."""
+    if value == 1:
+        return 1
+    if value == -1:
+        return -1
+    raise ValueError(message)
 
 
 class SignTriple:

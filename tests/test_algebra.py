@@ -132,3 +132,10 @@ def test_permute_rejects_non_bijection():
 def test_representation_requires_faithfulness():
     with pytest.raises(ValueError):
         Representation((0, 0, 2))
+
+
+@pytest.mark.parametrize("point_of", [(0, 0, 1.7), ("0", "0", "1"), (0.0, 1.0), (0, None)])
+def test_representation_accepts_only_integers(point_of):
+    with pytest.raises(ValueError, match="point indices must be integers"):
+        Representation(point_of)
+    assert Representation((np.int64(0), np.int32(1))).point_of == (0, 1)

@@ -506,6 +506,19 @@ def test_sign_triple_is_an_immutable_value():
         SignTriple(1, 1, 2)
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.0000001, 0.9999999, "1", "-1", float("nan")])
+def test_sign_triple_rejects_values_that_are_not_plus_or_minus_one(bad):
+    for args in ((bad, 1), (1, bad), (1, 1, bad)):
+        with pytest.raises(ValueError, match="^signs must be \\+1 or -1$"):
+            SignTriple(*args)
+
+
+def test_sign_triple_stores_float_signs_as_ints():
+    s = SignTriple(1.0, -1.0, np.float64(1.0))
+    assert (s.eps, s.eps_prime, s.eps_dprime) == (1, -1, 1)
+    assert all(type(v) is int for v in (s.eps, s.eps_prime, s.eps_dprime))
+
+
 # -------------------------------------------------------------- irreducibility
 
 def test_c2_with_nonzero_calculus_and_no_real_structure_is_irreducible():

@@ -188,6 +188,23 @@ def test_derive_family_dimensions(eps):
     assert derive_family(C4_PERM, eps).real_dimension == 4
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, -1.0000001, 0.5, "1", 3])
+def test_family_builders_reject_signs_that_are_not_plus_or_minus_one(bad):
+    with pytest.raises(ValueError, match="^signs must be \\+1 or -1$"):
+        build_family(C3_UNTWISTED, bad, 2.0)
+    with pytest.raises(ValueError, match="^signs must be \\+1 or -1$"):
+        build_family(C4_PERM, bad, 1.0, 2.0)
+    with pytest.raises(ValueError, match="^eps' must be \\+1 or -1$"):
+        derive_family(C3_UNTWISTED, bad)
+
+
+def test_family_builders_take_float_signs_as_ints():
+    t = build_family(C3_UNTWISTED, -1.0, 2.0)
+    assert type(t.eps_prime) is int and t.eps_prime == -1
+    assert np.array_equal(t.dirac, build_family(C3_UNTWISTED, -1, 2.0).dirac)
+    assert derive_family(C3_UNTWISTED, -1.0).eps_prime == -1
+
+
 @pytest.mark.parametrize("eps", [1, -1])
 def test_derive_family_matches_closed_forms(eps):
     fam = derive_family(C4_UNTWISTED, eps)

@@ -314,3 +314,15 @@ def test_full_pipeline_round_trip(tmp_path, capsys):
     save(t, resaved)
     with open(fl, "rb") as f1, open(resaved, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+@pytest.mark.parametrize("field,value", [("dim", 3.9), ("points", "2"), ("rep", [0, 0, 1.7]), ("dim", True)])
+def test_check_non_integer_header_exits_2(tmp_path, capsys, field, value):
+    base = tmp_path / "c3.json"
+    assert main(["catalog", "c3", "--d1", "1,0", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")

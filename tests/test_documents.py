@@ -2,8 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistriple.catalog import build_c3, build_c4, build_conformal
+from twistriple.catalog import (
+    C3_CONFORMAL,
+    C3_PERM,
+    C3_UNTWISTED,
+    C4_PERM_BAD,
+    FAMILIES,
+    build_c3,
+    build_c4,
+    build_conformal,
+    build_family,
+)
 from twistriple.documents import DocumentError, dumps, load, loads, save, to_document
 
 
@@ -318,3 +330,48 @@ def test_integer_beyond_float_range_is_a_document_error(value, part):
     doc["dirac"][0][1][part] = value
     with pytest.raises(DocumentError, match=r"^dirac: entry \(0,1\) is not finite$"):
         loads(json.dumps(doc))
+
+
+# --------------------------------------------------- integer header fields
+
+NON_INTEGER_HEADERS = [
+    ("dim", 3.9), ("dim", "3"), ("points", 2.5), ("rep", [0, 0, 1.7]), ("rep", ["0", "0", "1"]),
+    ("dim", True), ("points", True), ("rep", [False, False, True]),
+]
+
+
+@pytest.mark.parametrize("field,value", NON_INTEGER_HEADERS,
+                         ids=[f"{f}={v!r}" for f, v in NON_INTEGER_HEADERS])
+def test_non_integer_header_is_a_document_error(field, value):
+    doc = json.loads(dumps(build_c3(1, 1.0)))
+    doc[field] = value
+    with pytest.raises(DocumentError):
+        loads(json.dumps(doc))
+
+
+# ------------------------------------------------- round trip as a property
+
+@st.composite
+def catalog_members(draw):
+    family = draw(st.sampled_from(FAMILIES + (C4_PERM_BAD,)))
+    eps = 1 if family == C4_PERM_BAD else draw(st.sampled_from((1, -1)))
+    hop = st.builds(lambda m, e, s: s * m * 10.0 ** e,
+                    st.floats(1.0, 10.0), st.integers(-12, 11), st.sampled_from((1.0, -1.0)))
+    d1, d2 = complex(draw(hop), draw(hop)), complex(draw(hop), draw(hop))
+    if family == C3_PERM:  # real hops for eps' = +1, imaginary for eps' = -1
+        d1, d2 = (complex(d.real) if eps == 1 else complex(0.0, d.imag) for d in (d1, d2))
+    if family in (C3_UNTWISTED, C3_CONFORMAL, C4_PERM_BAD):
+        d2 = None
+    extra = {}
+    if family.endswith("_conformal"):
+        extra = dict(rho=draw(st.floats(0.05, 0.95)), zeta=draw(st.floats(0.25, 4.0)))
+    return build_family(family, eps, d1, d2, **extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog_members())
+def test_documents_round_trip_property(t):
+    text = dumps(t)
+    back = loads(text)
+    assert triples_entrywise_equal(back, t)  # array_equal: dumps writes -0.0 as 0.0
+    assert dumps(back) == text
