@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "conformal": (
         "ConformalFactor", "TwistCompositionError", "check_gauge_conformal_compat",
-        "compose_twist", "equivalent_commutant_factor", "rescale",
+        "equivalent_commutant_factor", "rescale",
     ),
     "distance": ("DistanceResult", "distance_bruteforce", "fluctuated_distance_check",
                  "spectral_distance"),

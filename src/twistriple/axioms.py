@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import Representation, _point_projections
 from .linalg import (
     DEFAULT_TOL,
+    RANK_TOL,
     Antiunitary,
     ToleranceConfig,
     _as_square,
@@ -130,9 +131,6 @@ class CheckEntry:
 @dataclass
 class CheckReport:
     entries: list[CheckEntry] = field(default_factory=list)
-
-    def add(self, condition: str, residual: float, tol_used: float):
-        self.entries.append(CheckEntry(condition, float(residual), float(tol_used)))
 
     @property
     def passed(self) -> bool:
@@ -266,7 +264,7 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
     nu = twist.nu
     terms = [("twist_selfadjoint", nu - nu.conj().T, tol.abs_tol)]
     svals = np.linalg.svd(nu, compute_uv=False)
-    invertible = svals[-1] > tol.rank_tol * max(1.0, svals[0])
+    invertible = svals[-1] > RANK_TOL * max(1.0, svals[0])
     terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
     if twist.implements_algebra_automorphism:
         if invertible:
@@ -342,10 +340,10 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     return CheckReport(_entries(terms))
 
 
-def is_irreducible(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_irreducible(t: SpectralTriple) -> bool:
     """Trivial commutant of the set {gamma} u {a} u {[D, b]} over the algebra basis."""
     basis = _point_projections(t.rep)
     gens = [basis, commutator(t.dirac, basis)]
     if t.grading is not None:
         gens.insert(0, t.grading[None])
-    return commutant_dimension(np.concatenate(gens), tol) == 1
+    return commutant_dimension(np.concatenate(gens)) == 1

@@ -35,6 +35,7 @@ from .axioms import (
 from .conformal import ConformalFactor, rescale
 from .linalg import (
     DEFAULT_TOL,
+    RANK_TOL,
     Antiunitary,
     ToleranceConfig,
     commutator,
@@ -349,8 +350,7 @@ class DiracFamily:
         return len(self.basis)
 
 
-def derive_family(family_id: str, eps_prime: int,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> DiracFamily:
+def derive_family(family_id: str, eps_prime: int) -> DiracFamily:
     """Solve the grading and reality constraints for the Dirac family.
 
     The basis comes out of the linear solver; afterwards every member is
@@ -364,7 +364,7 @@ def derive_family(family_id: str, eps_prime: int,
     gamma, u, nu = fam.gamma, fam.u, fam.nu
     basis = solve_linear_family(
         [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps_prime)],
-        fam.dim, tol)
+        fam.dim)
     for b in basis:
         defect = fam.defect(eps_prime, b)
         if defect > 1e-12:
@@ -458,7 +458,7 @@ def fluctuation_orbit_params(family_id: str, d1: complex, d2: complex,
 def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> float:
     """Distance of the phi-fluctuated family member, in closed form."""
     denom = _family(family_id).distance(params, complex(phi))
-    if denom < DEFAULT_TOL.rank_tol:
+    if denom < RANK_TOL:
         return math.inf
     return 1.0 / denom
 

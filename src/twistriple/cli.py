@@ -2,8 +2,9 @@
 
 Subcommands: check, catalog, fluctuate, rescale, distance, scan-c2, kodim.
 Exit codes are a stable contract: 0 success (all checks pass), 1 a check
-failed, 2 usage, parse or invariant errors. --tol sets the residual
-tolerance and --json switches reports to machine-readable output.
+failed, 2 usage, parse or invariant errors. --tol sets the absolute residual
+tolerance of checks and --json switches reports to machine-readable output;
+each subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _fmt(v) -> str:
 def _tol_from(args) -> ToleranceConfig:
     from .linalg import ToleranceConfig
 
-    return ToleranceConfig(abs_tol=args.tol, rank_tol=1e-9)
+    return ToleranceConfig(abs_tol=args.tol)
 
 
 def _provenance(tol: ToleranceConfig) -> dict:
@@ -57,11 +58,12 @@ def _provenance(tol: ToleranceConfig) -> dict:
     import numpy
 
     from . import __version__
+    from .linalg import RANK_TOL
 
     return {
         "versions": {"twistriple": __version__, "numpy": numpy.__version__,
                      "python": "%d.%d.%d" % sys.version_info[:3]},
-        "tol": {"abs_tol": tol.abs_tol, "rank_tol": tol.rank_tol},
+        "tol": {"abs_tol": tol.abs_tol, "rank_tol": RANK_TOL},
     }
 
 
@@ -98,7 +100,7 @@ def cmd_check(args) -> int:
         ko: Optional[int] = ko_dimension(t.real.signs) if t.real is not None else None
     except ValueError:
         ko = None
-    irreducible = is_irreducible(t, tol)
+    irreducible = is_irreducible(t)
     if args.json:
         payload = {
             "entries": [
@@ -188,7 +190,7 @@ def cmd_distance(args) -> int:
 
     t = _load(args.file)
     tol = _tol_from(args)
-    result = spectral_distance(t, tol)
+    result = spectral_distance(t)
     if args.json:
         payload = {
             "value": None if result.unbounded else result.value,
@@ -256,17 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twistriple",
         description="Finite two-point spectral triples with twisted reality conditions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="residual tolerance for checks (default 1e-9)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument("--tol", type=float, default=1e-9,
+                          help="absolute residual tolerance of checks (default 1e-9)")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="run every axiom check on a triple file")
+    p = sub.add_parser("check", parents=[tol_flag, json_flag],
+                       help="run every axiom check on a triple file")
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("catalog", parents=[common], help="emit a catalog triple")
+    p = sub.add_parser("catalog", help="emit a catalog triple")
     p.add_argument("family", choices=["c3", "c4"])
     p.add_argument("--eps-prime", type=_sign_arg, default=1, dest="eps_prime")
     p.add_argument("--d1", help="complex literal re,im")
@@ -277,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("fluctuate", parents=[common], help="apply a gauge fluctuation")
+    p = sub.add_parser("fluctuate", parents=[tol_flag], help="apply a gauge fluctuation")
     p.add_argument("file")
     p.add_argument("--phi", required=True, help="complex coefficient re,im")
     p.add_argument("--chiral", action="store_true", help="chiral perturbation (needs a grading)")
     p.add_argument("-o", "--output", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_fluctuate)
 
-    p = sub.add_parser("rescale", parents=[common], help="conformally rescale a triple")
+    p = sub.add_parser("rescale", parents=[tol_flag], help="conformally rescale a triple")
     p.add_argument("file")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--zeta", type=float, default=1.0)
@@ -292,17 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_rescale)
 
-    p = sub.add_parser("distance", parents=[common], help="spectral distance between the two points")
+    p = sub.add_parser("distance", parents=[tol_flag, json_flag],
+                       help="spectral distance between the two points")
     p.add_argument("file")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("scan-c2", parents=[common],
+    p = sub.add_parser("scan-c2", parents=[tol_flag, json_flag],
                        help="randomised check that C^2 admits no real structure with nonzero calculus")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scan_c2)
 
-    p = sub.add_parser("kodim", parents=[common], help="KO-dimension from the reality signs")
+    p = sub.add_parser("kodim", parents=[json_flag], help="KO-dimension from the reality signs")
     p.add_argument("--eps", type=_sign_arg, required=True)
     p.add_argument("--eps-prime", type=_sign_arg, required=True, dest="eps_prime")
     p.add_argument("--eps-dprime", type=_sign_arg, default=None, dest="eps_dprime")

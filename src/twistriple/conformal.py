@@ -6,7 +6,7 @@ rho) plus a side: 'algebra' factors act through their commutant image
 k_J = J k J^-1, 'commutant-image' factors act through the embedded element
 directly. Both sides induce the same twist, computed here from the factor
 matrices rather than read off any closed form. `rescale` also rescales
-nu-twisted triples (algebra-side factors only); `compose_twist` is the same map.
+nu-twisted triples (algebra-side factors only).
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import numpy as np
 from .algebra import embed
 from .axioms import SpectralTriple, Twist
 from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
-from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
+from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, operator_norm
 
 __all__ = [
     "ConformalFactor",
     "TwistCompositionError",
     "rescale",
     "equivalent_commutant_factor",
-    "compose_twist",
     "check_gauge_conformal_compat",
 ]
 
@@ -48,8 +47,7 @@ class ConformalFactor:
             raise ValueError(f"unknown side {self.side!r}")
         if not 0 < self.zeta < np.inf:
             raise ValueError("overall scale must be positive and finite")
-        margin = DEFAULT_TOL.rank_tol
-        if not (margin < self.rho < 1.0 - margin):
+        if not (RANK_TOL < self.rho < 1.0 - RANK_TOL):
             raise ValueError("rho must lie strictly inside (0, 1)")
 
     def values(self) -> tuple[float, float]:
@@ -108,12 +106,6 @@ def equivalent_commutant_factor(k: ConformalFactor) -> ConformalFactor:
         raise ValueError("expected an algebra-side factor")
     xi = k.zeta * np.sqrt(k.rho / (1.0 - k.rho))
     return ConformalFactor(zeta=float(xi), rho=k.rho, side=SIDE_COMMUTANT)
-
-
-def compose_twist(t: SpectralTriple, k: ConformalFactor,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
-    """The rescaling map of `rescale`, under the name of its twisted case mu = k_J nu k^-1."""
-    return rescale(t, k, tol)
 
 
 def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: complex,

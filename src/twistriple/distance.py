@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, commutator, operator_norms
+from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, commutator, operator_norms
 
 __all__ = [
     "DistanceResult",
@@ -40,7 +40,7 @@ class DistanceResult:
         return math.isinf(self.value)
 
 
-def spectral_distance(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> DistanceResult:
+def spectral_distance(t: SpectralTriple) -> DistanceResult:
     """Distance between the two points, or an unbounded result."""
     if t.rep.n_points != 2:
         raise ValueError("spectral distance is defined for two-point representations")
@@ -51,7 +51,7 @@ def spectral_distance(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> 
         derivatives.append(t.dirac @ e - nu @ e @ np.linalg.inv(nu) @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
     effective = max(norms)
-    return DistanceResult(value=math.inf if effective < tol.rank_tol else 1.0 / effective,
+    return DistanceResult(value=math.inf if effective < RANK_TOL else 1.0 / effective,
                           norm_de=norms[0], norm_twisted=norms[1] if len(norms) > 1 else None)
 
 
@@ -126,7 +126,7 @@ def fluctuated_distance_check(t: SpectralTriple, phi: complex,
     family, params = ident
     fluctuated = fluctuate(t, selfadjoint_one_form(t, phi), tol)
     expected = fluctuated_distance_formula(family, params, phi)
-    result = spectral_distance(fluctuated, tol)
+    result = spectral_distance(fluctuated)
     if math.isinf(expected) or result.unbounded:
         return math.isinf(expected) and result.unbounded
     return abs(result.value - expected) <= tol.abs_tol * (1.0 + abs(expected))

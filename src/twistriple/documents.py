@@ -87,9 +87,14 @@ def _matrix_by_entry(obj: Any, dim: int, name: str) -> np.ndarray:
 
 
 def _sign_from_doc(obj: Any, name: str) -> int:
-    if obj not in (1, -1):
+    """A JSON integer 1 or -1; true, 1.0 and "1" raise DocumentError like any other value."""
+    try:
+        value = _int_from_doc(obj)
+    except TypeError:
+        value = None
+    if value not in (1, -1):
         raise DocumentError(f"{name} must be 1 or -1")
-    return int(obj)
+    return value
 
 
 def _int_from_doc(obj: Any) -> int:

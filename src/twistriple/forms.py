@@ -105,14 +105,13 @@ def _omega1_span(t: SpectralTriple) -> np.ndarray:
     return np.array([one_form(t, 1.0, 0.0).value.ravel(), one_form(t, 0.0, 1.0).value.ravel()])
 
 
-def omega1_equal(t1: SpectralTriple, t2: SpectralTriple,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def omega1_equal(t1: SpectralTriple, t2: SpectralTriple) -> bool:
     """Whether span{e[D,e], (1-e)[D,e]} agrees for the two Dirac operators."""
     if t1.rep != t2.rep:
         raise ValueError("triples live on different representations")
 
     def rank(rows: np.ndarray) -> int:
-        return _rank(np.linalg.svd(rows, compute_uv=False), tol.rank_tol)
+        return _rank(np.linalg.svd(rows, compute_uv=False))
 
     s1 = _omega1_span(t1)
     s2 = _omega1_span(t2)

@@ -2,9 +2,10 @@
 
 Everything in this package lives on Hilbert spaces of dimension <= 8. The
 operator norm is LAPACK's largest singular value, and rank/nullspace
-decisions use a relative singular-value threshold. Inputs are checked for
-shape and finiteness once, where matrices enter the package (triple, twist
-and antiunitary constructors, documents, the CLI), not inside the kernels.
+decisions use the one relative singular-value threshold `RANK_TOL`. Inputs
+are checked for shape and finiteness once, where matrices enter the package
+(triple, twist and antiunitary constructors, documents, the CLI), not inside
+the kernels.
 
 Every operator norm in the package goes through one kernel,
 `operator_norms(stack) = np.linalg.svd(stack, compute_uv=False)[..., 0]`:
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "RANK_TOL",
     "Antiunitary",
     "commutator",
     "operator_norm",
@@ -38,20 +40,20 @@ __all__ = [
 ]
 
 
+# Threshold of every rank, nullspace and "unbounded" decision: relative to
+# the largest singular value (or 1 if everything is tiny) in rank decisions,
+# absolute for a distance's derivative norm and a conformal rho's margin.
+RANK_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds.
-
-    abs_tol governs residual comparisons (axiom checks, constraint
-    satisfaction); rank_tol governs rank and nullspace decisions, applied
-    relative to the largest singular value (or 1 if everything is tiny).
-    """
+    """The residual threshold of checks and constraint satisfaction."""
 
     abs_tol: float = 1e-9
-    rank_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (0 <= self.abs_tol < math.inf and 0 <= self.rank_tol < math.inf):
+        if not 0 <= self.abs_tol < math.inf:
             raise ValueError("tolerances must be finite and nonnegative")
 
 
@@ -115,11 +117,11 @@ class Antiunitary:
         return self.u @ np.conj(m) @ self.u.conj().T
 
 
-def _rank(singular_values: np.ndarray, rank_tol: float) -> int:
+def _rank(singular_values: np.ndarray) -> int:
     if singular_values.size == 0:
         return 0
     top = float(singular_values[0])
-    cutoff = rank_tol * (top if top > rank_tol else 1.0)
+    cutoff = RANK_TOL * (top if top > RANK_TOL else 1.0)
     return int(np.sum(singular_values > cutoff))
 
 
@@ -137,8 +139,7 @@ def _commutation_operator(generators: np.ndarray) -> np.ndarray:
     return (left - right).reshape(k * n * n, n * n)
 
 
-def commutant_dimension(generators: Sequence[np.ndarray],
-                        tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def commutant_dimension(generators: Sequence[np.ndarray]) -> int:
     """Complex dimension of {X : [X, G] = 0 for every generator G}.
 
     The generators are a sequence of n x n matrices or one stack (k, n, n).
@@ -156,7 +157,7 @@ def commutant_dimension(generators: Sequence[np.ndarray],
         raise ValueError("generators must share one dimension")
     n = gens.shape[-1]
     s = np.linalg.svd(_commutation_operator(gens), compute_uv=False)
-    return n * n - _rank(s, tol.rank_tol)
+    return n * n - _rank(s)
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -231,7 +232,7 @@ def coords_from_hermitian(m: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
+def _rref(rows: np.ndarray) -> np.ndarray:
     """Reduced row echelon form; rows ordered by pivot column."""
     a = np.array(rows, dtype=float)
     nrow, ncol = a.shape
@@ -242,7 +243,7 @@ def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
             break
         below = np.abs(a[r:, c])
         pivot = int(below.argmax())
-        if below[pivot] <= tol:
+        if below[pivot] <= RANK_TOL:
             continue
         a[[r, r + pivot]] = a[[r + pivot, r]]
         a[r] = a[r] / a[r, c]
@@ -253,8 +254,7 @@ def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
 
 
 def solve_linear_family(constraints: Sequence[Callable[[np.ndarray], np.ndarray]],
-                        dim: int,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+                        dim: int) -> list[np.ndarray]:
     """Real basis of the Hermitian matrices annihilated by all constraints.
 
     Each constraint is a real-linear map taking Hermitian dim x dim matrices
@@ -281,11 +281,11 @@ def solve_linear_family(constraints: Sequence[Callable[[np.ndarray], np.ndarray]
         pieces += [y.real, y.imag]
     a = np.concatenate(pieces, axis=1).T  # (outputs, ncoord)
     _, s, vt = np.linalg.svd(a)
-    rank = _rank(s, tol.rank_tol)
+    rank = _rank(s)
     kernel = vt[rank:]
     if kernel.shape[0] == 0:
         return []
-    canon = _rref(kernel, tol.rank_tol)
+    canon = _rref(kernel)
     # Gram-Schmidt in pivot order keeps the ordering deterministic.
     ortho: list[np.ndarray] = []
     for row in canon:
@@ -293,6 +293,6 @@ def solve_linear_family(constraints: Sequence[Callable[[np.ndarray], np.ndarray]
         for w in ortho:
             v -= np.dot(v, w) * w
         nv = math.sqrt(v @ v)
-        if nv > tol.rank_tol:
+        if nv > RANK_TOL:
             ortho.append(v / nv)
     return list(_hermitian_from_coord_rows(np.array(ortho).reshape(-1, dim * dim), dim))

@@ -51,9 +51,9 @@ from twistriple.forms import (
     one_form,
     selfadjoint_one_form,
 )
-from twistriple.linalg import ToleranceConfig
+from twistriple.linalg import RANK_TOL, ToleranceConfig
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 RHO_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 ZETA_GRID = (0.5, 1.0, 2.0)
 ONE_HOP = (C3_UNTWISTED, C3_CONFORMAL)  # d2 is derived from d1
@@ -88,7 +88,7 @@ def omega1_basis(t):
 def span_rank(matrices):
     """Rank of the span of the matrices, with omega1_equal's relative cutoff."""
     s = np.linalg.svd(np.array([m.ravel() for m in matrices]), compute_uv=False)
-    cutoff = TOL12.rank_tol * (s[0] if s[0] > TOL12.rank_tol else 1.0)
+    cutoff = RANK_TOL * (s[0] if s[0] > RANK_TOL else 1.0)
     return int(np.sum(s > cutoff))
 
 
@@ -155,7 +155,7 @@ def test_criterion_3_constraint_derivation():
     problems = []
     for family_id, dim in expected.items():
         for eps in (1, -1):
-            fam = derive_family(family_id, eps, TOL12)  # raises if the solver
+            fam = derive_family(family_id, eps)  # raises if the solver
             # basis violates the closed-form relations beyond 1e-12
             if fam.real_dimension != dim:
                 problems.append((family_id, eps, fam.real_dimension))
@@ -187,7 +187,7 @@ def test_criterion_4_distance_formulas():
             for phi in (0.0, nondegenerate_phi(rng)):
                 ft = fluctuate(t, selfadjoint_one_form(t, phi), TOL12)
                 expected = fluctuated_distance_formula(family, ident[1], phi)
-                got = spectral_distance(ft, TOL12).value
+                got = spectral_distance(ft).value
                 if math.isinf(expected) or math.isinf(got):
                     if math.isinf(expected) != math.isinf(got):
                         rel_failures.append((family, phi))
@@ -195,7 +195,7 @@ def test_criterion_4_distance_formulas():
                     rel_failures.append((family, phi, got, expected))
             if i < 12:  # brute-force oracle layer
                 oracle = distance_bruteforce(t, samples=300, seed=1000 + i)
-                closed = spectral_distance(t, TOL12).value
+                closed = spectral_distance(t).value
                 if abs(oracle - closed) > 1e-6 * abs(closed):
                     oracle_failures.append((family, oracle, closed))
     ok = verdict(4, not rel_failures and not oracle_failures,
@@ -256,11 +256,11 @@ def test_criterion_7_one_form_bimodule_invariance():
     rng = np.random.default_rng(107)
     fluct_ok = True
     for label, t in catalog_triples(rng):
-        if spectral_distance(t, TOL12).unbounded:
+        if spectral_distance(t).unbounded:
             continue
         for _ in range(4):  # 4 draws x 60+ triples > 100 parameters overall
             phi = nondegenerate_phi(rng)
-            if not omega1_equal(t, fluctuate(t, selfadjoint_one_form(t, phi), TOL12), TOL12):
+            if not omega1_equal(t, fluctuate(t, selfadjoint_one_form(t, phi), TOL12)):
                 fluct_ok = False
     transport_failures = []
     literal_moved = set()
@@ -276,7 +276,7 @@ def test_criterion_7_one_form_bimodule_invariance():
                     transported = [k_j @ w @ k_j for w in omega1_basis(t)]
                     if not same_span(omega1_basis(rescaled), transported):
                         transport_failures.append((space, eps, rho, zeta))
-                    if not omega1_equal(t, rescaled, TOL12):
+                    if not omega1_equal(t, rescaled):
                         literal_moved.add((space, eps, rho, zeta))
     expected_moved = {("c4", eps, rho, zeta)
                       for eps in (1, -1) for rho in RHO_GRID for zeta in ZETA_GRID if rho != 0.5}

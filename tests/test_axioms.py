@@ -31,6 +31,7 @@ from twistriple.catalog import (
 )
 from twistriple.linalg import (
     DEFAULT_TOL,
+    RANK_TOL,
     Antiunitary,
     ToleranceConfig,
     commutant_dimension,
@@ -38,7 +39,7 @@ from twistriple.linalg import (
     operator_norm,
 )
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 
 
 def c2_triple(dirac, u=None, eps_prime=1, twist=None):
@@ -324,7 +325,7 @@ def _reference_check_all(t, tol=DEFAULT_TOL):
         nu = t.twist.nu
         entries.append(("twist_selfadjoint", operator_norm(nu - nu.conj().T), tol.abs_tol))
         svals = np.linalg.svd(nu, compute_uv=False)
-        invertible = svals[-1] > tol.rank_tol * max(1.0, svals[0])
+        invertible = svals[-1] > RANK_TOL * max(1.0, svals[0])
         entries.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
         if t.twist.implements_algebra_automorphism:
             if invertible:
@@ -394,7 +395,7 @@ def _reference_cases(rng):
     return cases
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL12, ToleranceConfig(abs_tol=1e-3, rank_tol=1e-2)])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL12, ToleranceConfig(abs_tol=1e-3)])
 def test_check_all_matches_per_check_reference(tol):
     cases = _reference_cases(np.random.default_rng(41))
     inf_cases = 0
@@ -440,7 +441,7 @@ def _kron_commutant_dimension(gens, tol=DEFAULT_TOL):
     eye = np.eye(n, dtype=complex)
     m = np.vstack([np.kron(eye, g) - np.kron(g.T, eye) for g in gens])
     s = np.linalg.svd(m, compute_uv=False)
-    return n * n - int(np.sum(s > tol.rank_tol * (s[0] if s[0] > tol.rank_tol else 1.0)))
+    return n * n - int(np.sum(s > RANK_TOL * (s[0] if s[0] > RANK_TOL else 1.0)))
 
 
 def test_is_irreducible_matches_kron_reference_on_every_family():

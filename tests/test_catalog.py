@@ -32,7 +32,7 @@ from twistriple.catalog import (
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import DEFAULT_TOL, Antiunitary, ToleranceConfig, commutator, operator_norm
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 RNG = np.random.default_rng(2718)
 
 

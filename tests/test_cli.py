@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistriple.cli import main
+from twistriple.cli import build_parser, main
 from twistriple.documents import load
 
 
@@ -326,3 +326,47 @@ def test_check_non_integer_header_exits_2(tmp_path, capsys, field, value):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("real", [{"eps": True}, {"eps_prime": 1.0}, {"eps_dprime": "1"}],
+                         ids=["eps=true", "eps_prime=1.0", "eps_dprime='1'"])
+def test_check_non_integer_sign_exits_2(tmp_path, capsys, real):
+    base = tmp_path / "c3.json"
+    assert main(["catalog", "c3", "--d1", "1,0", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    doc["real"].update(real)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: real.{next(iter(real))} must be 1 or -1\n"
+
+
+# ------------------------------------------------------------------ flag table
+
+# subcommand -> (argv that parses without --tol and --json, the ones of them it reads)
+FLAG_TABLE = {
+    "check": (["check", "t.json"], {"--tol", "--json"}),
+    "catalog": (["catalog", "c3"], set()),
+    "fluctuate": (["fluctuate", "t.json", "--phi", "0.5,0"], {"--tol"}),
+    "rescale": (["rescale", "t.json", "--rho", "0.25"], {"--tol"}),
+    "distance": (["distance", "t.json"], {"--tol", "--json"}),
+    "scan-c2": (["scan-c2"], {"--tol", "--json"}),
+    "kodim": (["kodim", "--eps", "1", "--eps-prime", "1"], {"--json"}),
+}
+FLAG_ARGV = {"--tol": ["--tol", "1e-7"], "--json": ["--json"]}
+FLAG_CASES = [(command, flag) for command in FLAG_TABLE for flag in FLAG_ARGV]
+
+
+@pytest.mark.parametrize("command,flag", FLAG_CASES, ids=[f"{c} {f}" for c, f in FLAG_CASES])
+def test_each_subcommand_accepts_only_the_flags_it_reads(capsys, command, flag):
+    argv, accepted = FLAG_TABLE[command]
+    argv = argv + FLAG_ARGV[flag]
+    if flag in accepted:
+        args = build_parser().parse_args(argv)
+        assert (args.tol == 1e-7) if flag == "--tol" else args.json
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(FLAG_ARGV[flag])}" in capsys.readouterr().err

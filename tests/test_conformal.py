@@ -7,14 +7,13 @@ from twistriple.conformal import (
     ConformalFactor,
     TwistCompositionError,
     check_gauge_conformal_compat,
-    compose_twist,
     equivalent_commutant_factor,
     rescale,
 )
 from twistriple.forms import omega1_equal
 from twistriple.linalg import ToleranceConfig
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 RNG = np.random.default_rng(4313)
 
 
@@ -162,19 +161,11 @@ def test_equivalent_factor_requires_algebra_side():
 
 # ------------------------------------------------------------ twist composition
 
-def test_compose_on_untwisted_reduces_to_rescale():
-    t = build_c3(1, 1.0)
-    k = ConformalFactor(1.0, 0.3)
-    a = compose_twist(t, k, TOL12)
-    b = rescale(t, k, TOL12)
-    assert np.allclose(a.dirac, b.dirac) and np.allclose(a.nu, b.nu)
-
-
 def test_two_conformal_steps_match_single_product_factor():
     t = build_c3(1, 1.5 - 0.5j)
     z1, r1, z2, r2 = 1.2, 0.3, 0.8, 0.6
-    step = compose_twist(rescale(t, ConformalFactor(z1, r1), TOL12),
-                         ConformalFactor(z2, r2), TOL12)
+    step = rescale(rescale(t, ConformalFactor(z1, r1), TOL12),
+                   ConformalFactor(z2, r2), TOL12)
     top = r1 * r2
     bottom = (1 - r1) * (1 - r2)
     combined = ConformalFactor(z1 * z2 * (top + bottom), top / (top + bottom))
@@ -186,9 +177,9 @@ def test_two_conformal_steps_match_single_product_factor():
 def test_perm_conformal_composition_rejected_off_symmetric_point():
     t = build_c4(1, 1.0, 2.0, twist="perm")
     with pytest.raises(TwistCompositionError):
-        compose_twist(t, ConformalFactor(1.0, 0.3), TOL12)
+        rescale(t, ConformalFactor(1.0, 0.3), TOL12)
     # at rho = 1/2 the conformal factor is central and composition is trivial
-    ok = compose_twist(t, ConformalFactor(1.0, 0.5), TOL12)
+    ok = rescale(t, ConformalFactor(1.0, 0.5), TOL12)
     assert check_all(ok, TOL12).passed
 
 

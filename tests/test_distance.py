@@ -14,7 +14,7 @@ from twistriple.distance import (
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import Antiunitary, ToleranceConfig
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 
 
 def test_distance_c3():

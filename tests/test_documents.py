@@ -349,6 +349,20 @@ def test_non_integer_header_is_a_document_error(field, value):
         loads(json.dumps(doc))
 
 
+# ------------------------------------------------------------- reality signs
+
+NON_INTEGER_SIGNS = [True, 1.0, -1.0, "1"]
+
+
+@pytest.mark.parametrize("field", ["eps", "eps_prime", "eps_dprime"])
+@pytest.mark.parametrize("value", NON_INTEGER_SIGNS, ids=[repr(v) for v in NON_INTEGER_SIGNS])
+def test_non_integer_sign_is_a_document_error(field, value):
+    doc = json.loads(dumps(build_c3(1, 1.0)))
+    doc["real"][field] = value
+    with pytest.raises(DocumentError, match=rf"^real\.{field} must be 1 or -1$"):
+        loads(json.dumps(doc))
+
+
 # ------------------------------------------------- round trip as a property
 
 @st.composite

@@ -15,7 +15,7 @@ from twistriple.forms import (
 )
 from twistriple.linalg import ToleranceConfig
 
-TOL12 = ToleranceConfig(abs_tol=1e-12, rank_tol=1e-9)
+TOL12 = ToleranceConfig(abs_tol=1e-12)
 RNG = np.random.default_rng(815)
 
 

@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
                 "catalog_family", "derive_family", "fluctuated_distance_formula",
                 "fluctuation_orbit_params", "identify_family", "scan_c2_nonexistence"],
     "conformal": ["ConformalFactor", "TwistCompositionError", "check_gauge_conformal_compat",
-                  "compose_twist", "equivalent_commutant_factor", "rescale"],
+                  "equivalent_commutant_factor", "rescale"],
     "distance": ["DistanceResult", "distance_bruteforce", "fluctuated_distance_check",
                  "spectral_distance"],
     "documents": ["DocumentError", "from_document", "load", "loads", "save", "to_document"],

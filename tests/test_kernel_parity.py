@@ -36,6 +36,7 @@ from twistriple.distance import spectral_distance
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import (
     DEFAULT_TOL,
+    RANK_TOL,
     _hermitian_stack,
     _rank,
     operator_norm,
@@ -146,18 +147,18 @@ def _ref_solve_linear_family(constraints, dim, tol=DEFAULT_TOL):
         cols.append(np.concatenate(pieces))
     a = np.array(cols).T
     _, s, vt = np.linalg.svd(a)
-    rank = _rank(s, tol.rank_tol)
+    rank = _rank(s)
     kernel = vt[rank:]
     if kernel.shape[0] == 0:
         return []
-    canon = _ref_rref(kernel, tol.rank_tol)
+    canon = _ref_rref(kernel, RANK_TOL)
     ortho = []
     for row in canon:
         v = row.copy()
         for w in ortho:
             v -= np.dot(v, w) * w
         nv = np.linalg.norm(v)
-        if nv > tol.rank_tol:
+        if nv > RANK_TOL:
             ortho.append(v / nv)
     return [_ref_hermitian_from_coords(v, dim) for v in ortho]
 

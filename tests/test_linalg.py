@@ -277,5 +277,9 @@ def test_tolerance_config_rejects_negative():
 def test_tolerance_config_rejects_non_finite(value):
     with pytest.raises(ValueError):
         ToleranceConfig(abs_tol=value)
-    with pytest.raises(ValueError):
-        ToleranceConfig(rank_tol=value)
+
+
+def test_tolerance_config_has_no_rank_tol():
+    # rank decisions use the fixed RANK_TOL; only the residual tolerance is a setting
+    with pytest.raises(TypeError):
+        ToleranceConfig(rank_tol=1e-9)
