@@ -29,8 +29,8 @@ from .axioms import (
     SignTriple,
     SpectralTriple,
     Twist,
+    _order_one_diffs,
     epsilon_prime_residual,
-    order_one_residual,
 )
 from .conformal import ConformalFactor, rescale
 from .linalg import (
@@ -38,6 +38,7 @@ from .linalg import (
     RANK_TOL,
     Antiunitary,
     ToleranceConfig,
+    _norms_exceed,
     commutator,
     operator_norm,
     operator_norms,
@@ -415,8 +416,13 @@ def scan_c2_nonexistence(trials: int, seed: int,
     Each trial draws D (resampled until ||[D, e]|| > 0.1) and then the two
     phases of its J candidates, in that order, so a seed gives the same
     triples as a trial-by-trial loop. The draws of up to _SCAN_BLOCK trials
-    are stacked, and one order_one_residual call evaluates every (trial, J,
-    nu) of the block, so memory stays bounded for any trial count.
+    are stacked, and one _order_one_diffs call gives every basis-pair
+    difference of every (trial, J, nu) of the block, so memory stays bounded
+    for any trial count. A pair fails iff for every nu some difference has
+    norm above abs_tol. Both that test and the resampling test go through
+    linalg._norms_exceed: a difference with an entry beyond the tolerance is
+    decided without an SVD, the rest by the SVD, so every verdict is the one
+    that comparing order_one_residual with abs_tol gives.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -430,17 +436,19 @@ def scan_c2_nonexistence(trials: int, seed: int,
         phases = np.empty((size, 2))
         for k in range(size):
             for _attempt in range(1000):
-                m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                re, im = rng.standard_normal((2, 2, 2))
+                m = re + 1j * im
                 d = m + m.conj().T
-                if operator_norm(commutator(d, e)) > 0.1:
+                if _norms_exceed(commutator(d, e), 0.1):
                     break
             else:
                 raise RuntimeError("sampler failed to find a nonzero calculus")
             diracs[k] = d
             phases[k] = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        residuals = order_one_residual(diracs[:, None, None], _c2_j_stack(phases)[:, :, None],
-                                       _C2_NU_CANDIDATES, basis)  # (trial, J, nu)
-        failures += int(np.count_nonzero(residuals.min(axis=-1) > tol.abs_tol))
+        diffs = _order_one_diffs(diracs[:, None, None], _c2_j_stack(phases)[:, :, None],
+                                 _C2_NU_CANDIDATES, basis)  # (trial, J, nu, pair, 2, 2)
+        fails = _norms_exceed(diffs, tol.abs_tol).any(axis=-1).all(axis=-1)
+        failures += int(np.count_nonzero(fails))
     return ScanReport(trials=trials, failures_of_order_one=failures,
                       j_shapes_tested=_C2_J_SHAPES,
                       conclusion=failures == trials * len(_C2_J_SHAPES))

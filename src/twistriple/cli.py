@@ -211,13 +211,15 @@ def cmd_distance(args) -> int:
 def cmd_scan_c2(args) -> int:
     from .catalog import scan_c2_nonexistence
 
-    report = scan_c2_nonexistence(args.trials, args.seed, _tol_from(args))
+    tol = _tol_from(args)
+    report = scan_c2_nonexistence(args.trials, args.seed, tol)
     if args.json:
         payload = {
             "trials": report.trials,
             "failures_of_order_one": report.failures_of_order_one,
             "j_shapes_tested": list(report.j_shapes_tested),
             "conclusion": report.conclusion,
+            **_provenance(tol),
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

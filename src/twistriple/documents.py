@@ -57,7 +57,9 @@ def _matrix_from_doc(obj: Any, dim: int, name: str) -> np.ndarray:
         pairs = np.asarray(obj)
     except ValueError:  # ragged rows or entries
         pairs = None
-    if pairs is not None and pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "biuf":
+    # np.asarray turns true into 1 next to numbers, so booleans are looked for entry by entry
+    if (pairs is not None and pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "iuf"
+            and bool not in {type(x) for row in obj for pair in row for x in pair}):
         pairs = pairs.astype(float)
         if np.isfinite(pairs).all():
             return pairs.view(complex).reshape(dim, dim)
@@ -74,7 +76,8 @@ def _matrix_by_entry(obj: Any, dim: int, name: str) -> np.ndarray:
             raise DocumentError(f"{name}: row {i} must have {dim} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                               for x in entry)):
                 raise DocumentError(f"{name}: entry ({i},{j}) must be a [re, im] pair")
             try:
                 re, im = float(entry[0]), float(entry[1])

@@ -12,7 +12,9 @@ Every operator norm in the package goes through one kernel,
 LAPACK returns the singular values in descending order, so this is bitwise
 what `np.linalg.norm(stack, 2, axis=(-2, -1))` computes, without that
 wrapper's axis bookkeeping and its final `amax`. `operator_norm` is the
-same kernel on one matrix.
+same kernel on one matrix. Where only `norm > bound` is wanted,
+`_norms_exceed` settles most matrices from their largest entry and sends
+the rest to this kernel.
 """
 
 from __future__ import annotations
@@ -82,6 +84,22 @@ def operator_norms(stack) -> np.ndarray:
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(operator_norms(m))
+
+
+def _norms_exceed(stack, bound: float) -> np.ndarray:
+    """operator_norms(stack) > bound, per matrix of a finite stack (..., m, n).
+
+    ||M|| >= max_ij |M_ij|, so a matrix with an entry beyond bound (1 + 1e-12)
+    exceeds the bound with no SVD: the margin is far above the SVD's
+    O(n eps) rounding, so each such verdict is the one the SVD gives. Only
+    the other matrices go through operator_norms.
+    """
+    stack = np.asarray(stack)
+    exceed = np.asarray(np.abs(stack).max(axis=(-2, -1)) > bound * (1 + 1e-12))
+    undecided = ~exceed
+    if undecided.any():
+        exceed[undecided] = operator_norms(stack[undecided]) > bound
+    return exceed
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistriple.algebra import REP_C2, projection_e
-from twistriple.axioms import check_all
+from twistriple.axioms import check_all, order_one_residual
 from twistriple.catalog import (
     C3_CONFORMAL,
     C3_PERM,
@@ -324,6 +324,72 @@ def test_scan_matches_reference_when_some_pairs_pass():
     assert 0 < report.failures_of_order_one < report.trials * len(report.j_shapes_tested)
     assert not report.conclusion
     assert report == _scan_reference(40, 5, tol)
+
+
+def _scan_min_residuals(trials, seed):
+    """The scan's residual min over nu per (trial, J), from order_one_residual on its draws."""
+    from twistriple.catalog import _C2_NU_CANDIDATES
+
+    rng = np.random.default_rng(seed)
+    e = projection_e(REP_C2)
+    basis = [e, np.eye(2) - e]
+    values = []
+    for _ in range(trials):
+        for _attempt in range(1000):
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            d = m + m.conj().T
+            if operator_norm(commutator(d, e)) > 0.1:
+                break
+        us = np.array([u for _, u in _c2_j_candidates_reference(rng)])
+        values += order_one_residual(d, us[:, None], _C2_NU_CANDIDATES, basis).min(axis=-1).tolist()
+    return values
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_scan_matches_reference_at_tolerances_on_its_own_residuals(seed):
+    # the verdicts the entry bound cannot decide go to the SVD: each tolerance
+    # sits on, one ulp around or 1e-13 around a residual the scan compares
+    values = _scan_min_residuals(4, seed)
+    for v in values[seed % 5::7]:
+        for abs_tol in (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf),
+                        v * (1 + 1e-13), v * (1 - 1e-13)):
+            tol = ToleranceConfig(abs_tol=float(abs_tol))
+            report = scan_c2_nonexistence(4, seed, tol)
+            assert report.failures_of_order_one == sum(r > abs_tol for r in values)
+            assert report == _scan_reference(4, seed, tol)
+
+
+def _count_svd_matrices(monkeypatch):
+    """Record every stack that reaches linalg.operator_norms."""
+    import twistriple.linalg as linalg
+
+    sent = []
+    kernel = linalg.operator_norms
+
+    def counting(stack):
+        sent.append(np.asarray(stack).reshape(-1, 2, 2))
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "operator_norms", counting)
+    return sent
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_default_tolerance_scan_takes_no_svd(monkeypatch, seed):
+    sent = _count_svd_matrices(monkeypatch)
+    assert scan_c2_nonexistence(50, seed).conclusion
+    assert sent == []
+
+
+def test_scan_sends_only_undecided_matrices_to_the_svd(monkeypatch):
+    tol = ToleranceConfig(abs_tol=1.5)
+    want = _scan_reference(40, 5, tol)
+    sent = _count_svd_matrices(monkeypatch)
+    assert scan_c2_nonexistence(40, 5, tol) == want
+    matrices = np.concatenate(sent)
+    # 40 trials x 5 J x 2 nu x 4 basis pairs of differences, plus the sampler's commutators
+    assert 0 < len(matrices) < 40 * 5 * 2 * 4
+    assert (np.abs(matrices).max(axis=(-2, -1)) <= 1.5 * (1 + 1e-12)).all()
 
 
 def test_scan_j_candidates_are_antiunitary_involutions_up_to_sign():

@@ -58,6 +58,19 @@ def test_check_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert err == "error: dirac: entry (0,0) is not finite\n"
 
 
+@pytest.mark.parametrize("entry", [[True, False], [1.0, True]], ids=["all-boolean", "mixed"])
+def test_check_boolean_entry_exits_2(tmp_path, capsys, entry):
+    base = tmp_path / "c3.json"
+    assert main(["catalog", "c3", "--d1", "1,0", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    doc["dirac"][1][2] = entry
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: dirac: entry (1,2) must be a [re, im] pair\n"
+
+
 @pytest.mark.parametrize("command", ["check", "distance"])
 def test_json_reports_carry_versions_and_tolerances(tmp_path, capsys, command):
     import sys
@@ -280,6 +293,28 @@ def test_scan_c2_exit_and_determinism(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "conclusion: nonexistence confirmed" in out1
+
+
+def test_scan_c2_json_carries_versions_and_tolerances(capsys):
+    import sys
+
+    import numpy
+
+    import twistriple
+
+    code, out, _ = run(capsys, "scan-c2", "--json", "--trials", "50", "--seed", "7")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["versions"] == {"twistriple": twistriple.__version__,
+                                   "numpy": numpy.__version__,
+                                   "python": ".".join(map(str, sys.version_info[:3]))}
+    assert payload["tol"] == {"abs_tol": 1e-9, "rank_tol": 1e-9}
+    assert payload["conclusion"] is True and payload["failures_of_order_one"] == 250
+    assert set(payload) == {"trials", "failures_of_order_one", "j_shapes_tested", "conclusion",
+                            "versions", "tol"}
+    code, out, _ = run(capsys, "scan-c2", "--json", "--trials", "50", "--seed", "7", "--tol", "1.5")
+    payload = json.loads(out)
+    assert code == 1 and payload["tol"]["abs_tol"] == 1.5 and not payload["conclusion"]
 
 
 def test_kodim_values(capsys):

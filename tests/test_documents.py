@@ -235,7 +235,8 @@ def _reference_matrix_from_doc(obj, dim, name):
 
 
 # JSON numbers the loader must take exactly as float() does, including the
-# int64/uint64 boundaries numpy converts natively and ints it cannot hold
+# int64/uint64 boundaries numpy converts natively and ints it cannot hold;
+# the per-entry reference also takes true and false, which the loader rejects
 VALID_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                  -1e-300, 1.0 / 3.0, 0, 1, -7, True, False, 2 ** 53 + 1, -(2 ** 63),
                  2 ** 63 - 1, 2 ** 63 + 1025, 2 ** 64 - 1, 2 ** 64 + 1, -(2 ** 64) - 3, 10 ** 30,
@@ -305,22 +306,35 @@ def _load_outcome(fn, obj, dim):
     return m.shape, m.dtype, m.tobytes()
 
 
+def _first_boolean_entry(obj):
+    """(i, j) of the first [re, im] pair, row-major, that holds a boolean, or None."""
+    return next(((i, j) for i, row in enumerate(obj) for j, entry in enumerate(row)
+                 if any(isinstance(x, bool) for x in entry)), None)
+
+
 def test_matrix_loading_matches_the_per_entry_loader():
     from twistriple.documents import _matrix_from_doc
 
     rng = np.random.default_rng(20261018)
     valid, malformed = _valid_matrices(rng), _malformed_matrices(rng)
     assert len(valid) == 124 and len(malformed) == 422
+    booleans = 0
     for dim, obj in valid + malformed:
         obj = json.loads(json.dumps(obj))  # only what a JSON document can hold
         got, want = _load_outcome(_matrix_from_doc, obj, dim), _load_outcome(
             _reference_matrix_from_doc, obj, dim)
-        if want[0] is OverflowError:  # the one intended difference: see the next test
+        boolean = _first_boolean_entry(obj) if want[0] == (dim, dim) else None
+        if want[0] is OverflowError:  # intended difference 1: see the next test
             assert got[0] is DocumentError and got[1].endswith("is not finite"), obj
+        elif boolean is not None:  # intended difference 2: a boolean is not a number
+            booleans += 1
+            assert got == (DocumentError, "dirac: entry (%d,%d) must be a [re, im] pair" % boolean)
         else:
             assert got == want, obj
+    assert 0 < booleans < len(valid)
     for dim, obj in valid:
-        assert _load_outcome(_matrix_from_doc, obj, dim)[0] == (dim, dim)
+        if _first_boolean_entry(obj) is None:
+            assert _load_outcome(_matrix_from_doc, obj, dim)[0] == (dim, dim)
 
 
 @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)], ids=["1e400", "-1e400"])
@@ -330,6 +344,17 @@ def test_integer_beyond_float_range_is_a_document_error(value, part):
     doc["dirac"][0][1][part] = value
     with pytest.raises(DocumentError, match=r"^dirac: entry \(0,1\) is not finite$"):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["dirac", "grading"])
+def test_boolean_matrix_entries_are_document_errors(name):
+    doc = json.loads(dumps(build_c3(1, 1.0)))
+    mixed = [[list(entry) for entry in row] for row in doc[name]]
+    mixed[2][1] = [0.5, False]  # beside numbers, np.asarray makes it 0.0
+    all_boolean = [[[True, False] for _ in range(3)] for _ in range(3)]  # a boolean array
+    for matrix, where in ((mixed, r"\(2,1\)"), (all_boolean, r"\(0,0\)")):
+        with pytest.raises(DocumentError, match=rf"^{name}: entry {where} must be a \[re, im\] pair$"):
+            loads(json.dumps(dict(doc, **{name: matrix})))
 
 
 # --------------------------------------------------- integer header fields

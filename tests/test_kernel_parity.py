@@ -3,6 +3,9 @@ isolation of the constants they cache.
 
 - `operator_norms` / `operator_norm` against `np.linalg.norm(., 2)`, exactly,
   on random stacks of dims 1-8 from 1e-300 to 1e300 and on zero matrices.
+- `_norms_exceed(stack, b)` against `operator_norms(stack) > b`, exactly, for
+  bounds at, one ulp around and 1e-12 around each computed norm, including
+  matrices whose norm is their largest entry.
 - `solve_linear_family`, which evaluates each constraint once on the cached
   stack of Hermitian basis matrices, against the earlier solver (copied
   below) that called every constraint once per basis member: bitwise-equal
@@ -38,6 +41,7 @@ from twistriple.linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     _hermitian_stack,
+    _norms_exceed,
     _rank,
     operator_norm,
     operator_norms,
@@ -77,6 +81,40 @@ def test_operator_norm_of_zero_matrices():
         z = np.zeros((n, n), dtype=complex)
         assert operator_norm(z) == 0.0 == float(np.linalg.norm(z, 2))
         assert same_bits(operator_norms(np.zeros((3, n, n))), np.zeros(3))
+
+
+def _entry_dominated(rng, n, count):
+    """Diagonal and one-entry (rank one) matrices, whose norm is their largest entry."""
+    diag = np.zeros((count, n, n))
+    diag[:, np.arange(n), np.arange(n)] = rng.standard_normal((count, n))
+    single = np.zeros((count, n, n))
+    single[np.arange(count), rng.integers(n, size=count), rng.integers(n, size=count)] = (
+        rng.standard_normal(count))
+    return np.concatenate([diag, single])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_norms_exceed_equals_the_svd_verdict(n):
+    rng = np.random.default_rng(700 + n)
+    for scale in SCALES:
+        for dtype in (complex, float):
+            stack = np.concatenate([rng.standard_normal((8, n, n)),
+                                    _entry_dominated(rng, n, 4),
+                                    np.outer(rng.standard_normal(n), rng.standard_normal(n))[None]])
+            if dtype is complex:
+                stack = stack * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, stack.shape))
+            stack = stack * scale
+            stack[0] = 0.0
+            sigma = operator_norms(stack)
+            for s in sigma:
+                for bound in (0.0, s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf),
+                              s * (1 + 1e-12), s * (1 - 1e-12)):
+                    assert same_bits(_norms_exceed(stack, bound), sigma > bound), (scale, bound)
+                    assert same_bits(_norms_exceed(stack.reshape(1, -1, n, n), bound),
+                                     (sigma > bound)[None])
+            for m, s in zip(stack, sigma):  # one matrix: a 0-d verdict
+                for bound in (s, np.nextafter(s, -np.inf)):
+                    assert same_bits(_norms_exceed(m, bound), operator_norms(m) > bound)
 
 
 # ---------------------------------------------- the solver, as it was before
