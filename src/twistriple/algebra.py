@@ -97,7 +97,7 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
     """
     e, not_e = _two_point_projections(rep)
     de = commutator(_as_square(d), e)
-    return float(np.linalg.norm(e @ de - de @ not_e)) < tol.abs_tol
+    return float(np.linalg.norm(e @ de - de @ not_e)) <= tol.abs_tol
 
 
 def permute(rep: Representation, perm: Sequence[int], a: Sequence[complex]) -> tuple[complex, ...]:

@@ -23,6 +23,7 @@ from .linalg import (
     Antiunitary,
     ToleranceConfig,
     _as_square,
+    _matmul,
     commutator,
     commutant_dimension,
     operator_norms,
@@ -125,7 +126,7 @@ class CheckEntry:
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tol_used
+        return self.residual <= self.tol_used
 
 
 @dataclass
@@ -181,17 +182,21 @@ def _order_one_diffs(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
 
     The pairs are ordered a-major, as k a + b. Raises LinAlgError when nu^2
     is singular, and when a nearly singular nu^2 makes a residual NaN, where
-    LAPACK's SVD would not converge.
+    LAPACK's SVD would not converge. Stacked inputs take their products
+    through linalg._matmul; a single triple's few products skip its
+    bookkeeping.
     """
     b = np.asarray(basis)  # (k, n, n)
     k, n = b.shape[0], b.shape[-1]
-    nu2 = (nu @ nu)[..., None, :, :]
+    mm = np.matmul if dirac.ndim == u.ndim == nu.ndim == 2 else _matmul
+    nu2 = mm(nu, nu)[..., None, :, :]
     u = u[..., None, :, :]
     u_adj = np.conj(np.swapaxes(u, -1, -2))
-    j_plain = u @ np.conj(b) @ u_adj
-    j_twisted = u @ np.conj(np.linalg.inv(nu2) @ b @ nu2) @ u_adj
-    da = commutator(dirac[..., None, :, :], b)[..., :, None, :, :]
-    diffs = da @ j_twisted[..., None, :, :, :] - j_plain[..., None, :, :, :] @ da
+    j_plain = mm(mm(u, np.conj(b)), u_adj)
+    j_twisted = mm(mm(u, np.conj(mm(mm(np.linalg.inv(nu2), b), nu2))), u_adj)
+    d = dirac[..., None, :, :]
+    da = (mm(d, b) - mm(b, d))[..., :, None, :, :]
+    diffs = mm(da, j_twisted[..., None, :, :, :]) - mm(j_plain[..., None, :, :, :], da)
     if np.isnan(diffs).any():
         raise np.linalg.LinAlgError("order-one residual is NaN")
     return diffs.reshape(*diffs.shape[:-4], k * k, n, n)

@@ -404,6 +404,29 @@ def _c2_j_stack(phases: np.ndarray) -> np.ndarray:
     return np.moveaxis(u, (0, 1, 2), (-3, -2, -1))
 
 
+def _c2_diracs(normals: np.ndarray) -> np.ndarray:
+    """D = m + m^H with m = re + i im, per pair (re, im) of normals (..., 2, 2, 2)."""
+    m = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return m + np.conj(np.swapaxes(m, -1, -2))
+
+
+def _calculus_exceeds(normals: np.ndarray) -> bool:
+    """_norms_exceed(commutator(d, e), 0.1) for d = _c2_diracs(normals) and e = diag(1, 0).
+
+    [d, e] = [[0, -d01], [conj(d01), 0]] exactly, with d01 = m01 + conj(m10),
+    so its norm and its largest entry modulus are both |d01|, and the entry
+    branch of _norms_exceed reduces to one scalar comparison. (np.abs and abs
+    may round a modulus a few ulps apart, far inside the 1e-12 margin, so the
+    verdict is the same.) Only a d01 that does not clear the margin goes to
+    _norms_exceed.
+    """
+    (_, re01), (re10, _), (_, im01), (im10, _) = normals.reshape(4, 2).tolist()
+    if abs(complex(re01 + re10, im01 - im10)) > 0.1 * (1 + 1e-12):
+        return True
+    e = _point_projections(REP_C2)[0]
+    return bool(_norms_exceed(commutator(_c2_diracs(normals), e), 0.1))
+
+
 def scan_c2_nonexistence(trials: int, seed: int,
                          tol: ToleranceConfig = DEFAULT_TOL) -> ScanReport:
     """Sample C^2 triples with nonzero calculus and test order-one for each J.
@@ -413,38 +436,38 @@ def scan_c2_nonexistence(trials: int, seed: int,
     residual) must fail whenever [D, e] is nonzero. Each (trial, J) pair that
     fails is counted; the conclusion holds iff they all fail.
 
-    Each trial draws D (resampled until ||[D, e]|| > 0.1) and then the two
-    phases of its J candidates, in that order, so a seed gives the same
-    triples as a trial-by-trial loop. The draws of up to _SCAN_BLOCK trials
-    are stacked, and one _order_one_diffs call gives every basis-pair
-    difference of every (trial, J, nu) of the block, so memory stays bounded
-    for any trial count. A pair fails iff for every nu some difference has
-    norm above abs_tol. Both that test and the resampling test go through
-    linalg._norms_exceed: a difference with an entry beyond the tolerance is
-    decided without an SVD, the rest by the SVD, so every verdict is the one
-    that comparing order_one_residual with abs_tol gives.
+    Each trial draws D = m + m^H (one standard_normal((2, 2, 2)) per attempt,
+    resampled until ||[D, e]|| > 0.1) and then the two phases of its J
+    candidates, in that order, so a seed gives the same triples as a
+    trial-by-trial loop. The resampling test is decided from the scalar
+    d01 = D[0, 1] by _calculus_exceeds, and only a |d01| within the 1e-12
+    margin of 0.1 or below it goes to linalg._norms_exceed. The draws of up
+    to _SCAN_BLOCK trials are stacked, and one _order_one_diffs call gives
+    every basis-pair difference of every (trial, J, nu) of the block, so
+    memory stays bounded for any trial count. A pair fails iff for every nu
+    some difference has norm above abs_tol, decided by _norms_exceed: a
+    difference with an entry beyond the tolerance is decided without an
+    SVD, the rest by the SVD, so every verdict is the one that comparing
+    order_one_residual with abs_tol gives.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     basis = _point_projections(REP_C2)
-    e = basis[0]
     failures = 0
     for start in range(0, trials, _SCAN_BLOCK):
         size = min(_SCAN_BLOCK, trials - start)
-        diracs = np.empty((size, 2, 2), dtype=complex)
+        normals = np.empty((size, 2, 2, 2))  # (re, im) of m per trial, D = m + m^H
         phases = np.empty((size, 2))
         for k in range(size):
             for _attempt in range(1000):
-                re, im = rng.standard_normal((2, 2, 2))
-                m = re + 1j * im
-                d = m + m.conj().T
-                if _norms_exceed(commutator(d, e), 0.1):
+                rng.standard_normal(out=normals[k])
+                if _calculus_exceeds(normals[k]):
                     break
             else:
                 raise RuntimeError("sampler failed to find a nonzero calculus")
-            diracs[k] = d
             phases[k] = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        diracs = _c2_diracs(normals)
         diffs = _order_one_diffs(diracs[:, None, None], _c2_j_stack(phases)[:, :, None],
                                  _C2_NU_CANDIDATES, basis)  # (trial, J, nu, pair, 2, 2)
         fails = _norms_exceed(diffs, tol.abs_tol).any(axis=-1).all(axis=-1)
@@ -473,7 +496,7 @@ def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> f
 
 def _matches(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
     """Whether a and b, two matrices or two stacks of them, agree to abs_tol in every operator norm."""
-    return bool((operator_norms(np.asarray(a) - np.asarray(b)) < tol.abs_tol).all())
+    return bool((operator_norms(np.asarray(a) - np.asarray(b)) <= tol.abs_tol).all())
 
 
 def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:

@@ -3,8 +3,9 @@
 Subcommands: check, catalog, fluctuate, rescale, distance, scan-c2, kodim.
 Exit codes are a stable contract: 0 success (all checks pass), 1 a check
 failed, 2 usage, parse or invariant errors. --tol sets the absolute residual
-tolerance of checks and --json switches reports to machine-readable output;
-each subcommand accepts only the flags it reads.
+tolerance of checks (a residual equal to it passes) and --json switches
+reports to machine-readable output; each subcommand accepts only the flags it
+reads.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tol_flag = argparse.ArgumentParser(add_help=False)
     tol_flag.add_argument("--tol", type=float, default=1e-9,
-                          help="absolute residual tolerance of checks (default 1e-9)")
+                          help="absolute residual tolerance of checks; a residual equal "
+                               "to it passes (default 1e-9)")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -123,4 +123,4 @@ def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: c
     s = _factor_matrices(t, k)[1]
     lhs = _fluctuated_dirac(rescaled, s @ b.value @ s)
     rhs = s @ fluctuate(t, b, tol).dirac @ s
-    return operator_norm(lhs - rhs) < tol.abs_tol * (1.0 + operator_norm(rhs))
+    return operator_norm(lhs - rhs) <= tol.abs_tol * (1.0 + operator_norm(rhs))

@@ -72,7 +72,8 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     The samples are drawn in blocks of up to _ORACLE_BLOCK, in the order of
     one scalar draw after another (re c_+, im c_+, re c_-, im c_- per
     generic sample; re w, im w per directional one), and each block is
-    evaluated as one stack of algebra elements c_+ E_+ + c_- E_-.
+    evaluated as one stack of algebra elements c_+ E_+ + c_- E_-, whose plain
+    and twisted derivatives take their norms in one stacked call.
 
     On two points a = c_- 1 + (c_+ - c_-) e, so every derivative of a is
     (c_+ - c_-) times one fixed matrix, and every non-skipped sample lands
@@ -94,9 +95,10 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
         """Best boundary value of a block; samples with |c_+ - c_-| < 1e-12 are skipped."""
         a = cp[:, None, None] * e_plus + cm[:, None, None] * e_minus
         da = t.dirac @ a
-        worst = operator_norms(da - a @ t.dirac)
+        derivatives = [da - a @ t.dirac]
         if nu is not None:
-            worst = np.maximum(worst, operator_norms(da - nu @ a @ nu_inv @ t.dirac))
+            derivatives.append(da - nu @ a @ nu_inv @ t.dirac)
+        worst = operator_norms(np.stack(derivatives)).max(axis=0)
         gap = np.abs(cp - cm)
         ratios = np.divide(gap, worst, out=np.zeros_like(worst), where=(gap >= 1e-12) & (worst > 0.0))
         return float(ratios.max())

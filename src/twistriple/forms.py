@@ -55,7 +55,7 @@ def antihermitian_one_form(t: SpectralTriple, phi: complex) -> OneForm:
 
 
 def is_selfadjoint_form(a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return operator_norm(a.value - a.value.conj().T) < tol.abs_tol
+    return operator_norm(a.value - a.value.conj().T) <= tol.abs_tol
 
 
 def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
@@ -157,6 +157,6 @@ def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     phi = complex(coeffs[0], coeffs[1])
     residual = operator_norm(assembled(phi) - candidate.dirac)
-    if residual < tol.abs_tol * (1.0 + operator_norm(candidate.dirac)):
+    if residual <= tol.abs_tol * (1.0 + operator_norm(candidate.dirac)):
         return (phi, -np.conj(phi))
     return None

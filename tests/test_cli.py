@@ -34,6 +34,20 @@ def test_check_perm_bad_fails_exactly_regularity(tmp_path, capsys):
     assert failing == ["twisted_regularity"]
 
 
+def test_check_tol_zero_passes_exact_residuals(tmp_path, capsys):
+    # every residual of this catalog triple is exactly 0.0, and 0 <= 0 passes
+    path = str(tmp_path / "c4.json")
+    assert main(["catalog", "c4", "--d1", "3,0", "--d2", "4,0", "-o", path]) == 0
+    code, out, _ = run(capsys, "check", path, "--tol", "0", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert all(e["residual"] == 0.0 and e["pass"] for e in payload["entries"])
+    assert payload["entries"][0] == {"condition": "dirac_selfadjoint", "residual": 0.0,
+                                     "tol": 0.0, "pass": True}
+    code, out, _ = run(capsys, "check", path, "--tol", "0")
+    assert code == 0 and "overall: PASS" in out and "FAIL" not in out
+
+
 def test_check_unreadable_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/triple.json")
     assert code == 2 and "error" in err
@@ -171,6 +185,16 @@ def test_fluctuate_halves_d1_doubles_distance(tmp_path, capsys):
     assert load(out_path).dirac[0, 2] == 0.5
     code, out, _ = run(capsys, "distance", out_path)
     assert "distance: 2" in out
+
+
+def test_fluctuate_tol_zero_accepts_an_exactly_selfadjoint_form(tmp_path, capsys):
+    base = str(tmp_path / "c4.json")
+    out_path = str(tmp_path / "c4f.json")
+    assert main(["catalog", "c4", "--d1", "3,0", "--d2", "4,0", "-o", base]) == 0
+    code, out, err = run(capsys, "fluctuate", base, "--phi", "0.5,0", "--tol", "0", "-o", out_path)
+    assert (code, err) == (0, "")
+    assert "family: c4_untwisted" in out
+    assert load(out_path).dirac[0, 2] == 1.5
 
 
 def test_fluctuate_phi_zero_is_byte_identical(tmp_path):

@@ -6,6 +6,13 @@ isolation of the constants they cache.
 - `_norms_exceed(stack, b)` against `operator_norms(stack) > b`, exactly, for
   bounds at, one ulp around and 1e-12 around each computed norm, including
   matrices whose norm is their largest entry.
+- The product helper `_matmul` against `np.matmul`, bitwise, for n = 2-4,
+  complex and real, on stacks either side of `_FOLD_MIN` (broadcast and
+  stride-0 operands included), and `order_one_residual` on a scan-shaped
+  stack against one call per (trial, J, nu).
+- The C^2 scan's scalar resampling test against
+  `_norms_exceed(commutator(d, e), 0.1)` at and one ulp around 0.1 and the
+  entry bound 0.1 (1 + 1e-12).
 - `solve_linear_family`, which evaluates each constraint once on the cached
   stack of Hermitian basis matrices, against the earlier solver (copied
   below) that called every constraint once per basis member: bitwise-equal
@@ -21,15 +28,18 @@ isolation of the constants they cache.
 import numpy as np
 import pytest
 
-from twistriple.algebra import REP_C3, REP_C4, Representation, _point_projections, projection_e
-from twistriple.axioms import check_all, epsilon_prime_residual
+from twistriple.algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections, projection_e
+from twistriple.axioms import check_all, epsilon_prime_residual, order_one_residual
 from twistriple.catalog import (
+    _C2_NU_CANDIDATES,
     GAMMA3,
     GAMMA4,
     NU3_PERM,
     NU4_PERM,
     U3,
     U4,
+    _c2_j_stack,
+    _calculus_exceeds,
     build_c3,
     build_c4,
     build_conformal,
@@ -38,11 +48,14 @@ from twistriple.catalog import (
 from twistriple.distance import spectral_distance
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import (
+    _FOLD_MIN,
     DEFAULT_TOL,
     RANK_TOL,
     _hermitian_stack,
+    _matmul,
     _norms_exceed,
     _rank,
+    commutator,
     operator_norm,
     operator_norms,
     solve_linear_family,
@@ -115,6 +128,101 @@ def test_norms_exceed_equals_the_svd_verdict(n):
             for m, s in zip(stack, sigma):  # one matrix: a 0-d verdict
                 for bound in (s, np.nextafter(s, -np.inf)):
                     assert same_bits(_norms_exceed(m, bound), operator_norms(m) > bound)
+
+
+# ------------------------------------------------------------ the product helper
+
+# (left stack shape, right stack shape): single products, stacks either side
+# of _FOLD_MIN, and the broadcast shapes of the C^2 scan's order-one kernel
+MATMUL_STACKS = [
+    ((), ()), ((2,), (2,)), ((2, 1), (1, 2)), ((_FOLD_MIN - 1,), ()), ((_FOLD_MIN,), ()),
+    ((_FOLD_MIN, 1), (1, 1)), ((_FOLD_MIN - 1, 1), (1,)), ((3 * _FOLD_MIN,), (3 * _FOLD_MIN,)),
+    ((40, 1, 2), (40, 3, 1)), ((1, 70), (3, 1)), ((5, 1, 3), (2, 1)), ((2,), (_FOLD_MIN, 1, 1)),
+    ((14, 1, 1, 1), (2,)), ((2,), (14, 1, 1, 1)), ((14, 5, 1, 1), (2,)),
+    ((14, 5, 1, 2), (14, 5, 1, 1)), ((14, 5, 2, 2), (14, 5, 1, 1)),
+    ((14, 1, 1, 2, 1), (14, 5, 2, 1, 2)), ((14, 5, 1, 1, 2), (14, 1, 1, 2, 1)),
+]
+
+
+def _random_stack(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_matmul_helper_equals_numpy_matmul_bitwise(n, dtype):
+    rng = np.random.default_rng(800 + n)
+    for left, right in MATMUL_STACKS:
+        a = _random_stack(rng, left + (n, n), dtype)
+        b = _random_stack(rng, right + (n, n), dtype)
+        assert same_bits(_matmul(a, b), np.matmul(a, b)), (left, right)
+        # stride-0 operands: views that repeat a stack along a new leading axis
+        pad = max(len(left), len(right))
+        a = a.reshape((1,) * (pad - len(left)) + a.shape)[None]
+        b = b.reshape((1,) * (pad - len(right)) + b.shape)[None]
+        a0, b0 = np.broadcast_to(a, (3,) + a.shape[1:]), np.broadcast_to(b, (3,) + b.shape[1:])
+        for x, y in ((a0, b), (a, b0), (a0, b0), (a0[:, None], b0[None])):
+            assert same_bits(_matmul(x, y), np.matmul(x, y)), (left, right, x.shape, y.shape)
+    # non-contiguous factors and mixed dtypes
+    a = _random_stack(rng, (2 * _FOLD_MIN, n, 2 * n), dtype)[..., ::2]
+    b = _random_stack(rng, (n, n), complex)
+    for x in (a, np.swapaxes(a, -1, -2)):
+        assert same_bits(_matmul(x, b), np.matmul(x, b))
+        assert same_bits(_matmul(x[:, None], b[None, None]), np.matmul(x[:, None], b[None, None]))
+
+
+def test_order_one_residual_on_a_scan_shaped_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(17)
+    basis = list(_point_projections(REP_C2))
+    m = rng.standard_normal((14, 2, 2)) + 1j * rng.standard_normal((14, 2, 2))
+    diracs = m + np.conj(np.swapaxes(m, -1, -2))
+    us = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, (14, 2)))
+    stacked = order_one_residual(diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES, basis)
+    want = [[[order_one_residual(d, u, nu, basis) for nu in _C2_NU_CANDIDATES] for u in row]
+            for d, row in zip(diracs, us)]
+    assert same_bits(stacked, np.array(want))
+
+
+def _normals_with_d01(d01, rng, m10=0j):
+    """Normals (re, im) of an m with m[1, 0] = m10 whose Dirac m + m^H has d01 at (0, 1).
+
+    d01 is exact for m10 = 0; otherwise up to the rounding of d01 - conj(m10).
+    """
+    normals = rng.standard_normal((2, 2, 2))
+    m01 = d01 - np.conj(m10)
+    normals[:, 0, 1] = m01.real, m01.imag
+    normals[:, 1, 0] = m10.real, m10.imag
+    return normals
+
+
+def test_scalar_resampling_test_equals_the_entry_bound_verdict():
+    rng = np.random.default_rng(23)
+    e = _point_projections(REP_C2)[0]
+    bound = 0.1 * (1 + 1e-12)
+    cases = [(0.05 + 0j, m10) for m10 in (0.5j, -0.5j, 0.5, -0.5, 0.25 + 0.25j)]
+    for r in (0.1, bound):
+        for x in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)):
+            d01s = [complex(x, 0.0), complex(-x, 0.0), complex(0.0, x), complex(0.0, -x)]
+            d01s += [x * np.exp(1j * t) for t in rng.uniform(0.0, 2.0 * np.pi, 8)]
+            cases += [(d01, m10) for d01 in d01s for m10 in (0j, complex(*rng.standard_normal(2)))]
+    verdicts = []
+    for d01, m10 in cases:
+        normals = _normals_with_d01(d01, rng, m10)
+        m = normals[0] + 1j * normals[1]
+        d = m + m.conj().T
+        if m10 == 0:
+            assert d[0, 1] == d01
+        want = bool(_norms_exceed(commutator(d, e), 0.1))
+        assert _calculus_exceeds(normals) is want, (d01, m10)
+        verdicts.append(want)
+    assert not any(verdicts[:5]) and any(verdicts)
+    # |d01| exact: from one ulp above 0.1 the commutator's norm exceeds 0.1
+    assert not _calculus_exceeds(_normals_with_d01(0.1 + 0j, rng))
+    for x in (np.nextafter(0.1, 1.0), bound, np.nextafter(bound, 1.0)):
+        assert _calculus_exceeds(_normals_with_d01(complex(x, 0.0), rng))
 
 
 # ---------------------------------------------- the solver, as it was before
