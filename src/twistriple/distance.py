@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, commutator, operator_norms
+from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _gram_norms, commutator, operator_norms
 
 __all__ = [
     "DistanceResult",
@@ -66,13 +66,23 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     derivative norms are linear in c_+ - c_-). A generic (c_+, c_-) sampler
     runs first as a sanity layer, then directional samples. The oracle's
     independence comes from sampling the algebra instead of using the
-    closed-form derivative of e; its matrix norms are the same LAPACK norm
-    as operator_norm.
+    closed-form derivative of e, and from its norm: spectral_distance takes
+    LAPACK's SVD, while the oracle takes linalg._gram_norms, the largest
+    eigenvalue of each derivative's Gram matrix, so the two values come from
+    different algorithms.
+
+    Both derivatives are linear in a, so each is computed once on each
+    point projection before sampling: the plain D E - E D and, with a twist,
+    D E - (nu E nu^-1) D, for E = E_+ and for E = E_- on its own (not as
+    1 - E_+). The derivatives of a sample c_+ E_+ + c_- E_- are then
+    c_+ delta(E_+) + c_- delta(E_-), formed entrywise, and each sample's
+    Gram matrix is formed from that combined matrix, never expanded in c_+
+    and c_-, which would square the cancellation of a sample with
+    c_+ ~ c_-.
 
     The samples are drawn in blocks of up to _ORACLE_BLOCK, in the order of
     one scalar draw after another (re c_+, im c_+, re c_-, im c_- per
-    generic sample; re w, im w per directional one), and each block is
-    evaluated as one stack of algebra elements c_+ E_+ + c_- E_-, whose plain
+    generic sample; re w, im w per directional one), and each block's plain
     and twisted derivatives take their norms in one stacked call.
 
     On two points a = c_- 1 + (c_+ - c_-) e, so every derivative of a is
@@ -85,20 +95,19 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
         raise ValueError("two-point representations only")
     if samples < 1:
         raise ValueError("need at least one sample")
-    nu = nu_inv = None
+    d = t.dirac
+    projections = _two_point_projections(t.rep)  # (E_+, E_-)
+    images = [d @ projections - projections @ d]
     if t.twist is not None:
         nu = t.twist.nu
-        nu_inv = np.linalg.inv(nu)
-    e_plus, e_minus = _two_point_projections(t.rep)
+        images.append(d @ projections - nu @ projections @ np.linalg.inv(nu) @ d)
+    images = np.stack(images)  # (derivative, E_+/E_-, n, n)
+    plus, minus = images[:, None, 0], images[:, None, 1]
 
     def block_best(cp: np.ndarray, cm: np.ndarray) -> float:
         """Best boundary value of a block; samples with |c_+ - c_-| < 1e-12 are skipped."""
-        a = cp[:, None, None] * e_plus + cm[:, None, None] * e_minus
-        da = t.dirac @ a
-        derivatives = [da - a @ t.dirac]
-        if nu is not None:
-            derivatives.append(da - nu @ a @ nu_inv @ t.dirac)
-        worst = operator_norms(np.stack(derivatives)).max(axis=0)
+        derivatives = cp[:, None, None] * plus + cm[:, None, None] * minus
+        worst = _gram_norms(derivatives).max(axis=0)
         gap = np.abs(cp - cm)
         ratios = np.divide(gap, worst, out=np.zeros_like(worst), where=(gap >= 1e-12) & (worst > 0.0))
         return float(ratios.max())

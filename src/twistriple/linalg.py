@@ -16,6 +16,15 @@ same kernel on one matrix. Where only `norm > bound` is wanted,
 `_norms_exceed` settles most matrices from their largest entry and sends
 the rest to this kernel.
 
+The one deliberate second route is `_gram_norms`, the square root of the
+largest eigenvalue of each matrix's Gram matrix M^H M, taken after an exact
+power-of-two scaling. Only the distance oracle uses it: the oracle exists to
+cross-check `spectral_distance`, and a norm from a different algorithm
+checks that distance's SVD norm instead of repeating it. It is also
+cheaper there: on the oracle's stacks of 250 3x3 or 2 x 250 4x4
+derivatives it takes 0.36-0.51 of the SVD's time (2-core x86-64 VM,
+numpy 2.4, OpenBLAS 0.3.31, one thread).
+
 Broadcast products of large stacks go through `_matmul`. np.matmul makes
 one BLAS call per product, so a stack of 1120 2x2 products costs ~0.3 ms
 of call overhead. `_matmul` folds the stack axes along which only the left
@@ -132,6 +141,33 @@ def operator_norms(stack) -> np.ndarray:
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(operator_norms(m))
+
+
+def _gram_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a finite stack (..., m, n), from its Gram matrix.
+
+    Each matrix is first scaled by the power of two that brings its largest
+    entry modulus into [1/2, 1). The scaling is exact, so no entry of M^H M
+    overflows, and none that matters underflows, for any finite input. The
+    norm is sqrt(max eigvalsh(M^H M)) scaled back, with the eigenvalue
+    clamped at 0; the largest eigenvalue of a Gram matrix carries only
+    O(n eps) relative error. The entries are moved to the leading axes, so
+    the scaling and the Gram products are elementwise operations over the
+    whole stack, with no per-matrix BLAS call. Raises LinAlgError on a
+    non-finite stack, as operator_norms does.
+    """
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(stack), (-2, -1), (0, 1)))  # (m, n, ...)
+    top = np.abs(x).max(axis=(0, 1))
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError("norm of a non-finite matrix")
+    _, exp = np.frexp(top)
+    scaled = np.empty_like(x)
+    scaled.real = np.ldexp(x.real, -exp)
+    if np.iscomplexobj(x):
+        scaled.imag = np.ldexp(x.imag, -exp)
+    gram = (np.conj(scaled)[:, :, None] * scaled[:, None, :]).sum(axis=0)  # sum_k conj(M_ki) M_kj
+    top_eigenvalue = np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))[..., -1]
+    return np.ldexp(np.sqrt(np.maximum(top_eigenvalue, 0.0)), exp)
 
 
 def _norms_exceed(stack, bound: float) -> np.ndarray:

@@ -179,6 +179,18 @@ def test_bruteforce_matches_sample_by_sample_reference(samples):
         assert distance_bruteforce(t, samples, seed=100 + i) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("hop", [1e-200, 1e200])
+def test_bruteforce_matches_reference_at_extreme_hops(hop):
+    # the Gram matrices of these derivatives over- or underflow unless each
+    # matrix is scaled first
+    triples = [build_c4(1, hop * (0.5 + 0.5j), -1.5j * hop, twist="perm"),
+               build_conformal("c4", 1, hop, (2.0 + 1.0j) * hop, rho=0.8, zeta=0.6),
+               build_c3(-1, hop * (1.5 - 0.5j))]
+    for i, t in enumerate(triples):
+        expected = _bruteforce_reference(t, 300, seed=300 + i)
+        assert distance_bruteforce(t, 300, seed=300 + i) == pytest.approx(expected, rel=1e-12)
+
+
 # -------------------------------------------------------------- fluctuated forms
 
 def test_fluctuated_distance_c3_untwisted():

@@ -10,6 +10,12 @@ isolation of the constants they cache.
   complex and real, on stacks either side of `_FOLD_MIN` (broadcast and
   stride-0 operands included), and `order_one_residual` on a scan-shaped
   stack against one call per (trial, J, nu).
+- The oracle's Gram norm `_gram_norms` against `operator_norms`, to rel
+  1e-13, for n = 2-4, complex and real, from 1e-300 to 1e300 on rank-one
+  matrices plus a 1e-14 perturbation and on a combined derivative with
+  c_- = c_+ (1 - 1e-6); exact zeros, stack shapes and LinAlgError on NaN.
+- The C^2 scan's twist candidates: each squares to the identity exactly, and
+  each gives the identity twist's order-one differences bitwise.
 - The C^2 scan's scalar resampling test against
   `_norms_exceed(commutator(d, e), 0.1)` at and one ulp around 0.1 and the
   entry bound 0.1 (1 + 1e-12).
@@ -29,7 +35,7 @@ import numpy as np
 import pytest
 
 from twistriple.algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections, projection_e
-from twistriple.axioms import check_all, epsilon_prime_residual, order_one_residual
+from twistriple.axioms import _order_one_diffs, check_all, epsilon_prime_residual, order_one_residual
 from twistriple.catalog import (
     _C2_NU_CANDIDATES,
     GAMMA3,
@@ -51,6 +57,7 @@ from twistriple.linalg import (
     _FOLD_MIN,
     DEFAULT_TOL,
     RANK_TOL,
+    _gram_norms,
     _hermitian_stack,
     _matmul,
     _norms_exceed,
@@ -184,6 +191,84 @@ def test_order_one_residual_on_a_scan_shaped_stack_equals_per_matrix_calls():
     want = [[[order_one_residual(d, u, nu, basis) for nu in _C2_NU_CANDIDATES] for u in row]
             for d, row in zip(diracs, us)]
     assert same_bits(stacked, np.array(want))
+
+
+def test_scan_twist_candidates_give_the_identity_twists_differences_bitwise():
+    one = np.eye(2, dtype=complex)
+    for nu in _C2_NU_CANDIDATES:
+        assert same_bits(nu @ nu, one)
+    rng = np.random.default_rng(19)
+    basis = _point_projections(REP_C2)
+    m = rng.standard_normal((14, 2, 2)) + 1j * rng.standard_normal((14, 2, 2))
+    diracs = m + np.conj(np.swapaxes(m, -1, -2))
+    us = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, (14, 2)))
+    want = _order_one_diffs(diracs[:, None], us, one, basis)  # what the scan computes
+    for nu in _C2_NU_CANDIDATES:
+        assert same_bits(_order_one_diffs(diracs[:, None], us, nu, basis), want)
+    both = _order_one_diffs(diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES, basis)
+    for i in range(len(_C2_NU_CANDIDATES)):
+        assert same_bits(both[:, :, i], want)
+
+
+# ------------------------------------------------------------ the oracle's Gram norm
+
+GRAM_MAGNITUDES = (1e-300, 1e-200, 1.0, 1e200, 1e300)
+
+
+def _assert_gram_agrees(stack):
+    want = operator_norms(stack)
+    got = _gram_norms(stack)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * want).all(), np.max(np.abs(got - want) / want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_gram_norms_agree_with_operator_norms(n, dtype):
+    rng = np.random.default_rng(900 + n)
+    _assert_gram_agrees(_random_stack(rng, (200, n, n), dtype))
+    for scale in GRAM_MAGNITUDES:
+        rank_one = _random_stack(rng, (50, n, 1), dtype) @ _random_stack(rng, (50, 1, n), dtype)
+        _assert_gram_agrees(scale * (rank_one + 1e-14 * _random_stack(rng, (50, n, n), dtype)))
+        _assert_gram_agrees(scale * _random_stack(rng, (50, n, n), dtype))
+
+
+@pytest.mark.parametrize("t", [build_c4(1, 0.5 + 0.5j, -1.5j, twist="perm"),
+                               build_conformal("c4", 1, 1.0, 2.0 + 1.0j, rho=0.8, zeta=0.6),
+                               build_c3(-1, 1.5 - 0.5j)])
+def test_gram_norms_of_nearly_cancelling_combined_derivatives(t):
+    # the oracle's derivatives c_+ delta(E_+) + c_- delta(E_-) with c_- = c_+ (1 - 1e-6)
+    rng = np.random.default_rng(31)
+    e = _point_projections(t.rep)
+    images = [t.dirac @ e - e @ t.dirac]
+    if t.twist is not None:
+        images.append(t.dirac @ e - t.twist.nu @ e @ np.linalg.inv(t.twist.nu) @ t.dirac)
+    images = np.stack(images)
+    cp = rng.standard_normal(60).view(complex)
+    for scale in GRAM_MAGNITUDES:
+        derivatives = scale * (cp[:, None, None] * images[:, None, 0]
+                               + (cp * (1 - 1e-6))[:, None, None] * images[:, None, 1])
+        _assert_gram_agrees(derivatives)
+
+
+def test_gram_norms_of_zero_matrices_and_stack_shapes():
+    for n in (1, 2, 3, 4):
+        for dtype in (complex, float):
+            assert same_bits(_gram_norms(np.zeros((3, n, n), dtype)), np.zeros(3))
+            assert _gram_norms(np.zeros((n, n), dtype)) == 0.0
+    rng = np.random.default_rng(37)
+    stack = _random_stack(rng, (3, 5, 4, 4), complex)
+    assert _gram_norms(stack).shape == (3, 5)
+    assert _gram_norms(stack[0, 0]).shape == ()
+    assert same_bits(_gram_norms(stack).reshape(15), _gram_norms(stack.reshape(15, 4, 4)))
+
+
+def test_gram_norms_reject_nan_as_the_svd_does():
+    stack = np.ones((4, 3, 3), dtype=complex)
+    stack[2, 1, 0] = np.nan
+    for kernel in (operator_norms, _gram_norms):
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(stack)
 
 
 def _normals_with_d01(d01, rng, m10=0j):
