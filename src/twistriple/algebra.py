@@ -77,6 +77,21 @@ def _point_projections(rep: Representation) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=256)
+def _point_block_columns(rep: Representation) -> np.ndarray:
+    """The read-only indices j n + b, in increasing order, of the entries X[b, j] with
+    point_of[b] == point_of[j], in the column-major vec of an n x n matrix X.
+
+    These entries span the point-block-diagonal matrices, the commutant of
+    the point projections.
+    """
+    pts = np.array(rep.point_of)
+    j, b = np.nonzero(pts[:, None] == pts[None, :])
+    columns = j * rep.dim + b
+    columns.flags.writeable = False
+    return columns
+
+
 def _two_point_projections(rep: Representation) -> np.ndarray:
     """The shared read-only stack (e, 1 - e) of a two-point representation."""
     if rep.n_points != 2:

@@ -277,11 +277,12 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     real = RealStructure(j=Antiunitary(fam.u.copy()),
                          signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
     triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=fam.twist)
-    residual, scale = operator_norms(np.stack([
-        epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime), triple.dirac])).tolist()
-    if residual > 1e-12 * (1.0 + scale):
-        relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
-        raise CatalogConstraintError(f"parameters violate {relation} (residual {residual:.3e})")
+    residual = epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime)
+    if residual.any():  # an exact zero passes at any scale, with no norm to take
+        norm, scale = operator_norms(np.stack([residual, triple.dirac])).tolist()
+        if norm > 1e-12 * (1.0 + scale):
+            relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
+            raise CatalogConstraintError(f"parameters violate {relation} (residual {norm:.3e})")
     return triple
 
 

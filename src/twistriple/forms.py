@@ -59,8 +59,11 @@ def is_selfadjoint_form(a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
-    gap, scale = operator_norms(np.stack([a.base_dirac - t.dirac, t.dirac])).tolist()
-    if gap > tol.abs_tol * (1.0 + scale):
+    gap = a.base_dirac - t.dirac
+    if not gap.any():  # an exact zero passes at any scale, with no norm to take
+        return
+    norm, scale = operator_norms(np.stack([gap, t.dirac])).tolist()
+    if norm > tol.abs_tol * (1.0 + scale):
         raise ValueError("one-form was built from a different Dirac operator")
 
 

@@ -11,10 +11,13 @@ Every operator norm in the package goes through one kernel,
 `operator_norms(stack) = np.linalg.svd(stack, compute_uv=False)[..., 0]`:
 LAPACK returns the singular values in descending order, so this is bitwise
 what `np.linalg.norm(stack, 2, axis=(-2, -1))` computes, without that
-wrapper's axis bookkeeping and its final `amax`. `operator_norm` is the
+wrapper's axis bookkeeping and its final `amax`. A matrix with no nonzero
+entry gets 0.0 without the SVD, which returns exactly 0.0 for it: most
+residuals of exact two-point data are exactly zero. `operator_norm` is the
 same kernel on one matrix. Where only `norm > bound` is wanted,
 `_norms_exceed` settles most matrices from their largest entry and sends
-the rest to this kernel.
+the rest to this kernel. The complex identity of each dimension is built
+once, read-only (`_identity`).
 
 The one deliberate second route is `_gram_norms`, the square root of the
 largest eigenvalue of each matrix's Gram matrix M^H M, taken after an exact
@@ -93,6 +96,14 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex n x n identity, built once per dimension."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def commutator(a, b) -> np.ndarray:
     """ab - ba for equally sized square matrices."""
     return a @ b - b @ a
@@ -134,8 +145,21 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def operator_norms(stack) -> np.ndarray:
-    """Largest singular value of each matrix of a stack (..., m, n)."""
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    """Largest singular value of each matrix of a stack (..., m, n).
+
+    A matrix with no nonzero entry gets 0.0 without the SVD, which returns
+    exactly 0.0 for it. NaN and inf count as nonzero, so a non-finite matrix
+    still goes to the SVD: NaN raises LinAlgError, an inf entry gives a NaN
+    norm. A stack with no zero matrix is one SVD call.
+    """
+    stack = np.asarray(stack)
+    nonzero = (stack != 0).any(axis=(-2, -1))
+    if nonzero.all():
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    norms = np.zeros(nonzero.shape)
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False)[..., 0]
+    return norms
 
 
 def operator_norm(m) -> float:
@@ -154,7 +178,8 @@ def _gram_norms(stack) -> np.ndarray:
     O(n eps) relative error. The entries are moved to the leading axes, so
     the scaling and the Gram products are elementwise operations over the
     whole stack, with no per-matrix BLAS call. Raises LinAlgError on a
-    non-finite stack, as operator_norms does.
+    non-finite stack (operator_norms raises on NaN, and gives NaN for a
+    matrix with an inf entry).
     """
     x = np.ascontiguousarray(np.moveaxis(np.asarray(stack), (-2, -1), (0, 1)))  # (m, n, ...)
     top = np.abs(x).max(axis=(0, 1))
@@ -206,13 +231,13 @@ class Antiunitary:
         return self.u.shape[0]
 
     def unitary_defect(self) -> float:
-        return float(np.linalg.norm(self.u.conj().T @ self.u - np.eye(self.dim)))
+        return float(np.linalg.norm(self.u.conj().T @ self.u - _identity(self.dim)))
 
     def squared_sign(self) -> tuple[int, float]:
         """Sign eps with J^2 = eps id, plus the residual of that identity."""
         m = self.u @ np.conj(self.u)
         eps = 1 if m[0, 0].real >= 0 else -1
-        return eps, float(np.linalg.norm(m - eps * np.eye(self.dim)))
+        return eps, float(np.linalg.norm(m - eps * _identity(self.dim)))
 
     def conjugate(self, m) -> np.ndarray:
         """The linear operator J m J^{-1} = U conj(m) U*."""
@@ -234,7 +259,7 @@ def _commutation_operator(generators: np.ndarray) -> np.ndarray:
     for the whole stack (k, n, n) with one broadcast product per term.
     """
     k, n = generators.shape[0], generators.shape[-1]
-    eye = np.eye(n, dtype=complex)
+    eye = _identity(n)
     # entry [k, i, a, j, b] sits at row i n + a, column j n + b of block k
     left = eye[None, :, None, :, None] * generators[:, None, :, None, :]
     right = np.swapaxes(generators, -1, -2)[:, :, None, :, None] * eye[None, None, :, None, :]

@@ -542,6 +542,27 @@ def test_catalog_generators_leave_a_two_dimensional_commutant():
     assert not is_irreducible(t4)
 
 
+def test_irreducibility_verdicts_do_not_depend_on_the_scale_of_d():
+    # The commutant is solved on the point-block unknowns, so no projection
+    # row falls under the relative rank cutoff at large |D|. At s = 1e-12 the
+    # [D, a] rows fall under the absolute cutoff RANK_TOL instead and the C^2
+    # verdict is still False; that defect is not asserted here.
+    d = np.array([[0.3, 1 + 0.5j], [1 - 0.5j, -0.2]])
+    for s in (1e-6, 1.0, 1e6, 1e9, 1e12):
+        assert is_irreducible(c2_triple(s * d)), s
+    for s in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        for t in (build_c3(1, s * (1 - 0.5j)), build_c3(-1, s * 0.7j, s * 1.3j, twist="perm"),
+                  build_c4(1, s * (1 + 0.2j), s * (0.5 - 1j)),
+                  build_c4(-1, s * 1j, s * 2j, twist="perm")):
+            assert not is_irreducible(t), (s, t.dirac)
+            if s == 1.0:  # at |D| ~ 1 the full generator set gives the same verdict
+                basis = t.algebra_basis()
+                gens = [t.grading] + basis + [commutator(t.dirac, b) for b in basis]
+                assert _kron_commutant_dimension(gens) > 1
+    basis = c2_triple(d).algebra_basis()
+    assert _kron_commutant_dimension(basis + [commutator(d, b) for b in basis]) == 1
+
+
 # ------------------------------------------------------- boundary validation
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

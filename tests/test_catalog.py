@@ -360,17 +360,32 @@ def test_scan_matches_reference_at_tolerances_on_its_own_residuals(seed):
 
 
 def _count_svd_matrices(monkeypatch):
-    """Record every stack that reaches linalg.operator_norms."""
+    """Record every stack that reaches linalg.operator_norms, with the step of the scan that sent it.
+
+    Each record is (source, matrices). The sampler's resampling test passes
+    one 2x2 commutator to _norms_exceed (source "commutator"); the kernel
+    passes a stack of order-one differences (source "differences").
+    """
+    import twistriple.catalog as catalog
     import twistriple.linalg as linalg
 
     sent = []
-    kernel = linalg.operator_norms
+    source = []
+    kernel, exceed = linalg.operator_norms, catalog._norms_exceed
 
     def counting(stack):
-        sent.append(np.asarray(stack).reshape(-1, 2, 2))
+        sent.append((source[-1], np.asarray(stack).reshape(-1, 2, 2)))
         return kernel(stack)
 
+    def tagging(stack, bound):
+        source.append("commutator" if np.ndim(stack) == 2 else "differences")
+        try:
+            return exceed(stack, bound)
+        finally:
+            source.pop()
+
     monkeypatch.setattr(linalg, "operator_norms", counting)
+    monkeypatch.setattr(catalog, "_norms_exceed", tagging)
     return sent
 
 
@@ -386,9 +401,13 @@ def test_scan_sends_only_undecided_matrices_to_the_svd(monkeypatch):
     want = _scan_reference(40, 5, tol)
     sent = _count_svd_matrices(monkeypatch)
     assert scan_c2_nonexistence(40, 5, tol) == want
-    matrices = np.concatenate(sent)
-    # 40 trials x 5 J x 2 nu x 4 basis pairs of differences, plus the sampler's commutators
-    assert 0 < len(matrices) < 40 * 5 * 2 * 4
+    commutators = [m for source, m in sent if source == "commutator"]
+    differences = np.concatenate([m for source, m in sent if source == "differences"])
+    # one commutator per undecided draw; the kernel runs for nu = 1 alone, so
+    # at most 40 trials x 5 J x 4 basis pairs of differences
+    assert all(len(m) == 1 for m in commutators)
+    assert 0 < len(differences) < 40 * 5 * 4
+    matrices = np.concatenate(commutators + [differences])
     assert (np.abs(matrices).max(axis=(-2, -1)) <= 1.5 * (1 + 1e-12)).all()
 
 

@@ -2,7 +2,10 @@
 isolation of the constants they cache.
 
 - `operator_norms` / `operator_norm` against `np.linalg.norm(., 2)`, exactly,
-  on random stacks of dims 1-8 from 1e-300 to 1e300 and on zero matrices.
+  on random stacks of dims 1-8 from 1e-300 to 1e300 and on zero matrices;
+  the zero-skipping kernel against one SVD call, bitwise, on stacks mixing
+  all-zero, `-0.0`-only, subnormal and ordinary matrices, and on NaN
+  (LinAlgError) and inf (NaN norm) entries.
 - `_norms_exceed(stack, b)` against `operator_norms(stack) > b`, exactly, for
   bounds at, one ulp around and 1e-12 around each computed norm, including
   matrices whose norm is their largest entry.
@@ -16,6 +19,10 @@ isolation of the constants they cache.
   c_- = c_+ (1 - 1e-6); exact zeros, stack shapes and LinAlgError on NaN.
 - The C^2 scan's twist candidates: each squares to the identity exactly, and
   each gives the identity twist's order-one differences bitwise.
+- `_order_one_diffs`, which skips the twisted J-image when every nu^2 is
+  exactly the identity, against a copy of the general formula, in bytes and
+  shape: I3, I4, the permutation twists, the block swap, a conformal nu,
+  the C^2 swap and the stacked C^2 candidates.
 - The C^2 scan's scalar resampling test against
   `_norms_exceed(commutator(d, e), 0.1)` at and one ulp around 0.1 and the
   entry bound 0.1 (1 + 1e-12).
@@ -42,6 +49,7 @@ from twistriple.catalog import (
     GAMMA4,
     NU3_PERM,
     NU4_PERM,
+    NU4_PERM_BAD,
     U3,
     U4,
     _c2_j_stack,
@@ -101,6 +109,43 @@ def test_operator_norm_of_zero_matrices():
         z = np.zeros((n, n), dtype=complex)
         assert operator_norm(z) == 0.0 == float(np.linalg.norm(z, 2))
         assert same_bits(operator_norms(np.zeros((3, n, n))), np.zeros(3))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_operator_norms_skipping_zero_matrices_equal_one_svd_call_bitwise(n, dtype):
+    rng = np.random.default_rng(600 + n)
+    stack = _random_stack(rng, (12, n, n), dtype)
+    stack[1] = 0.0
+    stack[4] = complex(-0.0, -0.0) if dtype is complex else -0.0
+    stack[7] = 0.0
+    stack[7, 0, -1] = 5e-324  # one subnormal entry
+    stack[9] *= 1e-310  # every entry subnormal
+    want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    assert same_bits(operator_norms(stack), want)
+    assert same_bits(operator_norms(stack.reshape(3, 4, n, n)), want.reshape(3, 4))
+    for m in stack:
+        assert same_bits(operator_norms(m), np.linalg.svd(m, compute_uv=False)[..., 0])
+    for zeros in (stack[[1, 4]], stack[[4]]):
+        assert same_bits(operator_norms(zeros), np.linalg.svd(zeros, compute_uv=False)[..., 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf, -np.inf, complex(0.0, np.inf)])
+def test_operator_norms_of_non_finite_stacks_are_the_svds(bad):
+    # with zero matrices in the stack, so the zero skip runs: NaN raises as the
+    # SVD does, and an inf entry gives the SVD's NaN norm
+    for n in (1, 3, 4):
+        stack = np.zeros((4, n, n), dtype=complex)
+        stack[2] = 1.0
+        stack[1, 0, -1] = bad
+        try:
+            want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                operator_norms(stack)
+            assert np.isnan(bad)
+        else:
+            assert same_bits(operator_norms(stack), want) and np.isnan(want[1])
 
 
 def _entry_dominated(rng, n, count):
@@ -208,6 +253,57 @@ def test_scan_twist_candidates_give_the_identity_twists_differences_bitwise():
     both = _order_one_diffs(diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES, basis)
     for i in range(len(_C2_NU_CANDIDATES)):
         assert same_bits(both[:, :, i], want)
+
+
+def _ref_order_one_diffs(dirac, u, nu, basis):
+    """_order_one_diffs without its nu^2 = 1 shortcut: the general formula for every nu."""
+    b = np.asarray(basis)
+    k, n = b.shape[0], b.shape[-1]
+    mm = np.matmul if dirac.ndim == u.ndim == nu.ndim == 2 else _matmul
+    nu2 = mm(nu, nu)[..., None, :, :]
+    u = u[..., None, :, :]
+    u_adj = np.conj(np.swapaxes(u, -1, -2))
+    j_plain = mm(mm(u, np.conj(b)), u_adj)
+    j_twisted = mm(mm(u, np.conj(mm(mm(np.linalg.inv(nu2), b), nu2))), u_adj)
+    d = dirac[..., None, :, :]
+    da = (mm(d, b) - mm(b, d))[..., :, None, :, :]
+    diffs = mm(da, j_twisted[..., None, :, :, :]) - mm(j_plain[..., None, :, :, :], da)
+    return diffs.reshape(*diffs.shape[:-4], k * k, n, n)
+
+
+@pytest.mark.parametrize("rep,u,nu", [
+    (REP_C3, U3, np.eye(3, dtype=complex)),
+    (REP_C3, U3, NU3_PERM),
+    (REP_C4, U4, np.eye(4, dtype=complex)),
+    (REP_C4, U4, NU4_PERM),
+    (REP_C4, U4, NU4_PERM_BAD),
+    (REP_C4, U4, np.diag([1.0, 0.25, 4.0, 1.0]).astype(complex)),  # nu^2 != 1: the general formula
+])
+def test_order_one_diffs_with_nu_squared_one_equal_the_general_formula_bitwise(rep, u, nu):
+    rng = np.random.default_rng(23)
+    n = rep.dim
+    basis = _point_projections(rep)
+    m = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    diracs = m + np.conj(np.swapaxes(m, -1, -2))
+    for d in diracs:
+        assert same_bits(_order_one_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
+    stacked = (diracs[:, None], u, np.stack([nu, nu])[None])
+    assert same_bits(_order_one_diffs(*stacked, basis), _ref_order_one_diffs(*stacked, basis))
+
+
+def test_order_one_diffs_on_scan_stacks_equal_the_general_formula_bitwise():
+    rng = np.random.default_rng(29)
+    basis = _point_projections(REP_C2)
+    m = rng.standard_normal((70, 2, 2)) + 1j * rng.standard_normal((70, 2, 2))
+    diracs = m + np.conj(np.swapaxes(m, -1, -2))
+    us = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, (70, 2)))
+    for nu in _C2_NU_CANDIDATES:  # the identity and the swap
+        for d, u in ((diracs[0], us[0, 1]), (diracs[:, None], us)):
+            assert same_bits(_order_one_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
+    stacked = (diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES)
+    got = _order_one_diffs(*stacked, basis)
+    assert got.shape == (70, 5, 2, 4, 2, 2)
+    assert same_bits(got, _ref_order_one_diffs(*stacked, basis))
 
 
 # ------------------------------------------------------------ the oracle's Gram norm
