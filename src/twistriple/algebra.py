@@ -78,16 +78,18 @@ def _point_projections(rep: Representation) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _point_block_columns(rep: Representation) -> np.ndarray:
+def _block_columns(labels: tuple) -> np.ndarray:
     """The read-only indices j n + b, in increasing order, of the entries X[b, j] with
-    point_of[b] == point_of[j], in the column-major vec of an n x n matrix X.
+    labels[b] == labels[j], in the column-major vec of an n x n matrix X, n = len(labels).
 
-    These entries span the point-block-diagonal matrices, the commutant of
-    the point projections.
+    With labels = rep.point_of these entries span the point-block-diagonal
+    matrices, the commutant of the point projections. With labels the pairs
+    (point, gamma[b, b]) of a diagonal grading they span the commutant of
+    the point projections and the grading together.
     """
-    pts = np.array(rep.point_of)
-    j, b = np.nonzero(pts[:, None] == pts[None, :])
-    columns = j * rep.dim + b
+    n = len(labels)
+    j, b = np.nonzero([[labels[b] == labels[j] for b in range(n)] for j in range(n)])
+    columns = j * n + b
     columns.flags.writeable = False
     return columns
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _point_block_columns, _point_projections
+from .algebra import Representation, _block_columns, _point_projections
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -357,14 +357,24 @@ def is_irreducible(t: SpectralTriple) -> bool:
     The matrices that commute with every point projection are exactly the
     point-block-diagonal ones, so the commutant is solved on those unknowns
     alone: the commutation operator of {gamma} u {[D, b]} restricted to the
-    columns of the point blocks. With no projection rows in the operator,
-    the relative rank cutoff cannot drop them at large |D|, so the verdict
-    holds from small to large scales of D.
+    columns of the point blocks. A diagonal grading (every off-diagonal
+    entry exactly zero) is handled the same way: the unknowns are further
+    restricted to the entries X[b, j] with gamma[b, b] == gamma[j, j], and
+    gamma leaves the generators. With no projection or grading rows in the
+    operator, the relative rank cutoff cannot drop them at large |D|, so the
+    verdict holds from small to large scales of D. A grading with a nonzero
+    off-diagonal entry stays among the generators.
     """
     basis = _point_projections(t.rep)
     gens = commutator(t.dirac, basis)
-    if t.grading is not None:
-        gens = np.concatenate([t.grading[None], gens])
-    columns = _point_block_columns(t.rep)
+    labels = t.rep.point_of
+    g = t.grading
+    if g is not None:
+        diagonal = np.diagonal(g)
+        if (g == np.diag(diagonal)).all():
+            labels = tuple(zip(labels, diagonal.tolist()))
+        else:
+            gens = np.concatenate([g[None], gens])
+    columns = _block_columns(labels)
     s = np.linalg.svd(_commutation_operator(gens)[:, columns], compute_uv=False)
     return len(columns) - _rank(s) == 1

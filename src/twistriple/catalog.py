@@ -394,15 +394,13 @@ def _c2_j_stack(phases: np.ndarray) -> np.ndarray:
     """The candidate U's, in _C2_J_SHAPES order, per row (t1, t2) of phases: shape (..., 5, 2, 2)."""
     p1 = np.exp(1j * phases[..., 0])
     p2 = np.exp(1j * phases[..., 1])
-    one, zero = np.ones_like(p1), np.zeros_like(p1)
-    u = np.array([
-        [[one, zero], [zero, one]],
-        [[zero, one], [one, zero]],
-        [[p1, zero], [zero, p2]],
-        [[zero, p1], [p1, zero]],
-        [[zero, p1], [-p1, zero]],
-    ])
-    return np.moveaxis(u, (0, 1, 2), (-3, -2, -1))
+    u = np.zeros(p1.shape + (5, 2, 2), dtype=p1.dtype)
+    u[..., 0, 0, 0] = u[..., 0, 1, 1] = 1.0
+    u[..., 1, 0, 1] = u[..., 1, 1, 0] = 1.0
+    u[..., 2, 0, 0], u[..., 2, 1, 1] = p1, p2
+    u[..., 3, 0, 1] = u[..., 3, 1, 0] = p1
+    u[..., 4, 0, 1], u[..., 4, 1, 0] = p1, -p1
+    return u
 
 
 def _c2_diracs(normals: np.ndarray) -> np.ndarray:

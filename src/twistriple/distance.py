@@ -74,16 +74,22 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     Both derivatives are linear in a, so each is computed once on each
     point projection before sampling: the plain D E - E D and, with a twist,
     D E - (nu E nu^-1) D, for E = E_+ and for E = E_- on its own (not as
-    1 - E_+). The derivatives of a sample c_+ E_+ + c_- E_- are then
+    1 - E_+). A twist that commutes with both point projections (a
+    conformal one) gets no twisted stack: then nu E nu^-1 = E and the
+    twisted derivative is the plain one. The test is exact equality of
+    nu E and E nu, whose products are exact since E's entries are 0 and 1.
+    Permutation twists and their composites fail it and keep both stacks.
+    The derivatives of a sample c_+ E_+ + c_- E_- are then
     c_+ delta(E_+) + c_- delta(E_-), formed entrywise, and each sample's
     Gram matrix is formed from that combined matrix, never expanded in c_+
     and c_-, which would square the cancellation of a sample with
     c_+ ~ c_-.
 
-    The samples are drawn in blocks of up to _ORACLE_BLOCK, in the order of
-    one scalar draw after another (re c_+, im c_+, re c_-, im c_- per
-    generic sample; re w, im w per directional one), and each block's plain
-    and twisted derivatives take their norms in one stacked call.
+    The samples are drawn in the order of one scalar draw after another
+    (re c_+, im c_+, re c_-, im c_- per generic sample; re w, im w per
+    directional one). The generic samples followed by the directional ones
+    form one sequence, cut into blocks of up to _ORACLE_BLOCK samples, and
+    each block's derivatives take their norms in one stacked call.
 
     On two points a = c_- 1 + (c_+ - c_-) e, so every derivative of a is
     (c_+ - c_-) times one fixed matrix, and every non-skipped sample lands
@@ -100,7 +106,8 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     images = [d @ projections - projections @ d]
     if t.twist is not None:
         nu = t.twist.nu
-        images.append(d @ projections - nu @ projections @ np.linalg.inv(nu) @ d)
+        if not (nu @ projections == projections @ nu).all():
+            images.append(d @ projections - nu @ projections @ np.linalg.inv(nu) @ d)
     images = np.stack(images)  # (derivative, E_+/E_-, n, n)
     plus, minus = images[:, None, 0], images[:, None, 1]
 
@@ -115,11 +122,13 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     generic = min(samples, 50)
     c = rng.standard_normal((generic, 4)).view(complex)  # rows (c_+, c_-)
-    best = block_best(c[:, 0], c[:, 1])
-    for start in range(generic, samples, _ORACLE_BLOCK):
+    best = 0.0
+    for start in range(0, samples, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, samples)
         # directional samples (w/2, -w/2): c_+ - c_- = w exactly, so the skip rule is |w| < 1e-12
-        w = rng.standard_normal((min(_ORACLE_BLOCK, samples - start), 2)).view(complex)[:, 0]
-        best = max(best, block_best(w / 2.0, -w / 2.0))
+        w = rng.standard_normal((stop - max(start, generic), 2)).view(complex)[:, 0]
+        best = max(best, block_best(np.concatenate([c[start:stop, 0], w / 2.0]),
+                                    np.concatenate([c[start:stop, 1], -w / 2.0])))
     if best == 0.0:
         raise ValueError("degenerate calculus: every sampled derivative vanished")
     return best

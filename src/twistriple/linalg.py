@@ -24,9 +24,10 @@ largest eigenvalue of each matrix's Gram matrix M^H M, taken after an exact
 power-of-two scaling. Only the distance oracle uses it: the oracle exists to
 cross-check `spectral_distance`, and a norm from a different algorithm
 checks that distance's SVD norm instead of repeating it. It is also
-cheaper there: on the oracle's stacks of 250 3x3 or 2 x 250 4x4
-derivatives it takes 0.36-0.51 of the SVD's time (2-core x86-64 VM,
-numpy 2.4, OpenBLAS 0.3.31, one thread).
+cheaper there: on a 300-sample oracle call's stack of 300 3x3 or 4x4
+derivatives (2 x 300 for a twist that does not commute with the algebra)
+it takes 0.5-0.8 of the SVD's time (2-core x86-64 VM, numpy 2.4,
+OpenBLAS 0.3.31, one thread).
 
 Broadcast products of large stacks go through `_matmul`. np.matmul makes
 one BLAS call per product, so a stack of 1120 2x2 products costs ~0.3 ms

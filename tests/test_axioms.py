@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from twistriple.algebra import REP_C2, embed
+from twistriple.algebra import REP_C2, REP_C3, REP_C4, _point_projections, embed
 from twistriple.axioms import (
     RealStructure,
     SignTriple,
@@ -21,6 +21,8 @@ from twistriple.axioms import (
     order_one_residual,
 )
 from twistriple.catalog import (
+    GAMMA3,
+    GAMMA4,
     NU3_PERM,
     _C2_NU_CANDIDATES,
     _c2_j_stack,
@@ -561,6 +563,51 @@ def test_irreducibility_verdicts_do_not_depend_on_the_scale_of_d():
                 assert _kron_commutant_dimension(gens) > 1
     basis = c2_triple(d).algebra_basis()
     assert _kron_commutant_dimension(basis + [commutator(d, b) for b in basis]) == 1
+
+
+def test_irreducibility_with_a_diagonal_grading_does_not_depend_on_the_scale_of_d(monkeypatch):
+    # A diagonal grading restricts the unknowns to its eigenspaces in each
+    # point block instead of adding rows, so its O(1) rows cannot fall under
+    # the relative rank cutoff at large |D|.
+    rng = np.random.default_rng(0)
+    draws = []
+    for rep, gamma in ((REP_C3, GAMMA3), (REP_C4, GAMMA4)):
+        for _ in range(10):
+            m = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+            draws.append((rep, gamma, m + m.conj().T))
+    for rep, gamma, d in draws:
+        for s in (1e-6, 1.0, 1e6, 1e9, 1e12):
+            assert is_irreducible(SpectralTriple(rep, s * d, grading=gamma)), (rep, s)
+        basis = list(_point_projections(rep))
+        assert _kron_commutant_dimension([gamma] + basis + [commutator(d, b) for b in basis]) == 1
+    for s in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        for t in (build_c3(1, s * (1 - 0.5j)), build_c3(-1, s * 0.7j, s * 1.3j, twist="perm"),
+                  build_c4(1, s * (1 + 0.2j), s * (0.5 - 1j)), build_c4(-1, s * 1j, s * 2j, twist="perm")):
+            assert not is_irreducible(t), (s, t.dirac)
+    # a unitary that commutes with the algebra makes GAMMA4 non-diagonal and
+    # sends the triple down the general path, which gives the same verdicts at s = 1
+    v1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    v2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u = np.block([[v1, np.zeros((2, 2))], [np.zeros((2, 2)), v2]])
+    conj_gamma = u @ GAMMA4 @ u.conj().T
+    assert np.count_nonzero(conj_gamma - np.diag(np.diagonal(conj_gamma))) > 0
+    verdicts = set()
+    for d in [d for rep, _, d in draws if rep is REP_C4] + [build_c4(1, 1 + 0.2j, 0.5 - 1j).dirac]:
+        want = is_irreducible(SpectralTriple(REP_C4, d, grading=GAMMA4))
+        assert is_irreducible(SpectralTriple(REP_C4, u @ d @ u.conj().T, grading=conj_gamma)) is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    # the C^4 commutant is solved on the 4 entries of the (point, grading) blocks, with no gamma rows
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    is_irreducible(build_c4(1, 1 + 0.2j, 0.5 - 1j))
+    assert shapes == [(32, 4)]
 
 
 # ------------------------------------------------------- boundary validation

@@ -17,6 +17,15 @@ isolation of the constants they cache.
   1e-13, for n = 2-4, complex and real, from 1e-300 to 1e300 on rank-one
   matrices plus a 1e-14 perturbation and on a combined derivative with
   c_- = c_+ (1 - 1e-6); exact zeros, stack shapes and LinAlgError on NaN.
+- `distance_bruteforce` against a copy of the oracle with a twisted stack
+  for every twist and separate generic and directional norm calls:
+  bitwise on untwisted, permutation, `perm_bad` and composite triples, for
+  sample counts on either side of 50 and of `_ORACLE_BLOCK`; on conformal
+  triples bitwise against the plain-only copy and to rel 1e-15 against the
+  twisted one. One `_gram_norms` call per block of up to `_ORACLE_BLOCK`
+  samples, with one stack for a commuting twist and two otherwise.
+- `_c2_j_stack`, filled by assignment, against the nested-list construction
+  it replaced, in bytes, and C-contiguous.
 - The C^2 scan's twist candidates: each squares to the identity exactly, and
   each gives the identity twist's order-one differences bitwise.
 - `_order_one_diffs`, which skips the twisted J-image when every nu^2 is
@@ -56,10 +65,12 @@ from twistriple.catalog import (
     _calculus_exceeds,
     build_c3,
     build_c4,
+    build_c4_perm_conformal_composite,
     build_conformal,
     derive_family,
 )
-from twistriple.distance import spectral_distance
+from twistriple import distance
+from twistriple.distance import _ORACLE_BLOCK, distance_bruteforce, spectral_distance
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import (
     _FOLD_MIN,
@@ -367,6 +378,90 @@ def test_gram_norms_reject_nan_as_the_svd_does():
             kernel(stack)
 
 
+# ------------------------------------------------------------ the oracle's stacks and blocks
+
+def _ref_distance_bruteforce(t, samples, seed, twisted=True):
+    """distance_bruteforce as it was before commuting twists lost their twisted
+    stack: with twisted=True every twist gets one (with False, none does), the
+    generic samples take one norm call and each block of directional samples
+    another."""
+    d = t.dirac
+    projections = _point_projections(t.rep)
+    images = [d @ projections - projections @ d]
+    if t.twist is not None and twisted:
+        nu = t.twist.nu
+        images.append(d @ projections - nu @ projections @ np.linalg.inv(nu) @ d)
+    images = np.stack(images)
+    plus, minus = images[:, None, 0], images[:, None, 1]
+
+    def block_best(cp, cm):
+        derivatives = cp[:, None, None] * plus + cm[:, None, None] * minus
+        worst = _gram_norms(derivatives).max(axis=0)
+        gap = np.abs(cp - cm)
+        ratios = np.divide(gap, worst, out=np.zeros_like(worst), where=(gap >= 1e-12) & (worst > 0.0))
+        return float(ratios.max())
+
+    rng = np.random.default_rng(seed)
+    generic = min(samples, 50)
+    c = rng.standard_normal((generic, 4)).view(complex)
+    best = block_best(c[:, 0], c[:, 1])
+    for start in range(generic, samples, _ORACLE_BLOCK):
+        w = rng.standard_normal((min(_ORACLE_BLOCK, samples - start), 2)).view(complex)[:, 0]
+        best = max(best, block_best(w / 2.0, -w / 2.0))
+    return best
+
+
+ORACLE_SAMPLES = [1, 49, 50, 51, 300, _ORACLE_BLOCK, _ORACLE_BLOCK + 49, _ORACLE_BLOCK + 50,
+                  _ORACLE_BLOCK + 51, 2100]
+NONCOMMUTING = [build_c3(1, 1.5 - 0.5j), build_c4(-1, 2.0 + 1.0j, 0.3 - 0.4j),
+                build_c3(-1, 0.7j, -1.2j, twist="perm"), build_c4(1, 0.5, -1.5, twist="perm"),
+                build_c4(1, 1.0 - 0.5j, twist="perm_bad"),
+                build_c4_perm_conformal_composite(1, 0.4 + 1.0j, 1.1, rho=0.2, zeta=1.3)]
+COMMUTING = [build_conformal("c3", -1, 1.0 - 2.0j, rho=0.3, zeta=1.7),
+             build_conformal("c4", 1, 1.0, 2.0 + 1.0j, rho=0.8, zeta=0.6)]
+
+
+def test_commuting_twist_test_splits_conformal_from_permutation_twists():
+    for triples, commutes in ((NONCOMMUTING, False), (COMMUTING, True)):
+        for t in triples:
+            if t.twist is not None:
+                e = _point_projections(t.rep)
+                assert bool((t.twist.nu @ e == e @ t.twist.nu).all()) is commutes
+
+
+@pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+def test_oracle_equals_the_separate_call_reference_bitwise(samples):
+    for i, t in enumerate(NONCOMMUTING):
+        got = distance_bruteforce(t, samples, seed=700 + i)
+        assert same_bits(got, _ref_distance_bruteforce(t, samples, seed=700 + i)), t.twist
+
+
+@pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+def test_oracle_on_commuting_twists_keeps_only_the_plain_stack(samples):
+    for i, t in enumerate(COMMUTING):
+        got = distance_bruteforce(t, samples, seed=800 + i)
+        assert same_bits(got, _ref_distance_bruteforce(t, samples, seed=800 + i, twisted=False))
+        assert got == pytest.approx(_ref_distance_bruteforce(t, samples, seed=800 + i), rel=1e-15, abs=0.0)
+
+
+def test_oracle_makes_one_norm_call_per_block(monkeypatch):
+    shapes = []
+
+    def recording(stack):
+        shapes.append(np.shape(stack))
+        return _gram_norms(stack)
+
+    monkeypatch.setattr(distance, "_gram_norms", recording)
+    conformal = build_conformal("c4", 1, 1.0, 2.0 + 1.0j, rho=0.8, zeta=0.6)
+    perm = build_c4(1, 0.5, -1.5, twist="perm")
+    distance_bruteforce(conformal, 300, seed=5)
+    distance_bruteforce(perm, 300, seed=5)
+    assert shapes == [(1, 300, 4, 4), (2, 300, 4, 4)]
+    shapes.clear()
+    distance_bruteforce(perm, _ORACLE_BLOCK + 51, seed=5)
+    assert shapes == [(2, _ORACLE_BLOCK, 4, 4), (2, 51, 4, 4)]
+
+
 def _normals_with_d01(d01, rng, m10=0j):
     """Normals (re, im) of an m with m[1, 0] = m10 whose Dirac m + m^H has d01 at (0, 1).
 
@@ -404,6 +499,31 @@ def test_scalar_resampling_test_equals_the_entry_bound_verdict():
     assert not _calculus_exceeds(_normals_with_d01(0.1 + 0j, rng))
     for x in (np.nextafter(0.1, 1.0), bound, np.nextafter(bound, 1.0)):
         assert _calculus_exceeds(_normals_with_d01(complex(x, 0.0), rng))
+
+
+def _ref_c2_j_stack(phases):
+    """_c2_j_stack as nested lists of stacks, moved to the trailing axes."""
+    p1 = np.exp(1j * phases[..., 0])
+    p2 = np.exp(1j * phases[..., 1])
+    one, zero = np.ones_like(p1), np.zeros_like(p1)
+    u = np.array([
+        [[one, zero], [zero, one]],
+        [[zero, one], [one, zero]],
+        [[p1, zero], [zero, p2]],
+        [[zero, p1], [p1, zero]],
+        [[zero, p1], [-p1, zero]],
+    ])
+    return np.moveaxis(u, (0, 1, 2), (-3, -2, -1))
+
+
+def test_c2_j_stack_by_assignment_equals_the_nested_list_construction():
+    rng = np.random.default_rng(29)
+    for shape in ((2,), (14, 2), (3, 4, 2)):
+        phases = rng.uniform(0.0, 2.0 * np.pi, shape)
+        phases.flat[0] = 0.0
+        got = _c2_j_stack(phases)
+        assert same_bits(got, _ref_c2_j_stack(phases))
+        assert got.flags.c_contiguous
 
 
 # ---------------------------------------------- the solver, as it was before
