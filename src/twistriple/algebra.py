@@ -8,6 +8,8 @@ calculus operations (one-forms, distances) require exactly two points.
 from __future__ import annotations
 
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -92,6 +94,62 @@ def _block_columns(labels: tuple) -> np.ndarray:
     columns = j * n + b
     columns.flags.writeable = False
     return columns
+
+
+def _structure_key(t) -> tuple:
+    """The content key of everything a triple carries besides its Dirac operator.
+
+    It is a pair. The first part holds what reads no twist: the
+    representation (its point_of tuple), the exact bytes of the grading,
+    and the signs of J with the bytes of U (J = U o conj). The second holds
+    the twist's implements-automorphism flag and the bytes of nu. An absent
+    grading, real structure or twist is None. Every such matrix is square
+    and complex, so its byte count fixes its shape. The key reads the
+    arrays' contents, not their identity: a matrix edited in place gives a
+    new key. D is not in it. Its parts are plain tuples, ints, bools and
+    bytes, which hash without a Python-level __hash__.
+    """
+    g, real, twist = t.grading, t.real, t.twist
+    signs = None if real is None else real.signs
+    return ((t.rep.point_of,
+             None if g is None else g.tobytes(),
+             None if real is None else (signs.eps, signs.eps_prime, signs.eps_dprime, real.j.u.tobytes())),
+            None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
+
+
+# Entries of each memo of D-free work (see _Memo).
+_MEMO_BOUND = 256
+
+
+class _Memo:
+    """A least-recently-used map that holds at most _MEMO_BOUND entries.
+
+    Unlike functools.lru_cache it leaves computing a missing value to the
+    caller, so that check_all can take the norms of a new key in the same
+    stacked call as those of its D residuals. `get` returns None for a key
+    it does not hold, so no stored value may be None. Storing a new key
+    beyond the bound drops the least recently used one.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            if len(self._entries) > _MEMO_BOUND:
+                self._entries.popitem(last=False)
 
 
 def _two_point_projections(rep: Representation) -> np.ndarray:

@@ -6,6 +6,12 @@ a selfadjoint invertible twist nu. The check_* functions report residual
 norms rather than booleans so that near-failures remain visible; check_all
 aggregates every applicable condition plus the structural invariants of J
 and nu.
+
+Only four of check_all's conditions read D. The residuals of the others
+are memoized by content (algebra._structure_key: the representation, the
+signs, the twist's flag, and the exact bytes of grading, U and nu), those
+that read no nu apart from those that do, in least-recently-used memos of
+at most algebra._MEMO_BOUND keys each; see check_all.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _block_columns, _point_projections
+from .algebra import Representation, _block_columns, _Memo, _point_projections, _structure_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -158,24 +164,40 @@ def _require_real(t: SpectralTriple) -> RealStructure:
 # A check term is (condition, residual, tol_used). The residual is either a
 # float or a stack (..., n, n) of residual matrices whose largest operator
 # norm is the condition's residual; _entries takes every such norm of a
-# report with one stacked LAPACK call.
-_Term = tuple[str, "float | np.ndarray", float]
+# report with one stacked LAPACK call. tol_used None stands for the call's
+# abs_tol, so that terms do not depend on the tolerance; a pass/fail
+# verdict term (residual 0.0 or 1.0) carries its own 0.5.
+_Term = tuple[str, "float | np.ndarray", Optional[float]]
+
+# The order of check_all's report (and of check_grading's entries). The terms
+# are built in groups by what they read, then sorted into this order.
+_REPORT_ORDER = {c: i for i, c in enumerate((
+    "dirac_selfadjoint", "grading_selfadjoint", "grading_squares_to_identity",
+    "grading_commutes_algebra", "grading_anticommutes_dirac", "grading_commutes_nu_squared",
+    "grading_j_sign", "j_unitary", "j_squared_sign", "j_sign_matches", "order_zero",
+    "twisted_order_one", "epsilon_prime", "twisted_regularity", "twist_selfadjoint",
+    "twist_invertible", "twist_preserves_algebra", "twist_involutive"))}
 
 
-def _entries(terms: list[_Term]) -> list[CheckEntry]:
+def _entries(terms: list[_Term], tol: ToleranceConfig) -> list[CheckEntry]:
     """Check entries of the terms, in order, with one stacked operator norm."""
     stacks = [r.reshape(-1, *r.shape[-2:]) for _, r, _ in terms if isinstance(r, np.ndarray)]
     if stacks:
         norms = operator_norms(np.concatenate(stacks))
         starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
         worst = iter(np.maximum.reduceat(norms, starts).tolist())
-    return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r), tol)
-            for c, r, tol in terms]
+    return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r),
+                       tol.abs_tol if used is None else used)
+            for c, r, used in terms]
 
 
-def _order_zero_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
+def _in_report_order(entries: list[CheckEntry]) -> list[CheckEntry]:
+    return sorted(entries, key=lambda e: _REPORT_ORDER[e.condition])
+
+
+def _order_zero_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     jb = _require_real(t).j.conjugate(basis)
-    return [("order_zero", commutator(basis[:, None], jb[None, :]), tol.abs_tol)]
+    return [("order_zero", commutator(basis[:, None], jb[None, :]), None)]
 
 
 def _order_one_diffs(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
@@ -223,9 +245,9 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return float(worst) if worst.ndim == 0 else worst
 
 
-def _order_one_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
+def _order_one_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     diffs = _order_one_diffs(t.dirac, _require_real(t).j.u, t.nu, basis)
-    return [("twisted_order_one", diffs, tol.abs_tol)]
+    return [("twisted_order_one", diffs, None)]
 
 
 def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
@@ -234,47 +256,55 @@ def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
 
 
-def _epsilon_prime_terms(t: SpectralTriple, tol: ToleranceConfig) -> list[_Term]:
+def _epsilon_prime_terms(t: SpectralTriple) -> list[_Term]:
     real = _require_real(t)
     residual = epsilon_prime_residual(t.dirac, real.j.u, t.nu, real.signs.eps_prime)
-    return [("epsilon_prime", residual, tol.abs_tol)]
+    return [("epsilon_prime", residual, None)]
 
 
-def _regularity_terms(t: SpectralTriple, tol: ToleranceConfig) -> list[_Term]:
+def _regularity_terms(t: SpectralTriple) -> list[_Term]:
     u = _require_real(t).j.u
     if t.twist is None:
-        return [("twisted_regularity", 0.0, tol.abs_tol)]
+        return [("twisted_regularity", 0.0, None)]
     nu = t.twist.nu
-    return [("twisted_regularity", nu @ u @ np.conj(nu) - u, tol.abs_tol)]
+    return [("twisted_regularity", nu @ u @ np.conj(nu) - u, None)]
 
 
-def _grading_terms(t: SpectralTriple, basis: np.ndarray, tol: ToleranceConfig) -> list[_Term]:
+def _grading_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
+    """The grading conditions that read neither D nor nu."""
     if t.grading is None:
         raise ValueError("triple has no grading")
     g = t.grading
     terms = [
-        ("grading_selfadjoint", g - g.conj().T, tol.abs_tol),
-        ("grading_squares_to_identity", g @ g - _identity(t.dim), tol.abs_tol),
-        ("grading_commutes_algebra", commutator(g, basis), tol.abs_tol),
-        ("grading_anticommutes_dirac", g @ t.dirac + t.dirac @ g, tol.abs_tol),
+        ("grading_selfadjoint", g - g.conj().T, None),
+        ("grading_squares_to_identity", g @ g - _identity(t.dim), None),
+        ("grading_commutes_algebra", commutator(g, basis), None),
     ]
-    if t.twist is not None:
-        nu2 = t.nu @ t.nu
-        terms.append(("grading_commutes_nu_squared", commutator(nu2, g), tol.abs_tol))
     if t.real is not None:
         signs = t.real.signs
         if signs.eps_dprime is None:
             raise ValueError("graded triple with real structure needs the eps'' sign")
         u = t.real.j.u
-        terms.append(("grading_j_sign", g @ u - signs.eps_dprime * u @ np.conj(g), tol.abs_tol))
+        terms.append(("grading_j_sign", g @ u - signs.eps_dprime * u @ np.conj(g), None))
     return terms
 
 
-def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
-                           tol: ToleranceConfig) -> list[_Term]:
+def _grading_dirac_terms(t: SpectralTriple) -> list[_Term]:
+    g = t.grading
+    return [("grading_anticommutes_dirac", g @ t.dirac + t.dirac @ g, None)]
+
+
+def _grading_twist_terms(t: SpectralTriple) -> list[_Term]:
+    if t.twist is None:
+        return []
+    nu2 = t.nu @ t.nu
+    return [("grading_commutes_nu_squared", commutator(nu2, t.grading), None)]
+
+
+def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     twist = t.twist
     nu = twist.nu
-    terms = [("twist_selfadjoint", nu - nu.conj().T, tol.abs_tol)]
+    terms = [("twist_selfadjoint", nu - nu.conj().T, None)]
     svals = np.linalg.svd(nu, compute_uv=False)
     invertible = svals[-1] > RANK_TOL * max(1.0, svals[0])
     terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
@@ -285,37 +315,95 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray,
             w = np.diagonal(basis, axis1=-2, axis2=-1).real
             means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
             residual = m - np.einsum("kp,pij->kij", means, basis)
-            terms.append(("twist_preserves_algebra", residual, tol.abs_tol))
+            terms.append(("twist_preserves_algebra", residual, None))
         else:
             terms.append(("twist_preserves_algebra", 1.0, 0.5))
     else:
-        terms.append(("twist_involutive", nu @ nu - _identity(t.dim), tol.abs_tol))
+        terms.append(("twist_involutive", nu @ nu - _identity(t.dim), None))
+    return terms
+
+
+def _dirac_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
+    """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
+    twisted_order_one and epsilon_prime."""
+    terms = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, None)]
+    if t.grading is not None:
+        terms += _grading_dirac_terms(t)
+    if t.real is not None:
+        try:
+            terms += _order_one_terms(t, basis)
+        except np.linalg.LinAlgError:
+            # singular twist: the condition cannot even be formed
+            terms.append(("twisted_order_one", math.inf, None))
+        terms += _epsilon_prime_terms(t)
+    return terms
+
+
+def _nu_free_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
+    """check_all's terms that read neither D nor nu: the grading, J and order zero."""
+    terms = []
+    if t.grading is not None:
+        terms += _grading_terms(t, basis)
+    if t.real is not None:
+        j = t.real.j
+        eps, eps_residual = j.squared_sign()
+        terms += [
+            ("j_unitary", j.unitary_defect(), None),
+            ("j_squared_sign", eps_residual, None),
+            ("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5),
+        ]
+        terms += _order_zero_terms(t, basis)
+    return terms
+
+
+def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
+    """check_all's terms that read nu but not D (twisted_regularity is 0.0 untwisted)."""
+    terms = []
+    if t.grading is not None:
+        terms += _grading_twist_terms(t)
+    if t.real is not None:
+        terms += _regularity_terms(t)
+    if t.twist is not None:
+        terms += _twist_invariant_terms(t, basis)
     return terms
 
 
 def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[a, J b J^-1] = 0 over the algebra basis pairs."""
-    return _entries(_order_zero_terms(t, _point_projections(t.rep), tol))[0]
+    return _entries(_order_zero_terms(t, _point_projections(t.rep)), tol)[0]
 
 
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    return _entries(_order_one_terms(t, _point_projections(t.rep), tol))[0]
+    return _entries(_order_one_terms(t, _point_projections(t.rep)), tol)[0]
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D)."""
-    return _entries(_epsilon_prime_terms(t, tol))[0]
+    return _entries(_epsilon_prime_terms(t), tol)[0]
 
 
 def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """nu J nu = J, i.e. nu U conj(nu) = U; vacuous (residual 0) when untwisted."""
-    return _entries(_regularity_terms(t, tol))[0]
+    return _entries(_regularity_terms(t), tol)[0]
 
 
 def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckEntry]:
     """All grading conditions; the J sign uses eps'' from the triple's signs."""
-    return _entries(_grading_terms(t, _point_projections(t.rep), tol))
+    terms = _grading_terms(t, _point_projections(t.rep))
+    return _in_report_order(_entries(terms + _grading_dirac_terms(t) + _grading_twist_terms(t), tol))
+
+
+# check_all's residuals of the conditions that do not read D, as (condition,
+# residual, tol_used) tuples: those that read no nu per algebra._structure_key's
+# nu-free part, those that read nu per the whole key.
+_NU_FREE_RESIDUALS = _Memo()
+_TWIST_RESIDUALS = _Memo()
+
+
+def _residuals(terms: list[_Term], entries: list[CheckEntry]) -> tuple[_Term, ...]:
+    """The terms with the residuals of their entries, for a memo."""
+    return tuple((c, e.residual, used) for (c, _, used), e in zip(terms, entries))
 
 
 def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
@@ -325,30 +413,31 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     whole report are taken with one stacked LAPACK call and reduced to the
     worst residual per condition. j_unitary and j_squared_sign are Frobenius
     defects; a twist whose nu^2 is singular reports twisted_order_one = inf.
+
+    Only four conditions read D: dirac_selfadjoint,
+    grading_anticommutes_dirac, twisted_order_one and epsilon_prime. The
+    residuals of the others are memoized, as residuals and not verdicts, so
+    that each call applies its own tol: those that read no nu (the grading's
+    own conditions, J and order zero) per the nu-free part of
+    algebra._structure_key, those that read nu per the whole key. Each memo
+    keeps the _MEMO_BOUND most recently used keys. A call norms its D
+    residuals and whatever its keys do not hold, in one stacked call; a new
+    rho of a conformal twist is a new key for the nu terms only.
     """
     basis = _point_projections(t.rep)
-    terms: list[_Term] = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, tol.abs_tol)]
-    if t.grading is not None:
-        terms += _grading_terms(t, basis, tol)
-    if t.real is not None:
-        j = t.real.j
-        eps, eps_residual = j.squared_sign()
-        terms += [
-            ("j_unitary", j.unitary_defect(), tol.abs_tol),
-            ("j_squared_sign", eps_residual, tol.abs_tol),
-            ("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5),
-        ]
-        terms += _order_zero_terms(t, basis, tol)
-        try:
-            terms += _order_one_terms(t, basis, tol)
-        except np.linalg.LinAlgError:
-            # singular twist: the condition cannot even be formed
-            terms.append(("twisted_order_one", math.inf, tol.abs_tol))
-        terms += _epsilon_prime_terms(t, tol)
-        terms += _regularity_terms(t, tol)
-    if t.twist is not None:
-        terms += _twist_invariant_terms(t, basis, tol)
-    return CheckReport(_entries(terms))
+    key = _structure_key(t)
+    nu_free, twisted = _NU_FREE_RESIDUALS.get(key[0]), _TWIST_RESIDUALS.get(key)
+    new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
+    new_twisted = [] if twisted is not None else _twist_terms(t, basis)
+    terms = _dirac_terms(t, basis)
+    n = len(terms)
+    terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
+    entries = _entries(terms, tol)
+    if nu_free is None:
+        _NU_FREE_RESIDUALS.put(key[0], _residuals(new_nu_free, entries[n:]))
+    if twisted is None:
+        _TWIST_RESIDUALS.put(key, _residuals(new_twisted, entries[n + len(new_nu_free):]))
+    return CheckReport(_in_report_order(entries))
 
 
 def is_irreducible(t: SpectralTriple) -> bool:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections
+from .algebra import REP_C2, REP_C3, REP_C4, Representation, _Memo, _point_projections, _structure_key
 from .axioms import (
     RealStructure,
     SignTriple,
@@ -88,6 +89,10 @@ NU3_PERM = U3.copy()
 NU4_PERM = np.fliplr(np.eye(4)).astype(complex)          # reverses the basis order
 NU4_PERM_BAD = np.block([[np.zeros((2, 2)), np.eye(2)],  # swaps the two 2-blocks
                          [np.eye(2), np.zeros((2, 2))]]).astype(complex)
+for _m in (GAMMA3, GAMMA4, U3, U4, NU3_PERM, NU4_PERM, NU4_PERM_BAD):
+    # build_family hands the grading and nu to every member, and identify_family's
+    # memoized matches were taken against them: an in-place edit raises instead
+    _m.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -357,12 +362,20 @@ def derive_family(family_id: str, eps_prime: int) -> DiracFamily:
 
     The basis comes out of the linear solver; afterwards every member is
     checked against the family's closed-form entry relations, so the solver
-    and the closed forms validate each other.
+    and the closed forms validate each other. The constraints depend on no
+    triple, so each (family, eps') is solved once per process and the same
+    record, with read-only basis matrices, is returned after that.
     """
     fam = _FAMILIES.get(family_id)
     if fam is None or fam.defect is None:
         raise ValueError(f"no constraint derivation for family {family_id!r}")
-    eps_prime = _sign(eps_prime, "eps' must be +1 or -1")
+    return _derived_family(family_id, _sign(eps_prime, "eps' must be +1 or -1"))
+
+
+@lru_cache(maxsize=16)
+def _derived_family(family_id: str, eps_prime: int) -> DiracFamily:
+    """derive_family's record of a family that has a defect, for eps' = +1 or -1."""
+    fam = _FAMILIES[family_id]
     gamma, u, nu = fam.gamma, fam.u, fam.nu
     basis = solve_linear_family(
         [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps_prime)],
@@ -372,6 +385,7 @@ def derive_family(family_id: str, eps_prime: int) -> DiracFamily:
         if defect > 1e-12:
             raise AssertionError(
                 f"solver basis violates the closed-form relation for {family_id} (defect {defect:.3e})")
+        b.flags.writeable = False
     return DiracFamily(family_id=family_id, eps_prime=eps_prime, free_params=fam.free_params,
                        constraints=fam.constraints, basis=tuple(basis))
 
@@ -531,10 +545,13 @@ def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) ->
     return {} if twist is not None and _matches(twist.nu, fam.twist.nu, tol) else None
 
 
-def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[tuple[str, dict]]:
-    """Recognise a catalog shape, returning (family_id, parameters) or None."""
-    if t.real is None or t.grading is None:
-        return None
+# Per (structure key, tol): identify_family's match, as (family_id, the
+# parameters the twist contributes), or () when the triple matches no family.
+_SHAPE_MATCHES = _Memo()
+
+
+def _shape_match(t: SpectralTriple, tol: ToleranceConfig) -> tuple:
+    """identify_family's D-free part: (family_id, twist parameters) or ()."""
     for family_id, fam in _FAMILIES.items():
         if t.rep != fam.rep:
             continue
@@ -542,7 +559,28 @@ def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Op
         if params is None:
             continue
         if not _matches(np.stack([t.grading, t.real.j.u]), np.stack([fam.gamma, fam.u]), tol):
-            return None
-        params.update((name, complex(t.dirac[i, j])) for name, (i, j) in fam.slots)
+            return ()
         return (family_id, params)
-    return None
+    return ()
+
+
+def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[tuple[str, dict]]:
+    """Recognise a catalog shape, returning (family_id, parameters) or None.
+
+    Which family matches depends only on the representation, the twist,
+    the grading and J, so the match is memoized per (algebra._structure_key,
+    tol); the parameters read from D's slots are fresh on every call.
+    """
+    if t.real is None or t.grading is None:
+        return None
+    key = (_structure_key(t), tol)
+    match = _SHAPE_MATCHES.get(key)
+    if match is None:
+        match = _shape_match(t, tol)
+        _SHAPE_MATCHES.put(key, match)
+    if not match:
+        return None
+    family_id, twist_params = match
+    params = dict(twist_params)
+    params.update((name, complex(t.dirac[i, j])) for name, (i, j) in _FAMILIES[family_id].slots)
+    return (family_id, params)

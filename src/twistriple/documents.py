@@ -4,6 +4,11 @@ A triple document is JSON with complex numbers as [re, im] pairs and
 matrices as row-major arrays of rows. Serialisation is canonical (sorted
 keys, fixed indentation, shortest round-tripping float literals), so
 save -> load is entrywise exact and load -> save reproduces the bytes.
+
+`dumps` renders the grading, U and nu of a triple once per content: their
+text is memoized by (exact bytes, indent) in a least-recently-used memo of
+at most algebra._MEMO_BOUND matrices; a new matrix costs its rendering plus
+the key and the store. The Dirac operator is rendered on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Representation
+from .algebra import Representation, _Memo
 from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
 from .linalg import Antiunitary
 
@@ -44,6 +49,20 @@ def _matrix_text(m: np.ndarray, indent: int) -> str:
     # + 0.0 folds -0.0 into +0.0, so that equal matrices give equal bytes
     entries = (np.ascontiguousarray(m).view(float) + 0.0).ravel().tolist()
     return _matrix_layout(m.shape[0], indent).format(*map(repr, entries))
+
+
+# Per (exact bytes, indent): the text of a grading, U or nu matrix (see dumps).
+_MATRIX_TEXTS = _Memo()
+
+
+def _structure_text(m: np.ndarray, indent: int) -> str:
+    """_matrix_text(m, indent), memoized by m's bytes: a family's grading, U and nu recur."""
+    key = (m.tobytes(), indent)
+    text = _MATRIX_TEXTS.get(key)
+    if text is None:
+        text = _matrix_text(m, indent)
+        _MATRIX_TEXTS.put(key, text)
+    return text
 
 
 def _object_text(fields: list[tuple[str, str]], indent: int) -> str:
@@ -176,6 +195,9 @@ def dumps(t: SpectralTriple) -> str:
     json.dumps(doc, sort_keys=True, indent=2) gives for the document: keys
     sorted, two-space indentation, every float as its shortest round-trip
     repr, -0.0 written as 0.0, and a final newline.
+
+    The text of the grading, U and nu comes from the memo described in the
+    module docstring; D is rendered on every call.
     """
     real = twist = "null"
     if t.real is not None:
@@ -184,18 +206,18 @@ def dumps(t: SpectralTriple) -> str:
             ("eps", str(signs.eps)),
             ("eps_dprime", "null" if signs.eps_dprime is None else str(signs.eps_dprime)),
             ("eps_prime", str(signs.eps_prime)),
-            ("unitary", _matrix_text(t.real.j.u, 4)),
+            ("unitary", _structure_text(t.real.j.u, 4)),
         ], 2)
     if t.twist is not None:
         flag = t.twist.implements_algebra_automorphism
         twist = _object_text([
             ("implements_automorphism", "true" if flag else "false"),
-            ("nu", _matrix_text(t.twist.nu, 4)),
+            ("nu", _structure_text(t.twist.nu, 4)),
         ], 2)
     return _object_text([
         ("dim", str(t.dim)),
         ("dirac", _matrix_text(t.dirac, 2)),
-        ("grading", "null" if t.grading is None else _matrix_text(t.grading, 2)),
+        ("grading", "null" if t.grading is None else _structure_text(t.grading, 2)),
         ("points", str(t.rep.n_points)),
         ("real", real),
         ("rep", _json_block("[]", [str(p) for p in t.rep.point_of], 2)),

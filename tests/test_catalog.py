@@ -16,6 +16,7 @@ from twistriple.catalog import (
     FAMILIES,
     _FAMILIES,
     _SCAN_BLOCK,
+    _derived_family,
     CatalogConstraintError,
     build_c3,
     build_c4,
@@ -230,6 +231,20 @@ def test_derive_family_members_build_valid_triples():
                 t = build_family(fam_id, eps, b[0, 2], b[d2_entry])
                 assert np.max(np.abs(t.dirac - b)) < 1e-12
                 assert check_all(t, TOL12).passed
+
+
+@pytest.mark.parametrize("fam_id", [C3_UNTWISTED, C3_PERM, C4_UNTWISTED, C4_PERM])
+def test_derive_family_is_solved_once_with_a_read_only_basis(fam_id):
+    for eps in (1, -1):
+        fam = derive_family(fam_id, eps)
+        again = derive_family(fam_id, float(eps))
+        assert again is fam and type(again.eps_prime) is int and again.eps_prime == eps
+        fresh = _derived_family.__wrapped__(fam_id, eps)  # a solve that bypasses the cache
+        assert [b.tobytes() for b in fam.basis] == [b.tobytes() for b in fresh.basis]
+        for b in fam.basis:
+            with pytest.raises(ValueError):
+                b[0, 2] = 7.0
+    assert derive_family(fam_id, -1.0).eps_prime == -1
 
 
 def test_derive_family_rejects_conformal_ids():
