@@ -79,23 +79,6 @@ def _point_projections(rep: Representation) -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=256)
-def _block_columns(labels: tuple) -> np.ndarray:
-    """The read-only indices j n + b, in increasing order, of the entries X[b, j] with
-    labels[b] == labels[j], in the column-major vec of an n x n matrix X, n = len(labels).
-
-    With labels = rep.point_of these entries span the point-block-diagonal
-    matrices, the commutant of the point projections. With labels the pairs
-    (point, gamma[b, b]) of a diagonal grading they span the commutant of
-    the point projections and the grading together.
-    """
-    n = len(labels)
-    j, b = np.nonzero([[labels[b] == labels[j] for b in range(n)] for j in range(n)])
-    columns = j * n + b
-    columns.flags.writeable = False
-    return columns
-
-
 def _structure_key(t) -> tuple:
     """The content key of everything a triple carries besides its Dirac operator.
 
@@ -124,11 +107,12 @@ _MEMO_BOUND = 256
 class _Memo:
     """A least-recently-used map that holds at most _MEMO_BOUND entries.
 
-    Unlike functools.lru_cache it leaves computing a missing value to the
-    caller, so that check_all can take the norms of a new key in the same
-    stacked call as those of its D residuals. `get` returns None for a key
-    it does not hold, so no stored value may be None. Storing a new key
-    beyond the bound drops the least recently used one.
+    Unlike functools.lru_cache it can leave computing a missing value to
+    the caller (`get`, then `put`), so that check_all can take the norms of
+    a new key in the same stacked call as those of its D residuals; `lookup`
+    computes it itself. `get` returns None for a key it does not hold, so no
+    stored value may be None. Storing a new key beyond the bound drops the
+    least recently used one.
     """
 
     def __init__(self):
@@ -150,6 +134,14 @@ class _Memo:
             self._entries[key] = value
             if len(self._entries) > _MEMO_BOUND:
                 self._entries.popitem(last=False)
+
+    def lookup(self, key, make):
+        """The value of key; when it is missing, make() computes it and it is stored."""
+        value = self.get(key)
+        if value is None:
+            value = make()
+            self.put(key, value)
+        return value
 
 
 def _two_point_projections(rep: Representation) -> np.ndarray:

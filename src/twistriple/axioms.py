@@ -10,19 +10,21 @@ and nu.
 Only four of check_all's conditions read D. The residuals of the others
 are memoized by content (algebra._structure_key: the representation, the
 signs, the twist's flag, and the exact bytes of grading, U and nu), those
-that read no nu apart from those that do, in least-recently-used memos of
-at most algebra._MEMO_BOUND keys each; see check_all.
+that read no nu apart from those that do, and the order-one J-images, in
+least-recently-used memos of at most algebra._MEMO_BOUND keys each; see
+check_all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _block_columns, _Memo, _point_projections, _structure_key
+from .algebra import Representation, _Memo, _point_projections, _structure_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -74,6 +76,13 @@ class Twist:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", _as_square(self.nu))
+
+    def inverse(self) -> np.ndarray:
+        """nu^-1; a singular nu raises a LinAlgError (a ValueError) that says so."""
+        try:
+            return np.linalg.inv(self.nu)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError("the twist nu is singular, so nu^-1 does not exist") from None
 
 
 @dataclass(frozen=True)
@@ -200,30 +209,37 @@ def _order_zero_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     return [("order_zero", commutator(basis[:, None], jb[None, :]), None)]
 
 
-def _order_one_diffs(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
-                     basis) -> np.ndarray:
-    """[D,a] J nu^-2 b nu^2 J^-1 - J b J^-1 [D,a] for every basis pair (a, b), on axis -3.
+def _order_one_images(u: np.ndarray, nu: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """(J b J^-1, J nu^-2 b nu^2 J^-1) for every basis element b, on axis -3.
 
-    The pairs are ordered a-major, as k a + b. Raises LinAlgError when nu^2
-    is singular, and when a nearly singular nu^2 makes a residual NaN, where
-    LAPACK's SVD would not converge. Stacked inputs take their products
-    through linalg._matmul; a single triple's few products skip its
-    bookkeeping. When every nu^2 equals the identity exactly (untwisted
-    triples, permutation twists, the C^2 scan's nu = 1), the twisted J-image
-    is the plain one, broadcast to the shape the general formula gives.
+    Raises LinAlgError when nu^2 is singular. When every nu^2 equals the
+    identity exactly (untwisted triples, permutation twists, the C^2 scan's
+    nu = 1), the twisted image is the plain one, broadcast to the shape the
+    general formula gives: inv(I) and products with I are exact.
     """
     b = np.asarray(basis)  # (k, n, n)
-    k, n = b.shape[0], b.shape[-1]
-    mm = np.matmul if dirac.ndim == u.ndim == nu.ndim == 2 else _matmul
+    mm = np.matmul if u.ndim == nu.ndim == 2 else _matmul
     nu2 = mm(nu, nu)[..., None, :, :]
     u = u[..., None, :, :]
     u_adj = np.conj(np.swapaxes(u, -1, -2))
     j_plain = mm(mm(u, np.conj(b)), u_adj)
-    if (nu2 == _identity(n)).all():
-        # inv(I) and products with I are exact, so nu^-2 b nu^2 is b bitwise
-        j_twisted = np.broadcast_to(j_plain, np.broadcast_shapes(j_plain.shape, nu2.shape))
-    else:
-        j_twisted = mm(mm(u, np.conj(mm(mm(np.linalg.inv(nu2), b), nu2))), u_adj)
+    if (nu2 == _identity(b.shape[-1])).all():
+        return j_plain, np.broadcast_to(j_plain, np.broadcast_shapes(j_plain.shape, nu2.shape))
+    return j_plain, mm(mm(u, np.conj(mm(mm(np.linalg.inv(nu2), b), nu2))), u_adj)
+
+
+def _order_one_diffs(dirac: np.ndarray, basis, j_plain: np.ndarray,
+                     j_twisted: np.ndarray) -> np.ndarray:
+    """[D,a] J nu^-2 b nu^2 J^-1 - J b J^-1 [D,a] for every basis pair (a, b), on axis -3.
+
+    The J-images are _order_one_images'; the pairs are ordered a-major, as
+    k a + b. Raises LinAlgError when a nearly singular nu^2 makes a residual
+    NaN, where LAPACK's SVD would not converge. Stacks take their products
+    through linalg._matmul, a single triple's few products skip it.
+    """
+    b = np.asarray(basis)  # (k, n, n)
+    k, n = b.shape[0], b.shape[-1]
+    mm = np.matmul if dirac.ndim == 2 and j_twisted.ndim == 3 else _matmul
     d = dirac[..., None, :, :]
     da = (mm(d, b) - mm(b, d))[..., :, None, :, :]
     diffs = mm(da, j_twisted[..., None, :, :, :]) - mm(j_plain[..., None, :, :, :], da)
@@ -240,13 +256,23 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     other; the result is the worst residual per stack entry, or a float when
     all three are single matrices. The basis is shared by every entry.
     """
-    diffs = _order_one_diffs(dirac, u, nu, basis)
+    diffs = _order_one_diffs(dirac, basis, *_order_one_images(u, nu, basis))
     worst = operator_norms(diffs).max(axis=-1)
     return float(worst) if worst.ndim == 0 else worst
 
 
-def _order_one_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
-    diffs = _order_one_diffs(t.dirac, _require_real(t).j.u, t.nu, basis)
+# check_all's order-one J-images per algebra._structure_key, read-only.
+_J_IMAGES = _Memo()
+
+
+def _order_one_terms(t: SpectralTriple, basis: np.ndarray, key: tuple) -> list[_Term]:
+    """The twisted_order_one term; its J-images are kept read-only in _J_IMAGES per structure key."""
+    def images():
+        j_images = _order_one_images(_require_real(t).j.u, t.nu, basis)
+        for m in j_images:
+            m.flags.writeable = False
+        return j_images
+    diffs = _order_one_diffs(t.dirac, basis, *_J_IMAGES.lookup(key, images))
     return [("twisted_order_one", diffs, None)]
 
 
@@ -323,7 +349,7 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     return terms
 
 
-def _dirac_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
+def _dirac_terms(t: SpectralTriple, basis: np.ndarray, key: tuple) -> list[_Term]:
     """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
     twisted_order_one and epsilon_prime."""
     terms = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, None)]
@@ -331,7 +357,7 @@ def _dirac_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
         terms += _grading_dirac_terms(t)
     if t.real is not None:
         try:
-            terms += _order_one_terms(t, basis)
+            terms += _order_one_terms(t, basis, key)
         except np.linalg.LinAlgError:
             # singular twist: the condition cannot even be formed
             terms.append(("twisted_order_one", math.inf, None))
@@ -375,7 +401,7 @@ def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> C
 
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    return _entries(_order_one_terms(t, _point_projections(t.rep)), tol)[0]
+    return _entries(_order_one_terms(t, _point_projections(t.rep), _structure_key(t)), tol)[0]
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
@@ -422,14 +448,15 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     algebra._structure_key, those that read nu per the whole key. Each memo
     keeps the _MEMO_BOUND most recently used keys. A call norms its D
     residuals and whatever its keys do not hold, in one stacked call; a new
-    rho of a conformal twist is a new key for the nu terms only.
+    rho of a conformal twist is a new key for the nu terms only. The
+    order-one J-images, inv(nu^2) included, are kept read-only per key.
     """
     basis = _point_projections(t.rep)
     key = _structure_key(t)
     nu_free, twisted = _NU_FREE_RESIDUALS.get(key[0]), _TWIST_RESIDUALS.get(key)
     new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
     new_twisted = [] if twisted is not None else _twist_terms(t, basis)
-    terms = _dirac_terms(t, basis)
+    terms = _dirac_terms(t, basis, key)
     n = len(terms)
     terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
     entries = _entries(terms, tol)
@@ -452,18 +479,38 @@ def is_irreducible(t: SpectralTriple) -> bool:
     gamma leaves the generators. With no projection or grading rows in the
     operator, the relative rank cutoff cannot drop them at large |D|, so the
     verdict holds from small to large scales of D. A grading with a nonzero
-    off-diagonal entry stays among the generators.
+    off-diagonal entry stays among the generators. Both choices are kept
+    per (representation, grading bytes).
     """
     basis = _point_projections(t.rep)
     gens = commutator(t.dirac, basis)
-    labels = t.rep.point_of
     g = t.grading
-    if g is not None:
-        diagonal = np.diagonal(g)
-        if (g == np.diag(diagonal)).all():
-            labels = tuple(zip(labels, diagonal.tolist()))
-        else:
-            gens = np.concatenate([g[None], gens])
-    columns = _block_columns(labels)
+    columns, gamma_generates = _commutant_columns(t.rep.point_of, None if g is None else g.tobytes())
+    if gamma_generates:
+        gens = np.concatenate([g[None], gens])
     s = np.linalg.svd(_commutation_operator(gens)[:, columns], compute_uv=False)
     return len(columns) - _rank(s) == 1
+
+
+@lru_cache(maxsize=256)
+def _commutant_columns(point_of: tuple, grading: Optional[bytes]) -> tuple[np.ndarray, bool]:
+    """(columns, whether gamma stays a generator) of is_irreducible.
+
+    The columns are the read-only indices j n + b, in increasing order, of
+    the entries X[b, j] with labels[b] == labels[j] in the column-major vec
+    of an n x n X: labels = point_of spans the point-block-diagonal
+    matrices, the pairs (point, gamma[b, b]) of a diagonal grading span
+    their intersection with the grading's commutant.
+    """
+    labels, gamma_generates = point_of, False
+    if grading is not None:
+        g = np.frombuffer(grading, dtype=complex).reshape(len(point_of), -1)
+        diagonal = np.diagonal(g)
+        gamma_generates = not (g == np.diag(diagonal)).all()
+        if not gamma_generates:
+            labels = tuple(zip(labels, diagonal.tolist()))
+    n = len(labels)
+    j, b = np.nonzero([[labels[b] == labels[j] for b in range(n)] for j in range(n)])
+    columns = j * n + b
+    columns.flags.writeable = False
+    return columns, gamma_generates

@@ -31,6 +31,7 @@ from .axioms import (
     SpectralTriple,
     Twist,
     _order_one_diffs,
+    _order_one_images,
     epsilon_prime_residual,
 )
 from .conformal import ConformalFactor, rescale
@@ -485,8 +486,8 @@ def scan_c2_nonexistence(trials: int, seed: int,
         diracs = _c2_diracs(normals)
         # nu enters only through nu^2, which is exactly the identity for each
         # of _C2_NU_CANDIDATES, so nu = 1 gives every candidate's differences
-        diffs = _order_one_diffs(diracs[:, None], _c2_j_stack(phases), _C2_NU_CANDIDATES[0],
-                                 basis)  # (trial, J, pair, 2, 2)
+        images = _order_one_images(_c2_j_stack(phases), _C2_NU_CANDIDATES[0], basis)
+        diffs = _order_one_diffs(diracs[:, None], basis, *images)  # (trial, J, pair, 2, 2)
         fails = _norms_exceed(diffs, tol.abs_tol).any(axis=-1)
         failures += int(np.count_nonzero(fails))
     return ScanReport(trials=trials, failures_of_order_one=failures,
@@ -573,11 +574,7 @@ def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Op
     """
     if t.real is None or t.grading is None:
         return None
-    key = (_structure_key(t), tol)
-    match = _SHAPE_MATCHES.get(key)
-    if match is None:
-        match = _shape_match(t, tol)
-        _SHAPE_MATCHES.put(key, match)
+    match = _SHAPE_MATCHES.lookup((_structure_key(t), tol), lambda: _shape_match(t, tol))
     if not match:
         return None
     family_id, twist_params = match

@@ -84,7 +84,7 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     else:
         nu = t.twist.nu
         kk = a @ s
-        defect = operator_norm(nu @ kk @ np.linalg.inv(nu) - kk)
+        defect = operator_norm(nu @ kk @ t.twist.inverse() - kk)
         if defect > tol.abs_tol * (1.0 + operator_norm(kk)):
             raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
                                         "composed datum would not be a twisted real triple")

@@ -48,7 +48,7 @@ def spectral_distance(t: SpectralTriple) -> DistanceResult:
     derivatives = [commutator(t.dirac, e)]
     if t.twist is not None:  # the twisted derivative D e - (nu e nu^-1) D
         nu = t.twist.nu
-        derivatives.append(t.dirac @ e - nu @ e @ np.linalg.inv(nu) @ t.dirac)
+        derivatives.append(t.dirac @ e - nu @ e @ t.twist.inverse() @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
     effective = max(norms)
     return DistanceResult(value=math.inf if effective < RANK_TOL else 1.0 / effective,
@@ -107,7 +107,7 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     if t.twist is not None:
         nu = t.twist.nu
         if not (nu @ projections == projections @ nu).all():
-            images.append(d @ projections - nu @ projections @ np.linalg.inv(nu) @ d)
+            images.append(d @ projections - nu @ projections @ t.twist.inverse() @ d)
     images = np.stack(images)  # (derivative, E_+/E_-, n, n)
     plus, minus = images[:, None, 0], images[:, None, 1]
 

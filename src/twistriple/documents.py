@@ -5,10 +5,10 @@ matrices as row-major arrays of rows. Serialisation is canonical (sorted
 keys, fixed indentation, shortest round-tripping float literals), so
 save -> load is entrywise exact and load -> save reproduces the bytes.
 
-`dumps` renders the grading, U and nu of a triple once per content: their
-text is memoized by (exact bytes, indent) in a least-recently-used memo of
-at most algebra._MEMO_BOUND matrices; a new matrix costs its rendering plus
-the key and the store. The Dirac operator is rendered on every call.
+Only the Dirac operator is rendered or parsed on every call: `dumps` keeps
+the text around D per structure, and `loads` reuses the structure of a text
+whose pieces around D it has parsed before. Each memo is a least-recently-
+used map of at most algebra._MEMO_BOUND entries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Representation, _Memo
+from .algebra import Representation, _Memo, _structure_key
 from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
 from .linalg import Antiunitary
 
@@ -49,20 +49,6 @@ def _matrix_text(m: np.ndarray, indent: int) -> str:
     # + 0.0 folds -0.0 into +0.0, so that equal matrices give equal bytes
     entries = (np.ascontiguousarray(m).view(float) + 0.0).ravel().tolist()
     return _matrix_layout(m.shape[0], indent).format(*map(repr, entries))
-
-
-# Per (exact bytes, indent): the text of a grading, U or nu matrix (see dumps).
-_MATRIX_TEXTS = _Memo()
-
-
-def _structure_text(m: np.ndarray, indent: int) -> str:
-    """_matrix_text(m, indent), memoized by m's bytes: a family's grading, U and nu recur."""
-    key = (m.tobytes(), indent)
-    text = _MATRIX_TEXTS.get(key)
-    if text is None:
-        text = _matrix_text(m, indent)
-        _MATRIX_TEXTS.put(key, text)
-    return text
 
 
 def _object_text(fields: list[tuple[str, str]], indent: int) -> str:
@@ -131,6 +117,18 @@ def to_document(t: SpectralTriple) -> dict:
     return json.loads(dumps(t))
 
 
+def _twist_from_doc(tobj: Any, dim: int) -> Optional[Twist]:
+    """The twist of a document's "twist" value, for from_document and loads."""
+    if tobj is None:
+        return None
+    if not isinstance(tobj, dict) or "nu" not in tobj:
+        raise DocumentError("twist: expected an object with a nu matrix")
+    flag = tobj.get("implements_automorphism")
+    if not isinstance(flag, bool):
+        raise DocumentError("twist.implements_automorphism must be a boolean")
+    return Twist(nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"), implements_algebra_automorphism=flag)
+
+
 def from_document(doc: Any) -> SpectralTriple:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -171,21 +169,55 @@ def from_document(doc: Any) -> SpectralTriple:
             signs=SignTriple(eps=eps, eps_prime=eps_prime, eps_dprime=eps_dprime),
         )
 
-    twist: Optional[Twist] = None
-    tobj = doc.get("twist")
-    if tobj is not None:
-        if not isinstance(tobj, dict) or "nu" not in tobj:
-            raise DocumentError("twist: expected an object with a nu matrix")
-        flag = tobj.get("implements_automorphism")
-        if not isinstance(flag, bool):
-            raise DocumentError("twist.implements_automorphism must be a boolean")
-        twist = Twist(nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"),
-                      implements_algebra_automorphism=flag)
-
+    twist = _twist_from_doc(doc.get("twist"), dim)
     try:
         return SpectralTriple(rep=rep, dirac=dirac, grading=grading, real=real, twist=twist)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+# The top-level markers of a canonical text, which `loads` splits at.
+_DIRAC, _GRADING, _TWIST, _END = '\n  "dirac": ', ',\n  "grading": ', ',\n  "twist": ', "\n}\n"
+
+# dumps' (text before D, text from D to the twist) and the twist's text;
+# loads' (dim, rep, grading, (U, signs) or None) per (text before D, text
+# from D to the twist), whose private arrays are copied on the way out.
+_TEMPLATES = _Memo()
+_TWIST_TEXTS = _Memo()
+_PARSED = _Memo()
+
+
+def _template(t: SpectralTriple) -> tuple[str, str]:
+    real = "null"
+    if t.real is not None:
+        signs = t.real.signs
+        real = _object_text([
+            ("eps", str(signs.eps)),
+            ("eps_dprime", "null" if signs.eps_dprime is None else str(signs.eps_dprime)),
+            ("eps_prime", str(signs.eps_prime)),
+            ("unitary", _matrix_text(t.real.j.u, 4)),
+        ], 2)
+    text = _object_text([
+        ("dim", str(t.dim)),
+        ("dirac", "%"),
+        ("grading", "null" if t.grading is None else _matrix_text(t.grading, 2)),
+        ("points", str(t.rep.n_points)),
+        ("real", real),
+        ("rep", _json_block("[]", [str(p) for p in t.rep.point_of], 2)),
+    ], 0)
+    head, _, middle = text[:-2].partition("%")  # without the closing "\n}"
+    return head, middle
+
+
+def _twist_text(t: SpectralTriple) -> str:
+    twist = "null"
+    if t.twist is not None:
+        flag = t.twist.implements_algebra_automorphism
+        twist = _object_text([
+            ("implements_automorphism", "true" if flag else "false"),
+            ("nu", _matrix_text(t.twist.nu, 4)),
+        ], 2)
+    return _TWIST + twist + _END
 
 
 def dumps(t: SpectralTriple) -> str:
@@ -196,41 +228,58 @@ def dumps(t: SpectralTriple) -> str:
     sorted, two-space indentation, every float as its shortest round-trip
     repr, -0.0 written as 0.0, and a final newline.
 
-    The text of the grading, U and nu comes from the memo described in the
-    module docstring; D is rendered on every call.
+    Only D is rendered on every call. The text before D and from D to the
+    twist (header, grading, points, real structure, rep) is kept per
+    algebra._structure_key's first part, the twist's text per its second.
     """
-    real = twist = "null"
-    if t.real is not None:
-        signs = t.real.signs
-        real = _object_text([
-            ("eps", str(signs.eps)),
-            ("eps_dprime", "null" if signs.eps_dprime is None else str(signs.eps_dprime)),
-            ("eps_prime", str(signs.eps_prime)),
-            ("unitary", _structure_text(t.real.j.u, 4)),
-        ], 2)
-    if t.twist is not None:
-        flag = t.twist.implements_algebra_automorphism
-        twist = _object_text([
-            ("implements_automorphism", "true" if flag else "false"),
-            ("nu", _structure_text(t.twist.nu, 4)),
-        ], 2)
-    return _object_text([
-        ("dim", str(t.dim)),
-        ("dirac", _matrix_text(t.dirac, 2)),
-        ("grading", "null" if t.grading is None else _structure_text(t.grading, 2)),
-        ("points", str(t.rep.n_points)),
-        ("real", real),
-        ("rep", _json_block("[]", [str(p) for p in t.rep.point_of], 2)),
-        ("twist", twist),
-    ], 0) + "\n"
+    key = _structure_key(t)
+    head, middle = _TEMPLATES.lookup(key[0], lambda: _template(t))
+    return head + _matrix_text(t.dirac, 2) + middle + _TWIST_TEXTS.lookup(key[1], lambda: _twist_text(t))
+
+
+def _split(text: Any) -> Optional[tuple[str, str, str, str]]:
+    """(head, D, middle, twist): the text cut at the first of each marker, or None."""
+    if not isinstance(text, str) or not text.endswith(_END):
+        return None
+    i = text.find(_DIRAC) + len(_DIRAC)
+    j = text.find(_GRADING, i)
+    k = text.find(_TWIST, j)
+    if i < len(_DIRAC) or j < 0 or k < 0:
+        return None
+    return text[:i], text[i:j], text[j:k], text[k + len(_TWIST):-len(_END)]
 
 
 def loads(text: str) -> SpectralTriple:
+    """The triple of a document text.
+
+    When the text's pieces before D and between D and the twist (see
+    _split) are those of an earlier canonical text, that text's rep,
+    grading and real structure are reused, as fresh copies, and only the D
+    and twist blocks are parsed, with from_document's checks. Any failure
+    there falls back to the full parse, which words every error.
+    """
+    parts = _split(text)
+    known = None if parts is None else _PARSED.get(parts[0::2])
+    if known is not None:
+        dim, rep, grading, real = known
+        try:
+            return SpectralTriple(
+                rep=rep, dirac=_matrix_from_doc(json.loads(parts[1]), dim, "dirac"),
+                grading=None if grading is None else grading.copy(),
+                real=None if real is None else RealStructure(Antiunitary(real[0].copy()), real[1]),
+                twist=_twist_from_doc(json.loads(parts[3]), dim))
+        except (ValueError, TypeError, RecursionError):  # DocumentError and JSONDecodeError are ValueErrors
+            pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return from_document(doc)
+    t = from_document(doc)
+    if parts is not None and known is None and dumps(t) == text:  # so the markers are top-level
+        real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
+        grading = None if t.grading is None else t.grading.copy()
+        _PARSED.put(parts[0::2], (t.dim, t.rep, grading, real))
+    return t
 
 
 def save(t: SpectralTriple, path) -> None:

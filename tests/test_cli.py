@@ -275,6 +275,22 @@ def test_rescale_perm_twisted_input_rejected(tmp_path, capsys):
     assert code == 2 and "twist-invariant" in err
 
 
+def test_rescale_and_distance_of_a_singular_twist_exit_2(tmp_path, capsys):
+    from dataclasses import replace
+
+    import numpy as np
+
+    from twistriple.axioms import Twist
+    from twistriple.catalog import build_c4
+    from twistriple.documents import save
+
+    path = str(tmp_path / "singular.json")
+    save(replace(build_c4(1, 3.0, 4.0), twist=Twist(np.diag([1.0, 1.0, 0.0, 0.0]))), path)
+    for argv in (["distance", path], ["rescale", path, "--rho", "0.3", "--zeta", "1.2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: the twist nu is singular, so nu^-1 does not exist\n")
+
+
 # -------------------------------------------------------------------- distance
 
 def test_distance_c4(tmp_path, capsys):

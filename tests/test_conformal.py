@@ -223,3 +223,14 @@ def test_omega1_equal_under_rescaling_holds_on_c3_not_on_generic_c4():
     # with a single nonzero hop the span cannot move
     t4single = build_c4(1, 1.0, 0.0)
     assert omega1_equal(t4single, rescale(t4single, ConformalFactor(1.0, 0.3)))
+
+
+def test_rescaling_a_singular_twist_raises_a_linalg_error_naming_it():
+    from dataclasses import replace
+
+    from twistriple.axioms import Twist
+
+    t = replace(build_c4(1, 3.0, 4.0), twist=Twist(np.diag([1.0, 1.0, 0.0, 0.0])))
+    with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular") as info:
+        rescale(t, ConformalFactor(zeta=1.2, rho=0.3))
+    assert isinstance(info.value, ValueError)

@@ -223,3 +223,20 @@ def test_fluctuated_distance_unknown_shape_rejected():
     t = SpectralTriple(rep=REP_C2, dirac=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         fluctuated_distance_check(t, 0.5)
+
+
+def test_singular_twist_raises_a_linalg_error_naming_it():
+    from dataclasses import replace
+
+    from twistriple.axioms import Twist
+    from twistriple.catalog import NU4_PERM
+
+    t = replace(build_c4(1, 3.0, 4.0), twist=Twist(np.diag([1.0, 1.0, 0.0, 0.0])))
+    with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular") as info:
+        spectral_distance(t)
+    assert isinstance(info.value, ValueError)
+    # the oracle inverts only a twist that does not commute with the point projections
+    assert distance_bruteforce(t, 10, 0) == pytest.approx(0.25)
+    t = replace(t, twist=Twist(NU4_PERM * [[1.0], [1.0], [1.0], [0.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular"):
+        distance_bruteforce(t, 10, 0)

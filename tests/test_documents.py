@@ -16,7 +16,9 @@ from twistriple.catalog import (
     build_conformal,
     build_family,
 )
-from twistriple.documents import DocumentError, dumps, load, loads, save, to_document
+from twistriple import documents
+from twistriple.algebra import _Memo
+from twistriple.documents import DocumentError, dumps, from_document, load, loads, save, to_document
 
 
 def all_fixtures():
@@ -414,3 +416,93 @@ def test_documents_round_trip_property(t):
     back = loads(text)
     assert triples_entrywise_equal(back, t)  # array_equal: dumps writes -0.0 as 0.0
     assert dumps(back) == text
+
+
+# ------------------------------------------ loads with its structure memo warm
+
+def _triple_bits(t):
+    """Every array of a triple as bytes (so the signs of zeros count), with its signs and flag."""
+    real, twist = t.real, t.twist
+    return (t.rep, t.dirac.tobytes(), None if t.grading is None else t.grading.tobytes(),
+            None if real is None else (real.signs, real.j.u.tobytes()),
+            None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
+
+
+def _reference_loads(text):
+    """loads as the full parse alone: json.loads, then from_document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+    return from_document(doc)
+
+
+def _outcome(fn, text):
+    try:
+        return _triple_bits(fn(text))
+    except DocumentError as exc:
+        return ("DocumentError", str(exc))
+
+
+def _adversarial_texts(text):
+    """Variants of a canonical text; those built from its pieces keep the pieces before D
+    and from D to the twist, so loads reads them with its memo warm."""
+    head, dirac, middle, twist = documents._split(text)
+
+    def pieces(d=dirac, tw=twist):
+        return head + d + middle + ',\n  "twist": ' + tw + "\n}\n"
+
+    def edited_dirac(edit):
+        d = json.loads(dirac)
+        edit(d)
+        return pieces(d=json.dumps(d))
+
+    n = len(json.loads(dirac))
+    nu_3x3 = json.dumps({"implements_automorphism": True, "nu": [[[1.0, 0.0]] * 3] * 3})
+    return {
+        "reindented": json.dumps(json.loads(text), indent=4, sort_keys=True) + "\n",
+        "compact": json.dumps(json.loads(text), sort_keys=True),
+        "extra key first": text.replace("{\n", '{\n  "extra": 1,\n', 1),
+        "extra key before the twist": text.replace(',\n  "twist": ', ',\n  "zzz": 1,\n  "twist": ', 1),
+        "extra key last": text[:-3] + ',\n  "zzz": 1\n}\n',
+        "grading given again last": text[:-3] + ',\n  "grading": null\n}\n',
+        "real given again last": text[:-3] + ',\n  "real": null\n}\n',
+        "second dirac last": text[:-3] + ',\n  "dirac": ' + json.dumps([[[2, 0]] * n] * n) + "\n}\n",
+        "earlier object with dirac": '{\n  "aaa": {\n  "dirac": 1},' + text[1:],
+        "dirac object with grading": pieces(d='{"x": 1,\n  "grading": 2}'),
+        "dirac true": edited_dirac(lambda d: d[0].__setitem__(0, [True, 0.0])),
+        "dirac NaN": edited_dirac(lambda d: d[0].__setitem__(0, [float("nan"), 0.0])),
+        "dirac ragged row": edited_dirac(lambda d: d[0].pop()),
+        "dirac integers": pieces(d=json.dumps([[[k, 0] for k in range(n)]] * n)),
+        "dirac and junk": pieces(d=dirac + ", 1"),
+        "twist null": pieces(tw="null"),
+        "twist nu 3x3": pieces(tw=nu_3x3),
+        "twist with an earlier nu": pieces(tw='{"nu": [[0]],' + twist[1:]),
+        "trailing junk": text + "junk",
+        "trailing brace": text[:-3] + "\n}\n}\n",
+        "trailing space": text + " ",
+        "no final newline": text[:-1],
+    }
+
+
+@pytest.mark.parametrize("idx", range(len(all_fixtures())))
+def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx, monkeypatch):
+    text = dumps(all_fixtures()[idx])
+    for name, variant in _adversarial_texts(text).items():
+        monkeypatch.setattr(documents, "_PARSED", _Memo())
+        # the variant into a cold memo, the canonical text after it, then both with the memo warm
+        for s in (variant, text, text, variant):
+            assert _outcome(loads, s) == _outcome(_reference_loads, s), name
+        assert documents._PARSED.get(documents._split(text)[0::2]) is not None
+
+
+def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone(monkeypatch):
+    monkeypatch.setattr(documents, "_PARSED", _Memo())
+    text = dumps(build_conformal("c4", 1, 0.5 - 0.25j, 2.0, rho=0.3, zeta=1.2))
+    want = _triple_bits(_reference_loads(text))
+    for _ in range(3):  # the full parse that fills the memo, then two that read it
+        t = loads(text)
+        assert _triple_bits(t) == want
+        for m in (t.grading, t.real.j.u, t.nu):
+            m[0, 0] = 7.0
+        assert dumps(t) == _reference_dumps(t) != text

@@ -28,7 +28,7 @@ isolation of the constants they cache.
   it replaced, in bytes, and C-contiguous.
 - The C^2 scan's twist candidates: each squares to the identity exactly, and
   each gives the identity twist's order-one differences bitwise.
-- `_order_one_diffs`, which skips the twisted J-image when every nu^2 is
+- `_order_one_images`, which skips the twisted J-image when every nu^2 is
   exactly the identity, against a copy of the general formula, in bytes and
   shape: I3, I4, the permutation twists, the block swap, a conformal nu,
   the C^2 swap and the stacked C^2 candidates.
@@ -51,7 +51,13 @@ import numpy as np
 import pytest
 
 from twistriple.algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections, projection_e
-from twistriple.axioms import _order_one_diffs, check_all, epsilon_prime_residual, order_one_residual
+from twistriple.axioms import (
+    _order_one_diffs,
+    _order_one_images,
+    check_all,
+    epsilon_prime_residual,
+    order_one_residual,
+)
 from twistriple.catalog import (
     _C2_NU_CANDIDATES,
     GAMMA3,
@@ -249,6 +255,11 @@ def test_order_one_residual_on_a_scan_shaped_stack_equals_per_matrix_calls():
     assert same_bits(stacked, np.array(want))
 
 
+def _diffs(dirac, u, nu, basis):
+    """_order_one_diffs with the J-images of _order_one_images, as order_one_residual takes them."""
+    return _order_one_diffs(dirac, basis, *_order_one_images(u, nu, basis))
+
+
 def test_scan_twist_candidates_give_the_identity_twists_differences_bitwise():
     one = np.eye(2, dtype=complex)
     for nu in _C2_NU_CANDIDATES:
@@ -258,10 +269,10 @@ def test_scan_twist_candidates_give_the_identity_twists_differences_bitwise():
     m = rng.standard_normal((14, 2, 2)) + 1j * rng.standard_normal((14, 2, 2))
     diracs = m + np.conj(np.swapaxes(m, -1, -2))
     us = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, (14, 2)))
-    want = _order_one_diffs(diracs[:, None], us, one, basis)  # what the scan computes
+    want = _diffs(diracs[:, None], us, one, basis)  # what the scan computes
     for nu in _C2_NU_CANDIDATES:
-        assert same_bits(_order_one_diffs(diracs[:, None], us, nu, basis), want)
-    both = _order_one_diffs(diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES, basis)
+        assert same_bits(_diffs(diracs[:, None], us, nu, basis), want)
+    both = _diffs(diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES, basis)
     for i in range(len(_C2_NU_CANDIDATES)):
         assert same_bits(both[:, :, i], want)
 
@@ -297,9 +308,9 @@ def test_order_one_diffs_with_nu_squared_one_equal_the_general_formula_bitwise(r
     m = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
     diracs = m + np.conj(np.swapaxes(m, -1, -2))
     for d in diracs:
-        assert same_bits(_order_one_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
+        assert same_bits(_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
     stacked = (diracs[:, None], u, np.stack([nu, nu])[None])
-    assert same_bits(_order_one_diffs(*stacked, basis), _ref_order_one_diffs(*stacked, basis))
+    assert same_bits(_diffs(*stacked, basis), _ref_order_one_diffs(*stacked, basis))
 
 
 def test_order_one_diffs_on_scan_stacks_equal_the_general_formula_bitwise():
@@ -310,9 +321,9 @@ def test_order_one_diffs_on_scan_stacks_equal_the_general_formula_bitwise():
     us = _c2_j_stack(rng.uniform(0.0, 2.0 * np.pi, (70, 2)))
     for nu in _C2_NU_CANDIDATES:  # the identity and the swap
         for d, u in ((diracs[0], us[0, 1]), (diracs[:, None], us)):
-            assert same_bits(_order_one_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
+            assert same_bits(_diffs(d, u, nu, basis), _ref_order_one_diffs(d, u, nu, basis))
     stacked = (diracs[:, None, None], us[:, :, None], _C2_NU_CANDIDATES)
-    got = _order_one_diffs(*stacked, basis)
+    got = _diffs(*stacked, basis)
     assert got.shape == (70, 5, 2, 4, 2, 2)
     assert same_bits(got, _ref_order_one_diffs(*stacked, basis))
 

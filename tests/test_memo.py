@@ -1,10 +1,14 @@
 """The memos of D-free work: check_all's residuals that read no nu and those
-that read nu, identify_family's shape match and the text of gradings, U's and
-twists in documents.dumps.
+that read nu, identify_family's shape match, the document text before and
+after D and the twist's text in documents.dumps, the parsed structure of a
+known text in documents.loads, and check_all's order-one J-images.
 
-Each memo is keyed by content (algebra._structure_key, or a matrix's bytes),
-so a cold memo, a warm one and the unmemoized references must agree bitwise.
+Each memo is keyed by content (algebra._structure_key, or the text around
+D), so a cold memo, a warm one and the unmemoized references must agree
+bitwise.
 """
+
+import json
 
 from dataclasses import replace
 
@@ -12,7 +16,7 @@ import numpy as np
 import pytest
 
 from test_axioms import _reference_check_all
-from test_documents import _reference_dumps
+from test_documents import _reference_dumps, _triple_bits
 from twistriple import algebra, axioms, catalog, documents
 from twistriple.algebra import _Memo
 from twistriple.axioms import check_all
@@ -28,18 +32,20 @@ from twistriple.catalog import (
     build_family,
     identify_family,
 )
-from twistriple.documents import dumps
+from twistriple.documents import dumps, from_document, loads
 from twistriple.linalg import DEFAULT_TOL, ToleranceConfig
 
 TOL12 = ToleranceConfig(abs_tol=1e-12)
 MEMOS = ((axioms, "_NU_FREE_RESIDUALS"), (axioms, "_TWIST_RESIDUALS"),
-         (catalog, "_SHAPE_MATCHES"), (documents, "_MATRIX_TEXTS"))
+         (catalog, "_SHAPE_MATCHES"), (documents, "_TEMPLATES"), (documents, "_TWIST_TEXTS"),
+         (documents, "_PARSED"), (axioms, "_J_IMAGES"))
 
 
 @pytest.fixture
 def cold(monkeypatch):
     """Empty memos for the test; returns them as (check_all without nu, check_all
-    with nu, identify_family, dumps)."""
+    with nu, identify_family, dumps' templates, dumps' twist texts, loads,
+    check_all's J-images)."""
     memos = []
     for module, name in MEMOS:
         memos.append(_Memo())
@@ -86,6 +92,7 @@ def test_cold_and_warm_memos_match_the_references(case, cold):
             assert _bits(check_all(t, tol)) == _reference_bits(t, tol)
         text = dumps(t)
         assert text == _reference_dumps(t)
+        assert _triple_bits(loads(text)) == _triple_bits(from_document(json.loads(text)))
         results.append((identify_family(t), text))
     assert results[1] == results[2]
     assert all(len(memo) > 0 for memo in cold)
@@ -147,16 +154,29 @@ def test_catalog_matrices_are_read_only():
     assert t.real.j.u.flags.writeable  # U is the member's own copy
 
 
+@pytest.mark.parametrize("kind", [C4_UNTWISTED, C4_CONFORMAL])
+def test_memoized_j_images_and_columns_are_read_only(kind, cold):
+    t = build_family(kind, 1, 1.0, 2.0, **({"rho": 0.3} if kind == C4_CONFORMAL else {}))
+    check_all(t)
+    images = cold[6].get(algebra._structure_key(t))
+    columns, gamma_generates = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
+    assert len(images) == 2 and not gamma_generates
+    for m in (*images, columns):
+        with pytest.raises(ValueError, match="read-only"):
+            m.flat[0] = 1
+
+
 def test_memos_never_hold_more_than_their_bound(cold):
     rhos = np.linspace(0.05, 0.95, algebra._MEMO_BOUND + 40)
     for rho in rhos:  # every rho is a new twist, so a new key in each memo
         t = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rho))
         check_all(t)
         identify_family(t)
-        dumps(t)
+        loads(dumps(t))
         assert all(len(memo) <= algebra._MEMO_BOUND for memo in cold)
-    # the residuals that read no nu are one key for every rho
-    assert [len(memo) for memo in cold] == [1] + [algebra._MEMO_BOUND] * 3
+    # the residuals that read no nu, the text around D and its parse are one key for every rho
+    bound = algebra._MEMO_BOUND
+    assert [len(memo) for memo in cold] == [1, bound, bound, 1, bound, 1, bound]
     # the oldest keys were dropped, the newest kept
     first = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[0]))
     last = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[-1]))
