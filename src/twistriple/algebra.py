@@ -8,8 +8,6 @@ calculus operations (one-forms, distances) require exactly two points.
 from __future__ import annotations
 
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -100,48 +98,21 @@ def _structure_key(t) -> tuple:
             None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
 
 
-# Entries of each memo of D-free work (see _Memo).
 _MEMO_BOUND = 256
 
 
-class _Memo:
-    """A least-recently-used map that holds at most _MEMO_BOUND entries.
+@lru_cache(maxsize=_MEMO_BOUND)
+def _memo(key) -> dict:
+    """The record of D-free work for a content key, of the _MEMO_BOUND most recently used.
 
-    Unlike functools.lru_cache it can leave computing a missing value to
-    the caller (`get`, then `put`), so that check_all can take the norms of
-    a new key in the same stacked call as those of its D residuals; `lookup`
-    computes it itself. `get` returns None for a key it does not hold, so no
-    stored value may be None. Storing a new key beyond the bound drops the
-    least recently used one.
+    Each caller fills its own named entries, none of them None, computing a
+    missing one itself. Keys are _structure_key (a pair led by a 3-tuple),
+    its first part (a 3-tuple), its second part (None or a pair of a bool
+    and bytes) and a document's text around D (a pair of strings), so no two
+    kinds are equal. lru_cache locks its own map, and an entry is one dict
+    read or write, atomic under the GIL: a race at most computes an entry twice.
     """
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            if len(self._entries) > _MEMO_BOUND:
-                self._entries.popitem(last=False)
-
-    def lookup(self, key, make):
-        """The value of key; when it is missing, make() computes it and it is stored."""
-        value = self.get(key)
-        if value is None:
-            value = make()
-            self.put(key, value)
-        return value
+    return {}
 
 
 def _two_point_projections(rep: Representation) -> np.ndarray:

@@ -8,10 +8,10 @@ aggregates every applicable condition plus the structural invariants of J
 and nu.
 
 Only four of check_all's conditions read D. The residuals of the others
-are memoized by content (algebra._structure_key: the representation, the
-signs, the twist's flag, and the exact bytes of grading, U and nu), those
-that read no nu apart from those that do, and the order-one J-images, in
-least-recently-used memos of at most algebra._MEMO_BOUND keys each; see
+and the order-one J-images are kept in algebra._memo's records, per
+content key (algebra._structure_key: the representation, the signs, the
+twist's flag, and the exact bytes of grading, U and nu): those that read
+no nu under the key's first part, the rest under the whole key; see
 check_all.
 """
 
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _Memo, _point_projections, _structure_key
+from .algebra import Representation, _memo, _point_projections, _structure_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -261,18 +261,19 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return float(worst) if worst.ndim == 0 else worst
 
 
-# check_all's order-one J-images per algebra._structure_key, read-only.
-_J_IMAGES = _Memo()
-
-
-def _order_one_terms(t: SpectralTriple, basis: np.ndarray, key: tuple) -> list[_Term]:
-    """The twisted_order_one term; its J-images are kept read-only in _J_IMAGES per structure key."""
-    def images():
-        j_images = _order_one_images(_require_real(t).j.u, t.nu, basis)
-        for m in j_images:
-            m.flags.writeable = False
-        return j_images
-    diffs = _order_one_diffs(t.dirac, basis, *_J_IMAGES.lookup(key, images))
+def _order_one_terms(t: SpectralTriple, basis: np.ndarray, record: dict) -> list[_Term]:
+    """The twisted_order_one term, inf when nu^2 is singular; its J-images
+    are kept read-only in the record of the triple's structure key."""
+    try:
+        if (images := record.get("j_images")) is None:
+            images = _order_one_images(_require_real(t).j.u, t.nu, basis)
+            for m in images:
+                m.flags.writeable = False
+            record["j_images"] = images
+        diffs = _order_one_diffs(t.dirac, basis, *images)
+    except np.linalg.LinAlgError:
+        # singular twist: the condition cannot even be formed
+        return [("twisted_order_one", math.inf, None)]
     return [("twisted_order_one", diffs, None)]
 
 
@@ -349,19 +350,14 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     return terms
 
 
-def _dirac_terms(t: SpectralTriple, basis: np.ndarray, key: tuple) -> list[_Term]:
+def _dirac_terms(t: SpectralTriple, basis: np.ndarray, record: dict) -> list[_Term]:
     """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
     twisted_order_one and epsilon_prime."""
     terms = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, None)]
     if t.grading is not None:
         terms += _grading_dirac_terms(t)
     if t.real is not None:
-        try:
-            terms += _order_one_terms(t, basis, key)
-        except np.linalg.LinAlgError:
-            # singular twist: the condition cannot even be formed
-            terms.append(("twisted_order_one", math.inf, None))
-        terms += _epsilon_prime_terms(t)
+        terms += _order_one_terms(t, basis, record) + _epsilon_prime_terms(t)
     return terms
 
 
@@ -401,7 +397,7 @@ def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> C
 
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
     """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    return _entries(_order_one_terms(t, _point_projections(t.rep), _structure_key(t)), tol)[0]
+    return _entries(_order_one_terms(t, _point_projections(t.rep), _memo(_structure_key(t))), tol)[0]
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
@@ -420,15 +416,8 @@ def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list
     return _in_report_order(_entries(terms + _grading_dirac_terms(t) + _grading_twist_terms(t), tol))
 
 
-# check_all's residuals of the conditions that do not read D, as (condition,
-# residual, tol_used) tuples: those that read no nu per algebra._structure_key's
-# nu-free part, those that read nu per the whole key.
-_NU_FREE_RESIDUALS = _Memo()
-_TWIST_RESIDUALS = _Memo()
-
-
 def _residuals(terms: list[_Term], entries: list[CheckEntry]) -> tuple[_Term, ...]:
-    """The terms with the residuals of their entries, for a memo."""
+    """The terms with the residuals of their entries, for a memo record."""
     return tuple((c, e.residual, used) for (c, _, used), e in zip(terms, entries))
 
 
@@ -442,28 +431,29 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
 
     Only four conditions read D: dirac_selfadjoint,
     grading_anticommutes_dirac, twisted_order_one and epsilon_prime. The
-    residuals of the others are memoized, as residuals and not verdicts, so
+    residuals of the others are kept, as residuals and not verdicts, so
     that each call applies its own tol: those that read no nu (the grading's
-    own conditions, J and order zero) per the nu-free part of
-    algebra._structure_key, those that read nu per the whole key. Each memo
-    keeps the _MEMO_BOUND most recently used keys. A call norms its D
-    residuals and whatever its keys do not hold, in one stacked call; a new
-    rho of a conformal twist is a new key for the nu terms only. The
-    order-one J-images, inv(nu^2) included, are kept read-only per key.
+    own conditions, J and order zero) in the algebra._memo record of
+    algebra._structure_key's first part, those that read nu in that of the
+    whole key. A call norms its D residuals and whatever its records lack,
+    in one stacked call; a new rho of a conformal twist is a new key for the
+    nu terms only. The order-one J-images, inv(nu^2) included, are kept
+    read-only in the whole key's record.
     """
     basis = _point_projections(t.rep)
     key = _structure_key(t)
-    nu_free, twisted = _NU_FREE_RESIDUALS.get(key[0]), _TWIST_RESIDUALS.get(key)
+    nu_free_record, record = _memo(key[0]), _memo(key)
+    nu_free, twisted = nu_free_record.get("nu_free_residuals"), record.get("nu_residuals")
     new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
     new_twisted = [] if twisted is not None else _twist_terms(t, basis)
-    terms = _dirac_terms(t, basis, key)
+    terms = _dirac_terms(t, basis, record)
     n = len(terms)
     terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
     entries = _entries(terms, tol)
     if nu_free is None:
-        _NU_FREE_RESIDUALS.put(key[0], _residuals(new_nu_free, entries[n:]))
+        nu_free_record["nu_free_residuals"] = _residuals(new_nu_free, entries[n:])
     if twisted is None:
-        _TWIST_RESIDUALS.put(key, _residuals(new_twisted, entries[n + len(new_nu_free):]))
+        record["nu_residuals"] = _residuals(new_twisted, entries[n + len(new_nu_free):])
     return CheckReport(_in_report_order(entries))
 
 

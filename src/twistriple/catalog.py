@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, Representation, _Memo, _point_projections, _structure_key
+from .algebra import REP_C2, REP_C3, REP_C4, Representation, _memo, _point_projections, _structure_key
 from .axioms import (
     RealStructure,
     SignTriple,
@@ -519,20 +519,19 @@ def _matches(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
 
 def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:
     """Recover rho from a diagonal twist diag(1, (1-rho)/rho, rho/(1-rho)[, 1])."""
-    dim = nu.shape[0]
-    if operator_norm(nu - np.diag(np.diag(nu))) > tol.abs_tol:
+    diag = np.diag(nu)
+    if operator_norm(nu - np.diag(diag)) > tol.abs_tol or abs(diag[0] - 1.0) > tol.abs_tol:
         return None
-    diag = np.diag(nu).real
-    if abs(nu[0, 0] - 1.0) > tol.abs_tol:
+    if len(diag) == 4 and abs(diag[3] - 1.0) > tol.abs_tol:
         return None
-    if dim == 4 and abs(nu[3, 3] - 1.0) > tol.abs_tol:
-        return None
-    x = diag[1]
+    x = diag[1].real
     if x <= 0:
         return None
     rho = 1.0 / (1.0 + x)
-    if abs(diag[2] - rho / (1.0 - rho)) > tol.abs_tol * (1.0 + abs(diag[2])):
-        return None
+    # the complex entries, so that an imaginary part counts against the match
+    for entry, want in ((diag[1], x), (diag[2], rho / (1.0 - rho))):
+        if abs(entry - want) > tol.abs_tol * (1.0 + abs(entry)):
+            return None
     return float(rho)
 
 
@@ -544,11 +543,6 @@ def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) ->
     if fam.twist is None:
         return {} if twist is None else None
     return {} if twist is not None and _matches(twist.nu, fam.twist.nu, tol) else None
-
-
-# Per (structure key, tol): identify_family's match, as (family_id, the
-# parameters the twist contributes), or () when the triple matches no family.
-_SHAPE_MATCHES = _Memo()
 
 
 def _shape_match(t: SpectralTriple, tol: ToleranceConfig) -> tuple:
@@ -569,12 +563,15 @@ def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Op
     """Recognise a catalog shape, returning (family_id, parameters) or None.
 
     Which family matches depends only on the representation, the twist,
-    the grading and J, so the match is memoized per (algebra._structure_key,
-    tol); the parameters read from D's slots are fresh on every call.
+    the grading and J, so the match is kept per tol in the algebra._memo
+    record of algebra._structure_key; the parameters read from D's slots
+    are fresh on every call.
     """
     if t.real is None or t.grading is None:
         return None
-    match = _SHAPE_MATCHES.lookup((_structure_key(t), tol), lambda: _shape_match(t, tol))
+    record = _memo(_structure_key(t))
+    if (match := record.get(("shape", tol))) is None:
+        match = record[("shape", tol)] = _shape_match(t, tol)
     if not match:
         return None
     family_id, twist_params = match

@@ -7,8 +7,8 @@ save -> load is entrywise exact and load -> save reproduces the bytes.
 
 Only the Dirac operator is rendered or parsed on every call: `dumps` keeps
 the text around D per structure, and `loads` reuses the structure of a text
-whose pieces around D it has parsed before. Each memo is a least-recently-
-used map of at most algebra._MEMO_BOUND entries.
+whose pieces around D it has parsed before. Both keep these entries in
+algebra._memo's records, with the axiom checks' own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Representation, _Memo, _structure_key
+from .algebra import Representation, _memo, _structure_key
 from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
 from .linalg import Antiunitary
 
@@ -179,13 +179,6 @@ def from_document(doc: Any) -> SpectralTriple:
 # The top-level markers of a canonical text, which `loads` splits at.
 _DIRAC, _GRADING, _TWIST, _END = '\n  "dirac": ', ',\n  "grading": ', ',\n  "twist": ', "\n}\n"
 
-# dumps' (text before D, text from D to the twist) and the twist's text;
-# loads' (dim, rep, grading, (U, signs) or None) per (text before D, text
-# from D to the twist), whose private arrays are copied on the way out.
-_TEMPLATES = _Memo()
-_TWIST_TEXTS = _Memo()
-_PARSED = _Memo()
-
 
 def _template(t: SpectralTriple) -> tuple[str, str]:
     real = "null"
@@ -229,12 +222,17 @@ def dumps(t: SpectralTriple) -> str:
     repr, -0.0 written as 0.0, and a final newline.
 
     Only D is rendered on every call. The text before D and from D to the
-    twist (header, grading, points, real structure, rep) is kept per
-    algebra._structure_key's first part, the twist's text per its second.
+    twist (header, grading, points, real structure, rep) is kept in the
+    algebra._memo record of algebra._structure_key's first part, the
+    twist's text in that of its second part.
     """
     key = _structure_key(t)
-    head, middle = _TEMPLATES.lookup(key[0], lambda: _template(t))
-    return head + _matrix_text(t.dirac, 2) + middle + _TWIST_TEXTS.lookup(key[1], lambda: _twist_text(t))
+    record, twist_record = _memo(key[0]), _memo(key[1])
+    if (template := record.get("template")) is None:
+        template = record["template"] = _template(t)
+    if (twist := twist_record.get("twist_text")) is None:
+        twist = twist_record["twist_text"] = _twist_text(t)
+    return template[0] + _matrix_text(t.dirac, 2) + template[1] + twist
 
 
 def _split(text: Any) -> Optional[tuple[str, str, str, str]]:
@@ -256,10 +254,12 @@ def loads(text: str) -> SpectralTriple:
     _split) are those of an earlier canonical text, that text's rep,
     grading and real structure are reused, as fresh copies, and only the D
     and twist blocks are parsed, with from_document's checks. Any failure
-    there falls back to the full parse, which words every error.
+    there falls back to the full parse, which words every error. The
+    structure, with private arrays, is kept in the two pieces' algebra._memo record.
     """
     parts = _split(text)
-    known = None if parts is None else _PARSED.get(parts[0::2])
+    record = None if parts is None else _memo(parts[0::2])
+    known = None if record is None else record.get("structure")
     if known is not None:
         dim, rep, grading, real = known
         try:
@@ -275,10 +275,10 @@ def loads(text: str) -> SpectralTriple:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     t = from_document(doc)
-    if parts is not None and known is None and dumps(t) == text:  # so the markers are top-level
+    if record is not None and known is None and dumps(t) == text:  # so the markers are top-level
         real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
         grading = None if t.grading is None else t.grading.copy()
-        _PARSED.put(parts[0::2], (t.dim, t.rep, grading, real))
+        record["structure"] = (t.dim, t.rep, grading, real)
     return t
 
 

@@ -409,8 +409,16 @@ def test_check_all_matches_per_check_reference(tol):
     assert inf_cases == 4  # exactly and nearly singular nu^2, both flags
 
 
+def _singular_twists():
+    """c4_untwisted members twisted by an exactly or a nearly singular nu."""
+    t4 = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
+    return [SpectralTriple(rep=t4.rep, dirac=t4.dirac, grading=t4.grading, real=t4.real,
+                           twist=Twist(np.diag(nu_diag).astype(complex)))
+            for nu_diag in ([1, 0, 0, 1], [1, 1, 0, 0], [1, 1, 1e-160, 1e-160])]
+
+
 def test_public_checks_match_check_all():
-    for t in _reference_cases(np.random.default_rng(42))[:40]:
+    for t in _reference_cases(np.random.default_rng(42))[:40] + _singular_twists():
         report = check_all(t)
         singles = [check_order_zero(t), check_twisted_order_one(t), check_epsilon_prime(t),
                    check_twisted_regularity(t), *check_grading(t)]
@@ -418,14 +426,11 @@ def test_public_checks_match_check_all():
             assert e == report.entry(e.condition)
 
 
-def test_singular_twist_raises_in_the_order_one_check_only():
-    t4 = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
-    for nu_diag in ([1, 1, 0, 0], [1, 1, 1e-160, 1e-160]):
-        t = SpectralTriple(rep=t4.rep, dirac=t4.dirac, grading=t4.grading, real=t4.real,
-                           twist=Twist(np.diag(nu_diag).astype(complex)))
+def test_singular_twist_raises_in_the_order_one_kernel_only():
+    for t in _singular_twists():
         with pytest.raises(np.linalg.LinAlgError):
-            check_twisted_order_one(t)
-        assert check_all(t).entry("twisted_order_one").residual == np.inf
+            order_one_residual(t.dirac, t.real.j.u, t.nu, t.algebra_basis())
+        assert check_twisted_order_one(t).residual == check_all(t).entry("twisted_order_one").residual == np.inf
 
 
 def test_check_all_needs_eps_dprime_on_graded_real_triples():

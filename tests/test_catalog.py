@@ -494,6 +494,23 @@ def test_identify_family_recovers_conformal_rho():
     assert params["hop1"] == pytest.approx(1.5 ** 2 * 0.4 ** 2 * 1.0)
 
 
+def test_identify_family_reads_rho_from_real_twists_only():
+    from dataclasses import replace
+
+    for family in (C3_CONFORMAL, C4_CONFORMAL):
+        for eps in (1, -1):
+            for rho in np.linspace(0.05, 0.95, 19):
+                t = build_family(family, eps, 1.0 - 0.5j, None, rho=float(rho), zeta=1.5)
+                found, params = identify_family(t)
+                assert found == family and params["rho"] == pytest.approx(rho, rel=1e-12)
+                for i in (1, 2):  # an imaginary part on the diagonal: nu is not selfadjoint
+                    nu = t.nu.copy()
+                    nu[i, i] += 0.5j
+                    probe = replace(t, twist=replace(t.twist, nu=nu))
+                    assert "twist_selfadjoint" in check_all(probe).failing()
+                    assert identify_family(probe) is None
+
+
 def test_identify_family_rejects_foreign_triples():
     from twistriple.algebra import REP_C2
     from twistriple.axioms import SpectralTriple

@@ -16,8 +16,7 @@ from twistriple.catalog import (
     build_conformal,
     build_family,
 )
-from twistriple import documents
-from twistriple.algebra import _Memo
+from twistriple import algebra, documents
 from twistriple.documents import DocumentError, dumps, from_document, load, loads, save, to_document
 
 
@@ -486,18 +485,18 @@ def _adversarial_texts(text):
 
 
 @pytest.mark.parametrize("idx", range(len(all_fixtures())))
-def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx, monkeypatch):
+def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx):
     text = dumps(all_fixtures()[idx])
     for name, variant in _adversarial_texts(text).items():
-        monkeypatch.setattr(documents, "_PARSED", _Memo())
+        algebra._memo.cache_clear()
         # the variant into a cold memo, the canonical text after it, then both with the memo warm
         for s in (variant, text, text, variant):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
-        assert documents._PARSED.get(documents._split(text)[0::2]) is not None
+        assert "structure" in algebra._memo(documents._split(text)[0::2])
 
 
-def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone(monkeypatch):
-    monkeypatch.setattr(documents, "_PARSED", _Memo())
+def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():
+    algebra._memo.cache_clear()
     text = dumps(build_conformal("c4", 1, 0.5 - 0.25j, 2.0, rho=0.3, zeta=1.2))
     want = _triple_bits(_reference_loads(text))
     for _ in range(3):  # the full parse that fills the memo, then two that read it

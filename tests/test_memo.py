@@ -1,24 +1,29 @@
-"""The memos of D-free work: check_all's residuals that read no nu and those
-that read nu, identify_family's shape match, the document text before and
-after D and the twist's text in documents.dumps, the parsed structure of a
-known text in documents.loads, and check_all's order-one J-images.
+"""The memo of D-free work, algebra._memo: one record per content key.
 
-Each memo is keyed by content (algebra._structure_key, or the text around
-D), so a cold memo, a warm one and the unmemoized references must agree
-bitwise.
+check_all keeps its residuals that read no nu in the record of
+algebra._structure_key's first part, and its residuals that read nu and its
+order-one J-images in that of the whole key. identify_family keeps its shape
+match per tol in the whole key's record. documents.dumps keeps the text
+before and after D under the first part and the twist's text under the
+second part, and documents.loads keeps the parsed structure of a known text in the
+record of the text around D.
+
+Every key is a content key, so a cold memo, a warm one and the unmemoized
+references must agree bitwise.
 """
 
 import json
-
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from test_axioms import _reference_check_all
-from test_documents import _reference_dumps, _triple_bits
+from test_documents import _reference_dumps, _reference_loads, _triple_bits
 from twistriple import algebra, axioms, catalog, documents
-from twistriple.algebra import _Memo
 from twistriple.axioms import check_all
 from twistriple.catalog import (
     C3_CONFORMAL,
@@ -36,21 +41,22 @@ from twistriple.documents import dumps, from_document, loads
 from twistriple.linalg import DEFAULT_TOL, ToleranceConfig
 
 TOL12 = ToleranceConfig(abs_tol=1e-12)
-MEMOS = ((axioms, "_NU_FREE_RESIDUALS"), (axioms, "_TWIST_RESIDUALS"),
-         (catalog, "_SHAPE_MATCHES"), (documents, "_TEMPLATES"), (documents, "_TWIST_TEXTS"),
-         (documents, "_PARSED"), (axioms, "_J_IMAGES"))
 
 
 @pytest.fixture
-def cold(monkeypatch):
-    """Empty memos for the test; returns them as (check_all without nu, check_all
-    with nu, identify_family, dumps' templates, dumps' twist texts, loads,
-    check_all's J-images)."""
-    memos = []
-    for module, name in MEMOS:
-        memos.append(_Memo())
-        monkeypatch.setattr(module, name, memos[-1])
-    return tuple(memos)
+def cold():
+    """An empty memo for the test, emptied again after it."""
+    algebra._memo.cache_clear()
+    yield
+    algebra._memo.cache_clear()
+
+
+def _records(t, text):
+    """The records of t's structure key's first part, of its whole key, of its second part
+    and of the text around D."""
+    key = algebra._structure_key(t)
+    return (algebra._memo(key[0]), algebra._memo(key), algebra._memo(key[1]),
+            algebra._memo(documents._split(text)[0::2]))
 
 
 def _member(kind, eps, rng):
@@ -95,10 +101,12 @@ def test_cold_and_warm_memos_match_the_references(case, cold):
         assert _triple_bits(loads(text)) == _triple_bits(from_document(json.loads(text)))
         results.append((identify_family(t), text))
     assert results[1] == results[2]
-    assert all(len(memo) > 0 for memo in cold)
+    nu_free, whole, twist, parsed = _records(second, results[2][1])
+    assert set(nu_free) == {"nu_free_residuals", "template"}
+    assert set(whole) == {"nu_residuals", "j_images", ("shape", DEFAULT_TOL)}
+    assert set(twist) == {"twist_text"} and set(parsed) == {"structure"}
     # the warm identify_family result equals a cold one
-    for memo in cold:
-        memo._entries.clear()
+    algebra._memo.cache_clear()
     assert identify_family(second) == results[1][0]
     want = None if kind in ("perm_bad", "perm_conformal") else kind
     assert (results[0][0] or (None,))[0] == want
@@ -111,11 +119,13 @@ def test_memo_keeps_residuals_and_applies_each_calls_tol(cold):
         report = check_all(t, tol)
         assert _bits(report) == _reference_bits(t, tol)
         assert report.entry("grading_squares_to_identity").passed == (tol is DEFAULT_TOL)
-    assert len(cold[0]) == len(cold[1]) == 1
-    # identify_family's match depends on tol, so tol is part of its key
+    assert algebra._memo.cache_info().currsize == 2  # the first part of the key and the whole key
+    # identify_family's match depends on tol, so tol is part of its entry's name
     for tol in (DEFAULT_TOL, TOL12, DEFAULT_TOL):
         assert (identify_family(t, tol) is None) == (tol is TOL12)
-    assert len(cold[2]) == 2
+    assert algebra._memo.cache_info().currsize == 2
+    whole = algebra._memo(algebra._structure_key(t))
+    assert {name for name in whole if isinstance(name, tuple)} == {("shape", DEFAULT_TOL), ("shape", TOL12)}
 
 
 def test_editing_a_checked_grading_in_place_gives_the_new_residual(cold):
@@ -158,7 +168,7 @@ def test_catalog_matrices_are_read_only():
 def test_memoized_j_images_and_columns_are_read_only(kind, cold):
     t = build_family(kind, 1, 1.0, 2.0, **({"rho": 0.3} if kind == C4_CONFORMAL else {}))
     check_all(t)
-    images = cold[6].get(algebra._structure_key(t))
+    images = algebra._memo(algebra._structure_key(t))["j_images"]
     columns, gamma_generates = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
     assert len(images) == 2 and not gamma_generates
     for m in (*images, columns):
@@ -166,28 +176,77 @@ def test_memoized_j_images_and_columns_are_read_only(kind, cold):
             m.flat[0] = 1
 
 
-def test_memos_never_hold_more_than_their_bound(cold):
+def test_the_memo_never_holds_more_than_its_bound(cold):
     rhos = np.linspace(0.05, 0.95, algebra._MEMO_BOUND + 40)
-    for rho in rhos:  # every rho is a new twist, so a new key in each memo
+    kept = None
+    for rho in rhos:  # every rho is a new twist, so a new whole key
         t = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rho))
         check_all(t)
         identify_family(t)
-        loads(dumps(t))
-        assert all(len(memo) <= algebra._MEMO_BOUND for memo in cold)
-    # the residuals that read no nu, the text around D and its parse are one key for every rho
-    bound = algebra._MEMO_BOUND
-    assert [len(memo) for memo in cold] == [1, bound, bound, 1, bound, 1, bound]
-    # the oldest keys were dropped, the newest kept
+        text = dumps(t)
+        loads(text)
+        assert algebra._memo.cache_info().currsize <= algebra._MEMO_BOUND
+        if kept is None:
+            kept = _records(t, text)
+    assert algebra._memo.cache_info().currsize == algebra._MEMO_BOUND
+    # the residuals that read no nu, the text around D and its parse are one key for every
+    # rho, used by every call, so their records survive all of them
+    nu_free, _, _, parsed = _records(t, text)
+    assert nu_free is kept[0] and parsed is kept[3]
+    assert set(nu_free) == {"nu_free_residuals", "template"} and set(parsed) == {"structure"}
+    # the newest whole key was kept, the oldest dropped
     first = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[0]))
     last = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[-1]))
-    assert cold[1].get(algebra._structure_key(first)) is None
-    assert cold[1].get(algebra._structure_key(last)) is not None
+    assert "nu_residuals" in algebra._memo(algebra._structure_key(last))
+    assert algebra._memo(algebra._structure_key(first)) == {}
 
 
-def test_a_recently_used_key_survives_new_ones():
-    memo = _Memo()
-    memo.put("kept", 1)
+def test_a_recently_used_key_survives_new_ones(cold):
+    kept = algebra._memo("kept")
+    kept["entry"] = 1
+    records = []
     for k in range(algebra._MEMO_BOUND):
-        assert memo.get("kept") == 1
-        memo.put(k, k)
-    assert len(memo) == algebra._MEMO_BOUND and memo.get("kept") == 1 and memo.get(0) is None
+        assert algebra._memo("kept") is kept
+        records.append(algebra._memo(k))
+    assert algebra._memo.cache_info().currsize == algebra._MEMO_BOUND
+    assert algebra._memo("kept") is kept and kept == {"entry": 1}
+    assert algebra._memo(1) is records[1] and algebra._memo(0) is not records[0]
+
+
+def _outputs(t):
+    """What check_all at two tolerances, identify_family, dumps and loads give for t."""
+    text = dumps(t)
+    return (_bits(check_all(t)), _bits(check_all(t, TOL12)), repr(identify_family(t)), text,
+            _triple_bits(loads(text)))
+
+
+def test_concurrent_calls_match_the_single_threaded_references(cold):
+    rng = np.random.default_rng(7)
+    shared = [_member(kind, eps, rng) for kind, eps in KINDS]
+    fresh = [build_family(C4_CONFORMAL, 1, 1.0 + k, 2.0, rho=float(rho)) if k % 2
+             else build_family(C3_CONFORMAL, -1, 1.0 + k, None, rho=float(rho))
+             for k, rho in enumerate(rng.uniform(0.1, 0.9, 12))]
+    triples = shared + fresh
+    matches = [repr(identify_family(t)) for t in triples]
+    want = []
+    for t, match in zip(triples, matches):
+        text = _reference_dumps(t)
+        want.append((_reference_bits(t, DEFAULT_TOL), _reference_bits(t, TOL12), match, text,
+                     _triple_bits(_reference_loads(text))))
+
+    def run(order, start):
+        start.wait(timeout=60)
+        return [_outputs(triples[i]) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that they meet inside the memo
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):  # from a cold memo, the four threads take the same items at once
+                algebra._memo.cache_clear()
+                order = rng.permutation(len(triples))
+                start = threading.Barrier(4)
+                for got in pool.map(run, [order] * 4, [start] * 4):
+                    assert got == [want[i] for i in order]
+    finally:
+        sys.setswitchinterval(interval)
