@@ -140,7 +140,10 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
 
 def permute(rep: Representation, perm: Sequence[int], a: Sequence[complex]) -> tuple[complex, ...]:
     """Apply a point permutation to an algebra element: result[i] = a[perm[i]]."""
-    p = tuple(int(i) for i in perm)
+    try:
+        p = tuple(operator.index(i) for i in perm)
+    except TypeError:
+        raise ValueError("permutation indices must be integers") from None
     values = tuple(complex(v) for v in a)
     if len(p) != rep.n_points or len(values) != rep.n_points:
         raise ValueError("permutation, element and representation sizes must agree")

@@ -2,10 +2,14 @@
 
 A triple bundles a diagonal representation, a selfadjoint Dirac operator,
 and optionally a grading, a real structure J = U o conj with its signs, and
-a selfadjoint invertible twist nu. The check_* functions report residual
-norms rather than booleans so that near-failures remain visible; check_all
-aggregates every applicable condition plus the structural invariants of J
-and nu.
+a selfadjoint invertible twist nu. The checks report residual norms rather
+than booleans so that near-failures remain visible. check_all aggregates
+every applicable condition plus the structural invariants of J and nu, and
+its three term builders (_nu_free_terms, _twist_terms, _dirac_terms) are
+the one statement of each condition: check_order_zero,
+check_twisted_order_one, check_epsilon_prime, check_twisted_regularity and
+check_grading return entries of check_all's report, and
+catalog.derive_family solves _dirac_terms' four conditions.
 
 Only four of check_all's conditions read D. The residuals of the others
 and the order-one J-images are kept in algebra._memo's records, per
@@ -109,6 +113,10 @@ class SpectralTriple:
             if g.shape != d.shape:
                 raise ValueError("grading dimension mismatch")
             object.__setattr__(self, "grading", _as_square(g))
+        if self.real is not None and self.real.j.u.shape != d.shape:
+            raise ValueError("real structure dimension mismatch")
+        if self.twist is not None and self.twist.nu.shape != d.shape:
+            raise ValueError("twist dimension mismatch")
 
     @property
     def dim(self) -> int:
@@ -164,12 +172,6 @@ class CheckReport:
         raise KeyError(condition)
 
 
-def _require_real(t: SpectralTriple) -> RealStructure:
-    if t.real is None:
-        raise ValueError("triple has no real structure")
-    return t.real
-
-
 # A check term is (condition, residual, tol_used). The residual is either a
 # float or a stack (..., n, n) of residual matrices whose largest operator
 # norm is the condition's residual; _entries takes every such norm of a
@@ -202,11 +204,6 @@ def _entries(terms: list[_Term], tol: ToleranceConfig) -> list[CheckEntry]:
 
 def _in_report_order(entries: list[CheckEntry]) -> list[CheckEntry]:
     return sorted(entries, key=lambda e: _REPORT_ORDER[e.condition])
-
-
-def _order_zero_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
-    jb = _require_real(t).j.conjugate(basis)
-    return [("order_zero", commutator(basis[:, None], jb[None, :]), None)]
 
 
 def _order_one_images(u: np.ndarray, nu: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -261,71 +258,10 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return float(worst) if worst.ndim == 0 else worst
 
 
-def _order_one_terms(t: SpectralTriple, basis: np.ndarray, record: dict) -> list[_Term]:
-    """The twisted_order_one term, inf when nu^2 is singular; its J-images
-    are kept read-only in the record of the triple's structure key."""
-    try:
-        if (images := record.get("j_images")) is None:
-            images = _order_one_images(_require_real(t).j.u, t.nu, basis)
-            for m in images:
-                m.flags.writeable = False
-            record["j_images"] = images
-        diffs = _order_one_diffs(t.dirac, basis, *images)
-    except np.linalg.LinAlgError:
-        # singular twist: the condition cannot even be formed
-        return [("twisted_order_one", math.inf, None)]
-    return [("twisted_order_one", diffs, None)]
-
-
 def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
                            eps_prime: int) -> np.ndarray:
     """D U conj(nu) - eps' nu U conj(D), which vanishes iff D J nu = eps' nu J D."""
     return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
-
-
-def _epsilon_prime_terms(t: SpectralTriple) -> list[_Term]:
-    real = _require_real(t)
-    residual = epsilon_prime_residual(t.dirac, real.j.u, t.nu, real.signs.eps_prime)
-    return [("epsilon_prime", residual, None)]
-
-
-def _regularity_terms(t: SpectralTriple) -> list[_Term]:
-    u = _require_real(t).j.u
-    if t.twist is None:
-        return [("twisted_regularity", 0.0, None)]
-    nu = t.twist.nu
-    return [("twisted_regularity", nu @ u @ np.conj(nu) - u, None)]
-
-
-def _grading_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
-    """The grading conditions that read neither D nor nu."""
-    if t.grading is None:
-        raise ValueError("triple has no grading")
-    g = t.grading
-    terms = [
-        ("grading_selfadjoint", g - g.conj().T, None),
-        ("grading_squares_to_identity", g @ g - _identity(t.dim), None),
-        ("grading_commutes_algebra", commutator(g, basis), None),
-    ]
-    if t.real is not None:
-        signs = t.real.signs
-        if signs.eps_dprime is None:
-            raise ValueError("graded triple with real structure needs the eps'' sign")
-        u = t.real.j.u
-        terms.append(("grading_j_sign", g @ u - signs.eps_dprime * u @ np.conj(g), None))
-    return terms
-
-
-def _grading_dirac_terms(t: SpectralTriple) -> list[_Term]:
-    g = t.grading
-    return [("grading_anticommutes_dirac", g @ t.dirac + t.dirac @ g, None)]
-
-
-def _grading_twist_terms(t: SpectralTriple) -> list[_Term]:
-    if t.twist is None:
-        return []
-    nu2 = t.nu @ t.nu
-    return [("grading_commutes_nu_squared", commutator(nu2, t.grading), None)]
 
 
 def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
@@ -350,70 +286,111 @@ def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     return terms
 
 
-def _dirac_terms(t: SpectralTriple, basis: np.ndarray, record: dict) -> list[_Term]:
+def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, basis: np.ndarray, record: dict) -> list[_Term]:
     """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
-    twisted_order_one and epsilon_prime."""
-    terms = [("dirac_selfadjoint", t.dirac - t.dirac.conj().T, None)]
+    twisted_order_one (inf when nu^2 is singular) and epsilon_prime.
+
+    They are evaluated on dirac, with the rest of the structure taken from t;
+    dirac may be a stack (..., n, n), and every residual matrix then carries
+    its leading axes. The order-one J-images are kept read-only in record,
+    the one of the triple's structure key.
+    """
+    terms = [("dirac_selfadjoint", dirac - dirac.conj().swapaxes(-1, -2), None)]
     if t.grading is not None:
-        terms += _grading_dirac_terms(t)
+        g = t.grading
+        terms.append(("grading_anticommutes_dirac", g @ dirac + dirac @ g, None))
     if t.real is not None:
-        terms += _order_one_terms(t, basis, record) + _epsilon_prime_terms(t)
+        try:
+            if (images := record.get("j_images")) is None:
+                images = _order_one_images(t.real.j.u, t.nu, basis)
+                for m in images:
+                    m.flags.writeable = False
+                record["j_images"] = images
+            order_one = _order_one_diffs(dirac, basis, *images)
+        except np.linalg.LinAlgError:
+            order_one = math.inf  # singular twist: the condition cannot even be formed
+        terms += [("twisted_order_one", order_one, None),
+                  ("epsilon_prime",
+                   epsilon_prime_residual(dirac, t.real.j.u, t.nu, t.real.signs.eps_prime), None)]
     return terms
 
 
 def _nu_free_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     """check_all's terms that read neither D nor nu: the grading, J and order zero."""
-    terms = []
-    if t.grading is not None:
-        terms += _grading_terms(t, basis)
-    if t.real is not None:
-        j = t.real.j
+    g, real, terms = t.grading, t.real, []
+    if g is not None:
+        terms += [
+            ("grading_selfadjoint", g - g.conj().T, None),
+            ("grading_squares_to_identity", g @ g - _identity(t.dim), None),
+            ("grading_commutes_algebra", commutator(g, basis), None),
+        ]
+        if real is not None:
+            if real.signs.eps_dprime is None:
+                raise ValueError("graded triple with real structure needs the eps'' sign")
+            u = real.j.u
+            terms.append(("grading_j_sign", g @ u - real.signs.eps_dprime * u @ np.conj(g), None))
+    if real is not None:
+        j = real.j
         eps, eps_residual = j.squared_sign()
         terms += [
             ("j_unitary", j.unitary_defect(), None),
             ("j_squared_sign", eps_residual, None),
-            ("j_sign_matches", 0.0 if eps == t.real.signs.eps else 1.0, 0.5),
+            ("j_sign_matches", 0.0 if eps == real.signs.eps else 1.0, 0.5),
+            ("order_zero", commutator(basis[:, None], j.conjugate(basis)[None, :]), None),
         ]
-        terms += _order_zero_terms(t, basis)
     return terms
 
 
 def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     """check_all's terms that read nu but not D (twisted_regularity is 0.0 untwisted)."""
-    terms = []
-    if t.grading is not None:
-        terms += _grading_twist_terms(t)
+    twist, terms = t.twist, []
+    if t.grading is not None and twist is not None:
+        terms.append(("grading_commutes_nu_squared", commutator(twist.nu @ twist.nu, t.grading), None))
     if t.real is not None:
-        terms += _regularity_terms(t)
-    if t.twist is not None:
+        u = t.real.j.u
+        regularity = 0.0 if twist is None else twist.nu @ u @ np.conj(twist.nu) - u
+        terms.append(("twisted_regularity", regularity, None))
+    if twist is not None:
         terms += _twist_invariant_terms(t, basis)
     return terms
 
 
+def _real_entry(t: SpectralTriple, tol: ToleranceConfig, condition: str) -> CheckEntry:
+    """check_all's entry for a condition that needs the real structure."""
+    if t.real is None:
+        raise ValueError("triple has no real structure")
+    return check_all(t, tol).entry(condition)
+
+
 def check_order_zero(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """[a, J b J^-1] = 0 over the algebra basis pairs."""
-    return _entries(_order_zero_terms(t, _point_projections(t.rep)), tol)[0]
+    """[a, J b J^-1] = 0 over the algebra basis pairs: check_all's order_zero entry."""
+    return _real_entry(t, tol, "order_zero")
 
 
 def check_twisted_order_one(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted)."""
-    return _entries(_order_one_terms(t, _point_projections(t.rep), _memo(_structure_key(t))), tol)[0]
+    """[D,a] J nu^-2 b nu^2 J^-1 = J b J^-1 [D,a] over basis pairs (nu = id untwisted):
+    check_all's twisted_order_one entry, inf when nu^2 is singular."""
+    return _real_entry(t, tol, "twisted_order_one")
 
 
 def check_epsilon_prime(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D)."""
-    return _entries(_epsilon_prime_terms(t), tol)[0]
+    """D J nu = eps' nu J D, as the matrix identity D U conj(nu) = eps' nu U conj(D):
+    check_all's epsilon_prime entry."""
+    return _real_entry(t, tol, "epsilon_prime")
 
 
 def check_twisted_regularity(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckEntry:
-    """nu J nu = J, i.e. nu U conj(nu) = U; vacuous (residual 0) when untwisted."""
-    return _entries(_regularity_terms(t), tol)[0]
+    """nu J nu = J, i.e. nu U conj(nu) = U; vacuous (residual 0) when untwisted:
+    check_all's twisted_regularity entry."""
+    return _real_entry(t, tol, "twisted_regularity")
 
 
 def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckEntry]:
-    """All grading conditions; the J sign uses eps'' from the triple's signs."""
-    terms = _grading_terms(t, _point_projections(t.rep))
-    return _in_report_order(_entries(terms + _grading_dirac_terms(t) + _grading_twist_terms(t), tol))
+    """All grading conditions, check_all's grading_* entries in report order; the J
+    sign uses eps'' from the triple's signs."""
+    if t.grading is None:
+        raise ValueError("triple has no grading")
+    return [e for e in check_all(t, tol).entries if e.condition.startswith("grading_")]
 
 
 def _residuals(terms: list[_Term], entries: list[CheckEntry]) -> tuple[_Term, ...]:
@@ -446,7 +423,7 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     nu_free, twisted = nu_free_record.get("nu_free_residuals"), record.get("nu_residuals")
     new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
     new_twisted = [] if twisted is not None else _twist_terms(t, basis)
-    terms = _dirac_terms(t, basis, record)
+    terms = _dirac_terms(t, t.dirac, basis, record)
     n = len(terms)
     terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
     entries = _entries(terms, tol)

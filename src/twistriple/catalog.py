@@ -11,8 +11,9 @@ Free entries sit at (0,1), (0,2), (1,3), (2,3); d1 = (0,2) and d2 = (1,3)
 are the entries the calculus sees.
 
 Family constraints are both enforced by the builders and re-derived from
-scratch by `derive_family`, which solves the linear conditions and checks
-the solver's basis against the closed forms.
+scratch by `derive_family`, which solves check_all's four conditions on D
+(axioms._dirac_terms; twisted order one included) and checks the solver's
+basis against the closed forms. This module states no axiom itself.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .axioms import (
     SignTriple,
     SpectralTriple,
     Twist,
+    _dirac_terms,
     _order_one_diffs,
     _order_one_images,
     epsilon_prime_residual,
@@ -132,12 +134,6 @@ class _Family:
     @property
     def dim(self) -> int:
         return self.rep.dim
-
-    @property
-    def nu(self) -> np.ndarray:
-        if self.twist is None:
-            return np.eye(self.dim, dtype=complex)
-        return self.twist.nu
 
 
 def _scale_both(d1: complex, d2: complex, phi: complex) -> tuple[complex, complex]:
@@ -359,13 +355,16 @@ class DiracFamily:
 
 
 def derive_family(family_id: str, eps_prime: int) -> DiracFamily:
-    """Solve the grading and reality constraints for the Dirac family.
+    """Solve check_all's four conditions on D for the Dirac family.
 
-    The basis comes out of the linear solver; afterwards every member is
-    checked against the family's closed-form entry relations, so the solver
-    and the closed forms validate each other. The constraints depend on no
-    triple, so each (family, eps') is solved once per process and the same
-    record, with read-only basis matrices, is returned after that.
+    The conditions are axioms._dirac_terms' (selfadjointness, the grading,
+    twisted order one and epsilon'), evaluated with the structure of the
+    family's member build_family(family_id, eps', 0). The basis comes out of
+    the linear solver; afterwards every member is checked against the
+    family's closed-form entry relations, so the solver and the closed forms
+    validate each other. The conditions depend on no Dirac operator, so
+    each (family, eps') is solved once per process and the same record,
+    with read-only basis matrices, is returned after that.
     """
     fam = _FAMILIES.get(family_id)
     if fam is None or fam.defect is None:
@@ -377,10 +376,14 @@ def derive_family(family_id: str, eps_prime: int) -> DiracFamily:
 def _derived_family(family_id: str, eps_prime: int) -> DiracFamily:
     """derive_family's record of a family that has a defect, for eps' = +1 or -1."""
     fam = _FAMILIES[family_id]
-    gamma, u, nu = fam.gamma, fam.u, fam.nu
-    basis = solve_linear_family(
-        [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps_prime)],
-        fam.dim)
+    member = build_family(family_id, eps_prime, 0)
+    points = _point_projections(member.rep)
+
+    def conditions(stack: np.ndarray) -> np.ndarray:
+        terms = _dirac_terms(member, stack, points, {})
+        return np.concatenate([r.reshape(len(stack), -1) for _, r, _ in terms], axis=1)
+
+    basis = solve_linear_family([conditions], fam.dim)
     for b in basis:
         defect = fam.defect(eps_prime, b)
         if defect > 1e-12:

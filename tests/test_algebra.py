@@ -125,8 +125,9 @@ def test_permute_is_involutive():
 
 
 def test_permute_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        permute(REP_C2, (0, 0), (1.0, 2.0))
+    for perm in ((0, 0), (1.9, 0.2)):  # a float index is not truncated to a bijection
+        with pytest.raises(ValueError):
+            permute(REP_C2, perm, (1.0, 2.0))
 
 
 def test_representation_requires_faithfulness():

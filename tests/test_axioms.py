@@ -437,9 +437,24 @@ def test_check_all_needs_eps_dprime_on_graded_real_triples():
     t = build_c3(1, 1.0 - 0.5j)
     unsigned = SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading,
                               real=RealStructure(j=t.real.j, signs=SignTriple(eps=1, eps_prime=1)))
-    for fn in (check_all, _reference_check_all, check_grading):
+    for fn in (check_all, _reference_check_all, check_grading, check_order_zero,
+               check_twisted_order_one, check_epsilon_prime, check_twisted_regularity):
         with pytest.raises(ValueError, match="eps''"):
             fn(unsigned)
+
+
+def test_each_view_names_its_missing_structure():
+    t = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j, twist="perm")
+    unreal = SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading, twist=t.twist)
+    for fn in (check_order_zero, check_twisted_order_one, check_epsilon_prime,
+               check_twisted_regularity):
+        with pytest.raises(ValueError, match="^triple has no real structure$"):
+            fn(unreal)
+    assert check_all(unreal, TOL12).passed  # check_all itself reports what applies
+    ungraded = SpectralTriple(rep=t.rep, dirac=t.dirac, real=t.real, twist=t.twist)
+    with pytest.raises(ValueError, match="^triple has no grading$"):
+        check_grading(ungraded)
+    assert check_twisted_order_one(ungraded) == check_all(ungraded).entry("twisted_order_one")
 
 
 def _kron_commutant_dimension(gens, tol=DEFAULT_TOL):
@@ -616,6 +631,16 @@ def test_irreducibility_with_a_diagonal_grading_does_not_depend_on_the_scale_of_
 
 
 # ------------------------------------------------------- boundary validation
+
+def test_constructor_rejects_a_real_structure_or_twist_of_another_dimension():
+    t = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j, twist="perm")
+    with pytest.raises(ValueError, match="^real structure dimension mismatch$"):
+        SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading,
+                       real=RealStructure(j=Antiunitary(np.eye(3)), signs=t.real.signs))
+    with pytest.raises(ValueError, match="^twist dimension mismatch$"):
+        SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading, real=t.real,
+                       twist=Twist(np.eye(3)))
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_constructors_reject_non_finite_entries(bad):

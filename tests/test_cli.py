@@ -417,6 +417,19 @@ def test_check_non_integer_sign_exits_2(tmp_path, capsys, real):
     assert err == f"error: real.{next(iter(real))} must be 1 or -1\n"
 
 
+@pytest.mark.parametrize("field,name", [("real", "unitary"), ("twist", "nu")])
+def test_check_a_structure_of_another_dimension_exits_2(tmp_path, capsys, field, name):
+    base = tmp_path / "c4.json"
+    assert main(["catalog", "c4", "--twist", "perm", "--d1", "1,0", "--d2", "2,0", "-o", str(base)]) == 0
+    doc = json.loads(base.read_text())
+    doc[field][name] = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {field}.{name}: expected 4 rows\n"
+
+
 # ------------------------------------------------------------------ flag table
 
 # subcommand -> (argv that parses without --tol and --json, the ones of them it reads)

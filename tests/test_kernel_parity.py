@@ -39,7 +39,8 @@ isolation of the constants they cache.
   stack of Hermitian basis matrices, against the earlier solver (copied
   below) that called every constraint once per basis member: bitwise-equal
   bases for the four core families, both eps', and the constraint sets of
-  tests/test_linalg.py.
+  tests/test_linalg.py; `derive_family` against that solver fed check_all's
+  four conditions on D, written out per member.
 - The solver's contract: a constraint must broadcast over the leading stack
   axis, else ValueError.
 - The cached point projections and Hermitian basis stack are read-only, and
@@ -636,15 +637,35 @@ CORE_FAMILIES = {
 }
 
 
+def _four_conditions(gamma, u, nu, eps):
+    """check_all's four conditions on one D, written out and flattened in the
+    order derive_family stacks them: D - D^*, gamma D + D gamma, twisted order
+    one over the basis pairs (a, b), a-major, and D U conj(nu) - eps' nu U conj(D)."""
+    basis = _point_projections(REP_C3 if gamma.shape[0] == 3 else REP_C4)
+    nu2 = nu @ nu
+
+    def conditions(d):
+        order_one = []
+        for a in basis:
+            da = d @ a - a @ d
+            for b in basis:
+                j_twisted = u @ np.conj(np.linalg.inv(nu2) @ b @ nu2) @ u.conj().T
+                order_one.append(da @ j_twisted - u @ np.conj(b) @ u.conj().T @ da)
+        eps_prime = d @ u @ np.conj(nu) - eps * nu @ u @ np.conj(d)
+        return np.concatenate([m.ravel() for m in
+                               (d - d.conj().T, gamma @ d + d @ gamma, *order_one, eps_prime)])
+    return conditions
+
+
 @pytest.mark.parametrize("eps", [1, -1])
 @pytest.mark.parametrize("family", sorted(CORE_FAMILIES))
 def test_stacked_solver_matches_per_member_solver_bitwise(family, eps):
     gamma, u, nu = CORE_FAMILIES[family]
     constraints = [lambda d: gamma @ d + d @ gamma, lambda d: epsilon_prime_residual(d, u, nu, eps)]
     dim = gamma.shape[0]
-    want = _ref_solve_linear_family(constraints, dim)
-    assert_same_basis(solve_linear_family(constraints, dim), want)
-    assert_same_basis(derive_family(family, eps).basis, want)
+    assert_same_basis(solve_linear_family(constraints, dim), _ref_solve_linear_family(constraints, dim))
+    assert_same_basis(derive_family(family, eps).basis,
+                      _ref_solve_linear_family([_four_conditions(gamma, u, nu, eps)], dim))
 
 
 def _test_linalg_constraint_sets():
