@@ -19,6 +19,14 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, commutator
 __all__ = ["Representation", "embed", "projection_e", "check_bimodule_relation", "permute"]
 
 
+def _indices(values, what: str) -> tuple[int, ...]:
+    """The values as ints; a bool or any non-integer raises ValueError naming `what`."""
+    try:  # operator.index(True) == 1, so a bool goes in as None, which it rejects
+        return tuple(operator.index(None if isinstance(v, bool) else v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} indices must be integers") from None
+
+
 @dataclass(frozen=True)
 class Representation:
     """Diagonal representation: basis vector i carries the point point_of[i].
@@ -30,10 +38,7 @@ class Representation:
     point_of: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            pts = tuple(operator.index(p) for p in self.point_of)
-        except TypeError:
-            raise ValueError("point indices must be integers") from None
+        pts = _indices(self.point_of, "point")
         object.__setattr__(self, "point_of", pts)
         if not pts:
             raise ValueError("representation must have positive dimension")
@@ -140,10 +145,7 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
 
 def permute(rep: Representation, perm: Sequence[int], a: Sequence[complex]) -> tuple[complex, ...]:
     """Apply a point permutation to an algebra element: result[i] = a[perm[i]]."""
-    try:
-        p = tuple(operator.index(i) for i in perm)
-    except TypeError:
-        raise ValueError("permutation indices must be integers") from None
+    p = _indices(perm, "permutation")
     values = tuple(complex(v) for v in a)
     if len(p) != rep.n_points or len(values) != rep.n_points:
         raise ValueError("permutation, element and representation sizes must agree")

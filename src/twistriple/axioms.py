@@ -264,28 +264,6 @@ def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
     return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
 
 
-def _twist_invariant_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
-    twist = t.twist
-    nu = twist.nu
-    terms = [("twist_selfadjoint", nu - nu.conj().T, None)]
-    svals = np.linalg.svd(nu, compute_uv=False)
-    invertible = svals[-1] > RANK_TOL * max(1.0, svals[0])
-    terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
-    if twist.implements_algebra_automorphism:
-        if invertible:
-            m = np.linalg.inv(nu) @ basis @ nu
-            # Nearest embedded element: the diagonal averaged over each point block (w marks them).
-            w = np.diagonal(basis, axis1=-2, axis2=-1).real
-            means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
-            residual = m - np.einsum("kp,pij->kij", means, basis)
-            terms.append(("twist_preserves_algebra", residual, None))
-        else:
-            terms.append(("twist_preserves_algebra", 1.0, 0.5))
-    else:
-        terms.append(("twist_involutive", nu @ nu - _identity(t.dim), None))
-    return terms
-
-
 def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, basis: np.ndarray, record: dict) -> list[_Term]:
     """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
     twisted_order_one (inf when nu^2 is singular) and epsilon_prime.
@@ -350,8 +328,23 @@ def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
         u = t.real.j.u
         regularity = 0.0 if twist is None else twist.nu @ u @ np.conj(twist.nu) - u
         terms.append(("twisted_regularity", regularity, None))
-    if twist is not None:
-        terms += _twist_invariant_terms(t, basis)
+    if twist is None:
+        return terms
+    nu = twist.nu
+    terms.append(("twist_selfadjoint", nu - nu.conj().T, None))
+    svals = np.linalg.svd(nu, compute_uv=False)
+    invertible = svals[-1] > RANK_TOL * max(1.0, svals[0])
+    terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
+    if not twist.implements_algebra_automorphism:
+        terms.append(("twist_involutive", nu @ nu - _identity(t.dim), None))
+    elif invertible:
+        m = twist.inverse() @ basis @ nu
+        # Nearest embedded element: the diagonal averaged over each point block (w marks them).
+        w = np.diagonal(basis, axis1=-2, axis2=-1).real
+        means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
+        terms.append(("twist_preserves_algebra", m - np.einsum("kp,pij->kij", means, basis), None))
+    else:
+        terms.append(("twist_preserves_algebra", 1.0, 0.5))
     return terms
 
 

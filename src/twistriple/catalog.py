@@ -42,10 +42,10 @@ from .linalg import (
     RANK_TOL,
     Antiunitary,
     ToleranceConfig,
+    _exceeds,
     _norms_exceed,
     commutator,
     operator_norm,
-    operator_norms,
     solve_linear_family,
 )
 from .signs import _sign
@@ -280,11 +280,9 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
                          signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
     triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=fam.twist)
     residual = epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime)
-    if residual.any():  # an exact zero passes at any scale, with no norm to take
-        norm, scale = operator_norms(np.stack([residual, triple.dirac])).tolist()
-        if norm > 1e-12 * (1.0 + scale):
-            relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
-            raise CatalogConstraintError(f"parameters violate {relation} (residual {norm:.3e})")
+    if norm := _exceeds(residual, 1e-12, triple.dirac):
+        relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
+        raise CatalogConstraintError(f"parameters violate {relation} (residual {norm:.3e})")
     return triple
 
 
@@ -515,15 +513,10 @@ def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> f
     return 1.0 / denom
 
 
-def _matches(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Whether a and b, two matrices or two stacks of them, agree to abs_tol in every operator norm."""
-    return bool((operator_norms(np.asarray(a) - np.asarray(b)) <= tol.abs_tol).all())
-
-
 def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:
     """Recover rho from a diagonal twist diag(1, (1-rho)/rho, rho/(1-rho)[, 1])."""
     diag = np.diag(nu)
-    if operator_norm(nu - np.diag(diag)) > tol.abs_tol or abs(diag[0] - 1.0) > tol.abs_tol:
+    if _exceeds(nu - np.diag(diag), tol.abs_tol) or abs(diag[0] - 1.0) > tol.abs_tol:
         return None
     if len(diag) == 4 and abs(diag[3] - 1.0) > tol.abs_tol:
         return None
@@ -545,7 +538,7 @@ def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) ->
         return None if rho is None else {"rho": rho}
     if fam.twist is None:
         return {} if twist is None else None
-    return {} if twist is not None and _matches(twist.nu, fam.twist.nu, tol) else None
+    return {} if twist is not None and not _exceeds(twist.nu - fam.twist.nu, tol.abs_tol) else None
 
 
 def _shape_match(t: SpectralTriple, tol: ToleranceConfig) -> tuple:
@@ -556,7 +549,7 @@ def _shape_match(t: SpectralTriple, tol: ToleranceConfig) -> tuple:
         params = _twist_params(fam, t.twist, tol)
         if params is None:
             continue
-        if not _matches(np.stack([t.grading, t.real.j.u]), np.stack([fam.gamma, fam.u]), tol):
+        if _exceeds(np.stack([t.grading - fam.gamma, t.real.j.u - fam.u]), tol.abs_tol):
             return ()
         return (family_id, params)
     return ()

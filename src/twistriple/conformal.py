@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import embed
 from .axioms import SpectralTriple, Twist
 from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
-from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, operator_norm
+from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _exceeds
 
 __all__ = [
     "ConformalFactor",
@@ -72,9 +72,9 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
 
     For an untwisted triple the twist is nu = k^-1 k_J (algebra side) or its
     mirror k_J^-1 k (commutant side). A nu-twisted triple takes algebra-side
-    factors only and gets the twist mu = k_J nu k^-1; this is valid only when
-    k k_J is invariant under conjugation by nu, otherwise the rescaled datum
-    is not a twisted real triple and a TwistCompositionError is raised.
+    factors only and gets the twist mu = k_J nu k^-1, valid only when k k_J
+    is invariant under conjugation by nu to abs_tol (1 + ||k k_J||); else the
+    datum is not a twisted real triple and TwistCompositionError is raised.
     """
     if t.twist is not None and k.side != SIDE_ALGEBRA:
         raise ValueError("composition with an existing twist uses algebra-side factors")
@@ -82,10 +82,8 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     if t.twist is None:
         twist = Twist(nu=np.linalg.inv(a) @ s, implements_algebra_automorphism=True)
     else:
-        nu = t.twist.nu
-        kk = a @ s
-        defect = operator_norm(nu @ kk @ t.twist.inverse() - kk)
-        if defect > tol.abs_tol * (1.0 + operator_norm(kk)):
+        nu, kk = t.twist.nu, a @ s
+        if defect := _exceeds(nu @ kk @ t.twist.inverse() - kk, tol.abs_tol, kk):
             raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
                                         "composed datum would not be a twisted real triple")
         twist = Twist(nu=s @ nu @ np.linalg.inv(a),
@@ -114,7 +112,8 @@ def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: c
 
     With B the selfadjoint one-form of D with coefficient b_phi and
     A = k_J B k_J, the rescaled-then-fluctuated Dirac
-    D_{k_J} + A + eps' nu (J A J^-1) nu equals (D + B + eps' J B J^-1)_{k_J}.
+    D_{k_J} + A + eps' nu (J A J^-1) nu equals (D + B + eps' J B J^-1)_{k_J}
+    to abs_tol (1 + ||rhs||).
     """
     if t.twist is not None:
         raise ValueError("compatibility identity starts from an untwisted triple")
@@ -123,4 +122,4 @@ def check_gauge_conformal_compat(t: SpectralTriple, k: ConformalFactor, b_phi: c
     s = _factor_matrices(t, k)[1]
     lhs = _fluctuated_dirac(rescaled, s @ b.value @ s)
     rhs = s @ fluctuate(t, b, tol).dirac @ s
-    return operator_norm(lhs - rhs) <= tol.abs_tol * (1.0 + operator_norm(rhs))
+    return not _exceeds(lhs - rhs, tol.abs_tol, rhs)

@@ -6,9 +6,8 @@ keys, fixed indentation, shortest round-tripping float literals), so
 save -> load is entrywise exact and load -> save reproduces the bytes.
 
 Only the Dirac operator is rendered or parsed on every call: `dumps` keeps
-the text around D per structure, and `loads` reuses the structure of a text
-whose pieces around D it has parsed before. Both keep these entries in
-algebra._memo's records, with the axiom checks' own.
+the text around D, and the structure under that text, in algebra._memo's
+records; `loads` only reads them, for a text whose pieces around D match.
 """
 
 from __future__ import annotations
@@ -224,7 +223,8 @@ def dumps(t: SpectralTriple) -> str:
     Only D is rendered on every call. The text before D and from D to the
     twist (header, grading, points, real structure, rep) is kept in the
     algebra._memo record of algebra._structure_key's first part, the
-    twist's text in that of its second part.
+    twist's text in that of its second part, and the structure loads reuses
+    in that of the text pair: (dim, rep, grading copy, (U copy, signs)).
     """
     key = _structure_key(t)
     record, twist_record = _memo(key[0]), _memo(key[1])
@@ -232,6 +232,9 @@ def dumps(t: SpectralTriple) -> str:
         template = record["template"] = _template(t)
     if (twist := twist_record.get("twist_text")) is None:
         twist = twist_record["twist_text"] = _twist_text(t)
+    if "structure" not in (document := _memo(template)):
+        real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
+        document["structure"] = (t.dim, t.rep, None if t.grading is None else t.grading.copy(), real)
     return template[0] + _matrix_text(t.dirac, 2) + template[1] + twist
 
 
@@ -251,15 +254,14 @@ def loads(text: str) -> SpectralTriple:
     """The triple of a document text.
 
     When the text's pieces before D and between D and the twist (see
-    _split) are those of an earlier canonical text, that text's rep,
-    grading and real structure are reused, as fresh copies, and only the D
-    and twist blocks are parsed, with from_document's checks. Any failure
-    there falls back to the full parse, which words every error. The
-    structure, with private arrays, is kept in the two pieces' algebra._memo record.
+    _split) are those of a text `dumps` rendered, the structure `dumps`
+    kept in their algebra._memo record is reused: its rep, and fresh copies
+    of its grading and U, and only the D and twist blocks are parsed, with
+    from_document's checks. Otherwise, and on any failure there, the text
+    takes the full parse, which words every error; loads stores nothing.
     """
     parts = _split(text)
-    record = None if parts is None else _memo(parts[0::2])
-    known = None if record is None else record.get("structure")
+    known = None if parts is None else _memo(parts[0::2]).get("structure")
     if known is not None:
         dim, rep, grading, real = known
         try:
@@ -274,12 +276,7 @@ def loads(text: str) -> SpectralTriple:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    t = from_document(doc)
-    if record is not None and known is None and dumps(t) == text:  # so the markers are top-level
-        real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
-        grading = None if t.grading is None else t.grading.copy()
-        record["structure"] = (t.dim, t.rep, grading, real)
-    return t
+    return from_document(doc)
 
 
 def save(t: SpectralTriple, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, _rank, commutator, operator_norm, operator_norms
+from .linalg import DEFAULT_TOL, ToleranceConfig, _exceeds, _rank, commutator
 
 __all__ = [
     "OneForm",
@@ -55,15 +55,13 @@ def antihermitian_one_form(t: SpectralTriple, phi: complex) -> OneForm:
 
 
 def is_selfadjoint_form(a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return operator_norm(a.value - a.value.conj().T) <= tol.abs_tol
+    """Whether ||alpha - alpha*|| <= abs_tol."""
+    return not _exceeds(a.value - a.value.conj().T, tol.abs_tol)
 
 
 def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
-    gap = a.base_dirac - t.dirac
-    if not gap.any():  # an exact zero passes at any scale, with no norm to take
-        return
-    norm, scale = operator_norms(np.stack([gap, t.dirac])).tolist()
-    if norm > tol.abs_tol * (1.0 + scale):
+    """Raise unless the form's Dirac is t's to abs_tol (1 + ||D||)."""
+    if _exceeds(a.base_dirac - t.dirac, tol.abs_tol, t.dirac):
         raise ValueError("one-form was built from a different Dirac operator")
 
 
@@ -90,15 +88,15 @@ def fluctuate(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL)
 def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
     """Chiral gauge fluctuation D -> D + gamma A + eps' nu (J gamma A J^-1) nu.
 
-    A must be antihermitian and the triple graded. The nu factors make the
-    twisted chiral orbit coincide with the twisted gauge orbit; untwisted
-    they are the identity.
+    A must be antihermitian (||A + A*|| <= abs_tol) and the triple graded.
+    The nu factors make the twisted chiral orbit coincide with the twisted
+    gauge orbit; untwisted they are the identity.
     """
     if t.real is None:
         raise ValueError("chiral fluctuation needs a real structure")
     if t.grading is None:
         raise ValueError("chiral fluctuation needs a grading")
-    if operator_norm(a.value + a.value.conj().T) > tol.abs_tol:
+    if _exceeds(a.value + a.value.conj().T, tol.abs_tol):
         raise ValueError("chiral fluctuation requires an antihermitian one-form")
     _require_matching_base(t, a, tol)
     return t.with_dirac(_fluctuated_dirac(t, t.grading @ a.value))
@@ -125,24 +123,22 @@ def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,
                       tol: ToleranceConfig = DEFAULT_TOL) -> Optional[tuple[complex, complex]]:
     """Selfadjoint-form coefficients (phi1, phi2) with fluctuate(base) = candidate.
 
-    The fluctuated Dirac is affine-linear in (re phi, im phi), so membership
-    reduces to a real least-squares solve; acceptance is scale aware. Returns
-    None when the candidate is not in the gauge orbit.
+    J, gamma and nu must agree to abs_tol. The fluctuated Dirac is affine-linear
+    in (re phi, im phi), so membership reduces to a real least-squares solve,
+    accepted to abs_tol (1 + ||D||) of the candidate's D. Returns None when
+    the candidate is not in the gauge orbit.
     """
-    if base.rep != candidate.rep:
+    if base.rep != candidate.rep or (base.real is None) != (candidate.real is None):
         return None
-    if (base.real is None) != (candidate.real is None):
+    if (base.grading is None) != (candidate.grading is None) or (
+            base.real is not None and base.real.signs != candidate.real.signs):
         return None
+    gaps = [base.nu - candidate.nu]
     if base.real is not None:
-        if base.real.signs != candidate.real.signs:
-            return None
-        if operator_norm(base.real.j.u - candidate.real.j.u) > tol.abs_tol:
-            return None
-    if (base.grading is None) != (candidate.grading is None):
-        return None
-    if base.grading is not None and operator_norm(base.grading - candidate.grading) > tol.abs_tol:
-        return None
-    if operator_norm(base.nu - candidate.nu) > tol.abs_tol:
+        gaps.append(base.real.j.u - candidate.real.j.u)
+    if base.grading is not None:
+        gaps.append(base.grading - candidate.grading)
+    if _exceeds(np.stack(gaps), tol.abs_tol):
         return None
 
     def assembled(phi: complex) -> np.ndarray:
@@ -159,7 +155,6 @@ def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,
     b = np.concatenate([target.real, target.imag])
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     phi = complex(coeffs[0], coeffs[1])
-    residual = operator_norm(assembled(phi) - candidate.dirac)
-    if residual <= tol.abs_tol * (1.0 + operator_norm(candidate.dirac)):
-        return (phi, -np.conj(phi))
-    return None
+    if _exceeds(assembled(phi) - candidate.dirac, tol.abs_tol, candidate.dirac):
+        return None
+    return (phi, -np.conj(phi))

@@ -16,8 +16,9 @@ entry gets 0.0 without the SVD, which returns exactly 0.0 for it: most
 residuals of exact two-point data are exactly zero. `operator_norm` is the
 same kernel on one matrix. Where only `norm > bound` is wanted,
 `_norms_exceed` settles most matrices from their largest entry and sends
-the rest to this kernel. The complex identity of each dimension is built
-once, read-only (`_identity`).
+the rest to this kernel. Beside it sits the one residual test, `_exceeds`:
+a residual's worst norm if above tol (1 + ||scale||), else 0.0. The
+complex identity of each dimension is built once, read-only (`_identity`).
 
 The one deliberate second route is `_gram_norms`, the square root of the
 largest eigenvalue of each matrix's Gram matrix M^H M, taken after an exact
@@ -166,6 +167,25 @@ def operator_norms(stack) -> np.ndarray:
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(operator_norms(m))
+
+
+def _exceeds(residual, tol: float, scale=None) -> float:
+    """The worst operator norm of a residual stack (..., m, n) if above tol (1 + ||scale||), else 0.0.
+
+    Without a scale the bound is tol; a NaN norm exceeds any bound. An
+    all-zero residual takes no norm, not even the scale's; the others' and
+    the scale's norms are one operator_norms call, bitwise operator_norm's.
+    """
+    residual = np.asarray(residual)
+    if not residual.any():
+        return 0.0
+    stack = residual.reshape(-1, *residual.shape[-2:])
+    if scale is None:
+        norm, bound = float(operator_norms(stack).max()), tol
+    else:
+        norms = operator_norms(np.concatenate([stack, np.asarray(scale)[None]]))
+        norm, bound = float(norms[:-1].max()), tol * (1.0 + float(norms[-1]))
+    return 0.0 if norm <= bound else norm
 
 
 def _gram_norms(stack) -> np.ndarray:

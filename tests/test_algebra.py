@@ -125,7 +125,8 @@ def test_permute_is_involutive():
 
 
 def test_permute_rejects_non_bijection():
-    for perm in ((0, 0), (1.9, 0.2)):  # a float index is not truncated to a bijection
+    # a float index is not truncated to a bijection, nor a bool read as 0 or 1
+    for perm in ((0, 0), (1.9, 0.2), (True, False), (1, False)):
         with pytest.raises(ValueError):
             permute(REP_C2, perm, (1.0, 2.0))
 
@@ -135,7 +136,8 @@ def test_representation_requires_faithfulness():
         Representation((0, 0, 2))
 
 
-@pytest.mark.parametrize("point_of", [(0, 0, 1.7), ("0", "0", "1"), (0.0, 1.0), (0, None)])
+@pytest.mark.parametrize("point_of", [(0, 0, 1.7), ("0", "0", "1"), (0.0, 1.0), (0, None),
+                                      (False, True), (0, 0, True)])
 def test_representation_accepts_only_integers(point_of):
     with pytest.raises(ValueError, match="point indices must be integers"):
         Representation(point_of)

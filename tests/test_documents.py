@@ -486,13 +486,31 @@ def _adversarial_texts(text):
 
 @pytest.mark.parametrize("idx", range(len(all_fixtures())))
 def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx):
-    text = dumps(all_fixtures()[idx])
+    t = all_fixtures()[idx]
+    text = dumps(t)
     for name, variant in _adversarial_texts(text).items():
         algebra._memo.cache_clear()
-        # the variant into a cold memo, the canonical text after it, then both with the memo warm
-        for s in (variant, text, text, variant):
+        # the variant and the canonical text into a cold memo, then both after dumps warmed it
+        for s in (variant, text):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
+        assert dumps(t) == text
         assert "structure" in algebra._memo(documents._split(text)[0::2])
+        for s in (text, variant):
+            assert _outcome(loads, s) == _outcome(_reference_loads, s), name
+
+
+def test_a_cold_loads_renders_nothing(monkeypatch):
+    texts = [dumps(t) for t in all_fixtures()]
+    algebra._memo.cache_clear()
+
+    def no_rendering(*args):
+        raise AssertionError("loads rendered a document")
+
+    for name in ("dumps", "_template", "_twist_text", "_matrix_text", "_object_text", "_json_block"):
+        monkeypatch.setattr(documents, name, no_rendering)
+    for text in texts:
+        assert _outcome(loads, text) == _outcome(_reference_loads, text)
+        assert "structure" not in algebra._memo(documents._split(text)[0::2])
 
 
 def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():

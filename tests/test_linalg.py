@@ -2,9 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from twistriple import linalg
 from twistriple.linalg import (
     Antiunitary,
     _commutation_operator,
+    _exceeds,
     ToleranceConfig,
     commutant_dimension,
     commutator,
@@ -12,6 +14,7 @@ from twistriple.linalg import (
     hermitian_basis,
     hermitian_from_coords,
     operator_norm,
+    operator_norms,
     solve_linear_family,
 )
 
@@ -101,6 +104,64 @@ def test_operator_norm_adjoint_invariance():
 
 def test_operator_norm_zero():
     assert operator_norm(np.zeros((4, 4))) == 0.0
+
+
+# ------------------------------------------------------------ residual test
+
+def _residual_stacks(n, dtype, rng):
+    """Residual stacks (..., n, n): one matrix, a stack with a zero matrix, a 2-axis stack."""
+    def draw(*shape):
+        m = rng.standard_normal(shape + (n, n))
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal(shape + (n, n))
+        return m
+    with_zero = draw(3)
+    with_zero[1] = 0.0
+    return [draw(), with_zero, draw(2, 3)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_exceeds_is_the_max_norm_against_the_scaled_bound_bitwise(n, dtype):
+    rng = np.random.default_rng(100 * n + (dtype is complex))
+    exponents = range(-300, 301, 75)
+    for r0 in _residual_stacks(n, dtype, rng):
+        s0 = _residual_stacks(n, dtype, rng)[0]
+        for e_r in exponents:
+            r = r0 * 10.0 ** e_r
+            norm = float(operator_norms(r).max())
+            for scale in [None] + [s0 * 10.0 ** e_s for e_s in exponents]:
+                factor = 1.0 if scale is None else 1.0 + operator_norm(scale)
+                at = norm / factor
+                for tol in (np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)):
+                    want = norm if norm > tol * factor else 0.0
+                    got = _exceeds(r, float(tol), scale)
+                    assert type(got) is float and got == want, (n, e_r, scale is None, tol)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_exceeds_takes_no_norm_of_a_zero_residual(n, dtype, monkeypatch):
+    def no_norm(stack):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr(linalg, "operator_norms", no_norm)
+    scale = np.ones((n, n), dtype=dtype)
+    negative_zero = np.full((2, 3, n, n), dtype(-0.0 if dtype is float else complex(-0.0, -0.0)))
+    assert np.signbit(negative_zero.view(float)).all()
+    for r in (np.zeros((n, n), dtype), np.zeros((3, n, n), dtype), negative_zero, negative_zero[0, 0]):
+        for tol in (0.0, 1e-300, 1.0):
+            assert _exceeds(r, tol) == 0.0 and _exceeds(r, tol, scale) == 0.0
+
+
+def test_exceeds_fails_a_nan_norm_wherever_it_sits_in_the_stack():
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = np.inf  # the SVD gives a NaN norm
+    good = np.eye(3, dtype=complex)
+    for r in (bad, np.stack([good, bad]), np.stack([bad, good])):
+        for scale in (None, good):
+            assert np.isnan(_exceeds(r, 1e300, scale))
+    assert _exceeds(good, 1e300, bad) == 1.0  # a NaN bound passes nothing
 
 
 # --------------------------------------------------- antiunitary conjugation
