@@ -14,15 +14,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, commutator
+from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, _exceeds, commutator
 
 __all__ = ["Representation", "embed", "projection_e", "check_bimodule_relation", "permute"]
 
 
+def _index(value) -> int:
+    """operator.index(value), refusing a bool too (index(True) == 1), in its JSON spelling."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {'true' if value else 'false'}")
+    return operator.index(value)
+
+
 def _indices(values, what: str) -> tuple[int, ...]:
-    """The values as ints; a bool or any non-integer raises ValueError naming `what`."""
-    try:  # operator.index(True) == 1, so a bool goes in as None, which it rejects
-        return tuple(operator.index(None if isinstance(v, bool) else v) for v in values)
+    """The values as ints by _index; a bool or any non-integer raises ValueError naming `what`."""
+    try:
+        return tuple(map(_index, values))
     except TypeError:
         raise ValueError(f"{what} indices must be integers") from None
 
@@ -121,7 +128,7 @@ def _memo(key) -> dict:
 
 
 def _two_point_projections(rep: Representation) -> np.ndarray:
-    """The shared read-only stack (e, 1 - e) of a two-point representation."""
+    """The shared read-only stack (e, 1 - e); the calculus' one two-point check."""
     if rep.n_points != 2:
         raise ValueError("projection e is defined for two-point algebras only")
     return _point_projections(rep)
@@ -136,11 +143,12 @@ def check_bimodule_relation(rep: Representation, d: np.ndarray,
                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether e [D, a] = [D, a] (1 - e) holds for the calculus of d.
 
-    By linearity it suffices to test a = e.
+    By linearity it suffices to test a = e. The residual, exactly zero for
+    any finite d, takes linalg._exceeds' residual test.
     """
     e, not_e = _two_point_projections(rep)
     de = commutator(_as_square(d), e)
-    return float(np.linalg.norm(e @ de - de @ not_e)) <= tol.abs_tol
+    return not _exceeds(e @ de - de @ not_e, tol.abs_tol)
 
 
 def permute(rep: Representation, perm: Sequence[int], a: Sequence[complex]) -> tuple[complex, ...]:

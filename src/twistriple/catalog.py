@@ -39,11 +39,12 @@ from .axioms import (
 from .conformal import ConformalFactor, rescale
 from .linalg import (
     DEFAULT_TOL,
-    RANK_TOL,
+    _ENTRY_MARGIN,
     Antiunitary,
     ToleranceConfig,
     _exceeds,
     _norms_exceed,
+    _reciprocal,
     commutator,
     operator_norm,
     solve_linear_family,
@@ -430,13 +431,13 @@ def _calculus_exceeds(normals: np.ndarray) -> bool:
 
     [d, e] = [[0, -d01], [conj(d01), 0]] exactly, with d01 = m01 + conj(m10),
     so its norm and its largest entry modulus are both |d01|, and the entry
-    branch of _norms_exceed reduces to one scalar comparison. (np.abs and abs
-    may round a modulus a few ulps apart, far inside the 1e-12 margin, so the
-    verdict is the same.) Only a d01 that does not clear the margin goes to
-    _norms_exceed.
+    branch of _norms_exceed reduces to one scalar comparison against its
+    margin, linalg._ENTRY_MARGIN. (np.abs and abs may round a modulus a few
+    ulps apart, far inside that margin, so the verdict is the same.) Only a
+    d01 that does not clear the margin goes to _norms_exceed.
     """
     (_, re01), (re10, _), (_, im01), (im10, _) = normals.reshape(4, 2).tolist()
-    if abs(complex(re01 + re10, im01 - im10)) > 0.1 * (1 + 1e-12):
+    if abs(complex(re01 + re10, im01 - im10)) > 0.1 * _ENTRY_MARGIN:
         return True
     e = _point_projections(REP_C2)[0]
     return bool(_norms_exceed(commutator(_c2_diracs(normals), e), 0.1))
@@ -506,11 +507,8 @@ def fluctuation_orbit_params(family_id: str, d1: complex, d2: complex,
 
 
 def fluctuated_distance_formula(family_id: str, params: dict, phi: complex) -> float:
-    """Distance of the phi-fluctuated family member, in closed form."""
-    denom = _family(family_id).distance(params, complex(phi))
-    if denom < RANK_TOL:
-        return math.inf
-    return 1.0 / denom
+    """Distance of the phi-fluctuated family member, in closed form: linalg._reciprocal of its norm."""
+    return _reciprocal(_family(family_id).distance(params, complex(phi)))
 
 
 def _conformal_rho(nu: np.ndarray, tol: ToleranceConfig) -> Optional[float]:

@@ -68,6 +68,14 @@ def _provenance(tol: ToleranceConfig) -> dict:
     }
 
 
+def _report(args, tol: ToleranceConfig, payload: dict, lines: list[str]) -> None:
+    """The one --json report: the payload with its _provenance under --json, else the text lines."""
+    if args.json:
+        print(json.dumps({**payload, **_provenance(tol)}, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+
+
 def _load(path: str) -> SpectralTriple:
     from .documents import load
 
@@ -102,27 +110,23 @@ def cmd_check(args) -> int:
     except ValueError:
         ko = None
     irreducible = is_irreducible(t)
-    if args.json:
-        payload = {
-            "entries": [
-                {"condition": e.condition, "residual": e.residual,
-                 "tol": e.tol_used, "pass": e.passed}
-                for e in report.entries
-            ],
-            "overall_pass": report.passed,
-            "ko_dimension": ko,
-            "irreducible": irreducible,
-            **_provenance(tol),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        width = max(len(e.condition) for e in report.entries)
-        for e in report.entries:
-            status = "PASS" if e.passed else "FAIL"
-            print(f"{e.condition:<{width}}  {e.residual:12.3e}  tol {e.tol_used:g}  {status}")
-        print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-        print(f"ko_dimension: {ko if ko is not None else 'undefined'}")
-        print(f"irreducible: {'yes' if irreducible else 'no'}")
+    width = max(len(e.condition) for e in report.entries)
+    _report(args, tol, {
+        "entries": [
+            {"condition": e.condition, "residual": e.residual,
+             "tol": e.tol_used, "pass": e.passed}
+            for e in report.entries
+        ],
+        "overall_pass": report.passed,
+        "ko_dimension": ko,
+        "irreducible": irreducible,
+    }, [
+        *(f"{e.condition:<{width}}  {e.residual:12.3e}  tol {e.tol_used:g}  {'PASS' if e.passed else 'FAIL'}"
+          for e in report.entries),
+        f"overall: {'PASS' if report.passed else 'FAIL'}",
+        f"ko_dimension: {ko if ko is not None else 'undefined'}",
+        f"irreducible: {'yes' if irreducible else 'no'}",
+    ])
     return 0 if report.passed else 1
 
 
@@ -192,20 +196,16 @@ def cmd_distance(args) -> int:
     t = _load(args.file)
     tol = _tol_from(args)
     result = spectral_distance(t)
-    if args.json:
-        payload = {
-            "value": None if result.unbounded else result.value,
-            "unbounded": result.unbounded,
-            "norm_de": result.norm_de,
-            "norm_twisted": result.norm_twisted,
-            **_provenance(tol),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"distance: {'unbounded' if result.unbounded else format(result.value, '.17g')}")
-        print(f"norm [D,e]: {result.norm_de:.17g}")
-        if result.norm_twisted is not None:
-            print(f"norm twisted derivative: {result.norm_twisted:.17g}")
+    _report(args, tol, {
+        "value": None if result.unbounded else result.value,
+        "unbounded": result.unbounded,
+        "norm_de": result.norm_de,
+        "norm_twisted": result.norm_twisted,
+    }, [
+        f"distance: {'unbounded' if result.unbounded else format(result.value, '.17g')}",
+        f"norm [D,e]: {result.norm_de:.17g}",
+        *([] if result.norm_twisted is None else [f"norm twisted derivative: {result.norm_twisted:.17g}"]),
+    ])
     return 0
 
 
@@ -214,20 +214,17 @@ def cmd_scan_c2(args) -> int:
 
     tol = _tol_from(args)
     report = scan_c2_nonexistence(args.trials, args.seed, tol)
-    if args.json:
-        payload = {
-            "trials": report.trials,
-            "failures_of_order_one": report.failures_of_order_one,
-            "j_shapes_tested": list(report.j_shapes_tested),
-            "conclusion": report.conclusion,
-            **_provenance(tol),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"trials: {report.trials}")
-        print(f"order-one failures: {report.failures_of_order_one}")
-        print(f"j shapes tested: {', '.join(report.j_shapes_tested)}")
-        print(f"conclusion: {'nonexistence confirmed on sample' if report.conclusion else 'NOT confirmed'}")
+    _report(args, tol, {
+        "trials": report.trials,
+        "failures_of_order_one": report.failures_of_order_one,
+        "j_shapes_tested": list(report.j_shapes_tested),
+        "conclusion": report.conclusion,
+    }, [
+        f"trials: {report.trials}",
+        f"order-one failures: {report.failures_of_order_one}",
+        f"j shapes tested: {', '.join(report.j_shapes_tested)}",
+        f"conclusion: {'nonexistence confirmed on sample' if report.conclusion else 'NOT confirmed'}",
+    ])
     return 0 if report.conclusion else 1
 
 
@@ -247,13 +244,13 @@ def cmd_kodim(args) -> int:
 
 
 def _sign_arg(text: str) -> int:
+    """signs._sign of the integer literal text; anything else is a CliError."""
+    from .signs import _sign
+
     try:
-        v = int(text)
+        return _sign(int(text))
     except ValueError:
-        raise CliError(f"expected +1 or -1, got {text!r}")
-    if v not in (1, -1):
-        raise CliError(f"expected +1 or -1, got {text!r}")
-    return v
+        raise CliError(f"expected +1 or -1, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

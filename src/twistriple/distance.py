@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import _two_point_projections
 from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _gram_norms, commutator, operator_norms
+from .linalg import DEFAULT_TOL, ToleranceConfig, _gram_norms, _reciprocal, commutator, operator_norms
 
 __all__ = [
     "DistanceResult",
@@ -41,17 +41,14 @@ class DistanceResult:
 
 
 def spectral_distance(t: SpectralTriple) -> DistanceResult:
-    """Distance between the two points, or an unbounded result."""
-    if t.rep.n_points != 2:
-        raise ValueError("spectral distance is defined for two-point representations")
+    """Distance between the two points: linalg._reciprocal of the larger derivative norm."""
     e = _two_point_projections(t.rep)[0]
     derivatives = [commutator(t.dirac, e)]
     if t.twist is not None:  # the twisted derivative D e - (nu e nu^-1) D
         nu = t.twist.nu
         derivatives.append(t.dirac @ e - nu @ e @ t.twist.inverse() @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
-    effective = max(norms)
-    return DistanceResult(value=math.inf if effective < RANK_TOL else 1.0 / effective,
+    return DistanceResult(value=_reciprocal(max(norms)),
                           norm_de=norms[0], norm_twisted=norms[1] if len(norms) > 1 else None)
 
 
@@ -97,12 +94,10 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     norms that the closed form uses, by an independent route; it does not
     search for a supremum.
     """
-    if t.rep.n_points != 2:
-        raise ValueError("two-point representations only")
+    projections = _two_point_projections(t.rep)  # (E_+, E_-)
     if samples < 1:
         raise ValueError("need at least one sample")
     d = t.dirac
-    projections = _two_point_projections(t.rep)  # (E_+, E_-)
     images = [d @ projections - projections @ d]
     if t.twist is not None:
         nu = t.twist.nu

@@ -15,14 +15,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Representation, _memo, _structure_key
+from .algebra import Representation, _index, _memo, _structure_key
 from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
 from .linalg import Antiunitary
+from .signs import _sign
 
 __all__ = ["DocumentError", "to_document", "from_document", "dumps", "loads", "save", "load"]
 
@@ -94,21 +94,11 @@ def _matrix_by_entry(obj: Any, dim: int, name: str) -> np.ndarray:
 
 
 def _sign_from_doc(obj: Any, name: str) -> int:
-    """A JSON integer 1 or -1; true, 1.0 and "1" raise DocumentError like any other value."""
+    """signs._sign of the JSON integer algebra._index reads; true, 1.0 and "1" raise DocumentError."""
     try:
-        value = _int_from_doc(obj)
-    except TypeError:
-        value = None
-    if value not in (1, -1):
-        raise DocumentError(f"{name} must be 1 or -1")
-    return value
-
-
-def _int_from_doc(obj: Any) -> int:
-    """A JSON integer; floats, strings and booleans raise TypeError rather than being truncated."""
-    if isinstance(obj, bool):
-        raise TypeError(f"expected an integer, got {json.dumps(obj)}")
-    return operator.index(obj)
+        return _sign(_index(obj))
+    except (TypeError, ValueError):
+        raise DocumentError(f"{name} must be 1 or -1") from None
 
 
 def to_document(t: SpectralTriple) -> dict:
@@ -132,15 +122,15 @@ def from_document(doc: Any) -> SpectralTriple:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     try:
-        dim = _int_from_doc(doc["dim"])
-        points = _int_from_doc(doc["points"])
+        dim = _index(doc["dim"])
+        points = _index(doc["points"])
         rep_list = doc["rep"]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"missing or malformed header field: {exc}") from exc
     if not isinstance(rep_list, list) or len(rep_list) != dim:
         raise DocumentError("rep must list one point index per basis vector")
     try:
-        rep = Representation(tuple(_int_from_doc(p) for p in rep_list))
+        rep = Representation(tuple(map(_index, rep_list)))
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"invalid representation: {exc}") from exc
     if rep.n_points != points:

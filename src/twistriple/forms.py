@@ -125,8 +125,9 @@ def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,
 
     J, gamma and nu must agree to abs_tol. The fluctuated Dirac is affine-linear
     in (re phi, im phi), so membership reduces to a real least-squares solve,
-    accepted to abs_tol (1 + ||D||) of the candidate's D. Returns None when
-    the candidate is not in the gauge orbit.
+    accepted to abs_tol (1 + ||D||) of the candidate's D. The coefficients
+    are Python complex numbers; None when the candidate is not in the gauge
+    orbit.
     """
     if base.rep != candidate.rep or (base.real is None) != (candidate.real is None):
         return None
@@ -157,4 +158,4 @@ def is_fluctuation_of(base: SpectralTriple, candidate: SpectralTriple,
     phi = complex(coeffs[0], coeffs[1])
     if _exceeds(assembled(phi) - candidate.dirac, tol.abs_tol, candidate.dirac):
         return None
-    return (phi, -np.conj(phi))
+    return (phi, -phi.conjugate())

@@ -2,7 +2,7 @@
 
 Everything in this package lives on Hilbert spaces of dimension <= 8. The
 operator norm is LAPACK's largest singular value, and rank/nullspace
-decisions use the one relative singular-value threshold `RANK_TOL`. Inputs
+decisions use the relative singular-value threshold `RANK_TOL`. Inputs
 are checked for shape and finiteness once, where matrices enter the package
 (triple, twist and antiunitary constructors, documents, the CLI), not inside
 the kernels.
@@ -17,8 +17,9 @@ residuals of exact two-point data are exactly zero. `operator_norm` is the
 same kernel on one matrix. Where only `norm > bound` is wanted,
 `_norms_exceed` settles most matrices from their largest entry and sends
 the rest to this kernel. Beside it sits the one residual test, `_exceeds`:
-a residual's worst norm if above tol (1 + ||scale||), else 0.0. The
-complex identity of each dimension is built once, read-only (`_identity`).
+a residual's worst norm if above tol (1 + ||scale||), else 0.0; a distance
+is `_reciprocal` of a derivative norm. The complex identity of each
+dimension is built once, read-only (`_identity`).
 
 The one deliberate second route is `_gram_norms`, the square root of the
 largest eigenvalue of each matrix's Gram matrix M^H M, taken after an exact
@@ -69,10 +70,13 @@ __all__ = [
 ]
 
 
-# Threshold of every rank, nullspace and "unbounded" decision: relative to
-# the largest singular value (or 1 if everything is tiny) in rank decisions,
-# absolute for a distance's derivative norm and a conformal rho's margin.
+# Threshold of rank, nullspace and "unbounded" decisions: relative to the
+# largest singular value with an absolute floor in _rank, absolute in
+# _reciprocal (an infinite distance) and in a conformal rho's margin.
 RANK_TOL = 1e-9
+
+# An entry modulus above bound * _ENTRY_MARGIN puts a norm above bound (_norms_exceed).
+_ENTRY_MARGIN = 1 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,11 @@ def _exceeds(residual, tol: float, scale=None) -> float:
     return 0.0 if norm <= bound else norm
 
 
+def _reciprocal(norm: float) -> float:
+    """1 / norm, or math.inf for a norm below RANK_TOL: a distance from its derivative norm."""
+    return math.inf if norm < RANK_TOL else 1.0 / norm
+
+
 def _gram_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a finite stack (..., m, n), from its Gram matrix.
 
@@ -219,13 +228,13 @@ def _gram_norms(stack) -> np.ndarray:
 def _norms_exceed(stack, bound: float) -> np.ndarray:
     """operator_norms(stack) > bound, per matrix of a finite stack (..., m, n).
 
-    ||M|| >= max_ij |M_ij|, so a matrix with an entry beyond bound (1 + 1e-12)
-    exceeds the bound with no SVD: the margin is far above the SVD's
-    O(n eps) rounding, so each such verdict is the one the SVD gives. Only
-    the other matrices go through operator_norms.
+    ||M|| >= max_ij |M_ij|, so a matrix with an entry beyond
+    bound * _ENTRY_MARGIN exceeds the bound with no SVD: the margin is far
+    above the SVD's O(n eps) rounding, so each such verdict is the one the
+    SVD gives. Only the other matrices go through operator_norms.
     """
     stack = np.asarray(stack)
-    exceed = np.asarray(np.abs(stack).max(axis=(-2, -1)) > bound * (1 + 1e-12))
+    exceed = np.asarray(np.abs(stack).max(axis=(-2, -1)) > bound * _ENTRY_MARGIN)
     undecided = ~exceed
     if undecided.any():
         exceed[undecided] = operator_norms(stack[undecided]) > bound

@@ -63,8 +63,18 @@ def test_projection_e(rep, expected):
 
 
 def test_projection_needs_two_points():
-    with pytest.raises(ValueError):
-        projection_e(Representation((0, 1, 2)))
+    from twistriple.axioms import SpectralTriple
+    from twistriple.distance import distance_bruteforce, spectral_distance
+    from twistriple.forms import one_form
+
+    rep = Representation((0, 1, 2))
+    t = SpectralTriple(rep=rep, dirac=np.zeros((3, 3)))
+    message = "^projection e is defined for two-point algebras only$"
+    for call in (lambda: projection_e(rep), lambda: spectral_distance(t),
+                 lambda: distance_bruteforce(t, 10, 0), lambda: one_form(t, 1.0, 0.0),
+                 lambda: check_bimodule_relation(rep, t.dirac)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_commutator_linearity_in_element():

@@ -209,6 +209,7 @@ def test_is_fluctuation_of_round_trip():
     out = fluctuate(t, selfadjoint_one_form(t, phi))
     got = is_fluctuation_of(t, out)
     assert got is not None
+    assert type(got[0]) is complex and type(got[1]) is complex
     assert got[0] == pytest.approx(phi)
     assert got[1] == pytest.approx(-np.conj(phi))
 

@@ -1,4 +1,4 @@
-"""check_all's conditions against a high-precision statement of each.
+"""check_all, the distance and the operations against a high-precision statement of each.
 
 Six conditions are written here from the docstrings that state them, in
 mpmath at 30 significant digits: dirac_selfadjoint (D = D^*),
@@ -16,6 +16,9 @@ pairs), and its verdict must equal the oracle's wherever the oracle's
 residual lies outside that band around the tolerance. Unlike the bitwise
 reference tests, this pins what each condition states, not the order of
 its floating-point operations.
+
+The distance, fluctuate, fluctuate_chiral and rescale are written the same
+way, from their docstrings, in the last part of this file.
 """
 
 import numpy as np
@@ -36,7 +39,10 @@ from twistriple.catalog import (
     build_c4_perm_conformal_composite,
     build_family,
 )
-from twistriple.linalg import DEFAULT_TOL, Antiunitary, ToleranceConfig
+from twistriple.conformal import ConformalFactor, TwistCompositionError, rescale
+from twistriple.distance import spectral_distance
+from twistriple.forms import antihermitian_one_form, fluctuate, fluctuate_chiral, selfadjoint_one_form
+from twistriple.linalg import DEFAULT_TOL, RANK_TOL, Antiunitary, ToleranceConfig
 
 DPS = 30
 BAND = 1e-12
@@ -155,3 +161,110 @@ def test_check_all_agrees_with_the_statements_on_perturbed_members(kind):
     eps = 1 if kind == C4_PERM_BAD else (1, -1)[k % 2]
     t = _perturbed(_member(kind, eps, SCALES[k % 3], rng), rng)
     _assert_agrees_with_the_statements(t)
+
+
+# ------------------------------------------------------- distance and operations
+#
+# The distance module's docstring: the plain derivative [D, e], with a twist
+# also the twisted derivative D e - (nu e nu^-1) D, and the distance 1/max of
+# their norms, unbounded when that norm lies below RANK_TOL. fluctuate:
+# D + A + eps' nu J A J^-1 nu with A = (phi e - conj(phi)(1-e)) [D, e].
+# fluctuate_chiral: gamma A in place of A, with the antihermitian
+# A = (phi e + conj(phi)(1-e)) [D, e]. rescale (algebra side): k_J D k_J with
+# k = zeta (rho e + (1-rho)(1-e)) and k_J = J k J^-1; the twist k^-1 k_J when
+# untwisted, else k_J nu k^-1, which exists only when k k_J is nu-invariant to
+# abs_tol (1 + ||k k_J||).
+
+
+
+class _Operands:
+    """A triple's matrices in mpmath, each converted once: D, e, 1 - e, [D, e], U, nu, nu^-1, gamma."""
+
+    def __init__(self, t):
+        self.d = _mp(t.dirac)
+        self.e, self.not_e = (_mp(p) for p in _point_projections(t.rep))
+        self.de = self.d * self.e - self.e * self.d
+        self.twisted = t.twist is not None
+        self.nu = _mp(t.nu)
+        self.nu_inv = mp.inverse(self.nu) if self.twisted else self.nu  # nu = 1 untwisted
+        self.u, self.eps_prime, self.gamma = _mp(t.real.j.u), t.real.signs.eps_prime, _mp(t.grading)
+
+    def j(self, x):  # J x J^-1
+        return self.u * x.conjugate() * self.u.H
+
+
+def _assert_distance_agrees(t, ops):
+    """spectral_distance's norms and value within BAND relative of the statement's."""
+    got = spectral_distance(t)
+    norms = [_norm(ops.de)]
+    if ops.twisted:
+        norms.append(_norm(ops.d * ops.e - ops.nu * ops.e * ops.nu_inv * ops.d))
+    want = max(norms)
+    assert abs(mp.mpf(got.norm_de) - norms[0]) <= BAND * norms[0], (got.norm_de, norms[0])
+    assert (got.norm_twisted is None) == (len(norms) == 1)
+    if got.norm_twisted is not None:
+        assert abs(mp.mpf(got.norm_twisted) - norms[1]) <= BAND * norms[1], (got.norm_twisted, norms[1])
+    if abs(want - RANK_TOL) > BAND * RANK_TOL:
+        assert got.unbounded == (want < RANK_TOL), (got.value, want)
+    if not got.unbounded and want >= RANK_TOL:
+        assert abs(mp.mpf(got.value) - 1 / want) <= BAND / want, (got.value, 1 / want)
+
+
+def _assert_matrix_agrees(got, terms):
+    """got within BAND of the sum of the terms, relative to the largest norm among them."""
+    gap = _mp(got) - sum(terms[1:], terms[0])
+    if _largest_entry(gap) * len(terms) <= BAND * max(_largest_entry(x) for x in terms):
+        return  # a bound from the largest entries asks more, so the norms are needed only when it fails
+    assert _norm(gap) <= BAND * max(_norm(x) for x in terms), float(_norm(gap))
+
+
+def _fluctuation_terms(ops, phi, chiral):
+    """D, X and eps' nu J X J^-1 nu, with X = A (or gamma A, chiral) of coefficient phi."""
+    phi = mp.mpc(phi)
+    x = (phi * ops.e + (1 if chiral else -1) * mp.conj(phi) * ops.not_e) * ops.de
+    if chiral:
+        x = ops.gamma * x
+    return [ops.d, x, ops.eps_prime * ops.nu * ops.j(x) * ops.nu]
+
+
+def _rescale_statement(t, ops, k):
+    """(k_J D k_J, twist) of an algebra-side factor, or None when k k_J is not nu-invariant."""
+    zeta, rho = mp.mpf(k.zeta), mp.mpf(k.rho)
+    kk = mp.diag([zeta * rho if p == 0 else zeta * (1 - rho) for p in t.rep.point_of])
+    kk_inv = mp.diag([1 / kk[i, i] for i in range(t.dim)])
+    kj = ops.j(kk)
+    if not ops.twisted:
+        return kj * ops.d * kj, kk_inv * kj
+    prod = kk * kj
+    defect = _norm(ops.nu * prod * ops.nu_inv - prod)
+    bound = DEFAULT_TOL.abs_tol * (1 + _norm(prod))
+    assert abs(defect - bound) > BAND * bound
+    return None if defect > bound else (kj * ops.d * kj, kj * ops.nu * kk_inv)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_distance_and_operations_agree_with_the_statements(kind):
+    rng = np.random.default_rng(200 + KINDS.index(kind))
+    k = ConformalFactor(zeta=1.7, rho=0.3)
+    with mp.workdps(DPS):
+        for scale in SCALES:
+            for eps in ((1,) if kind == C4_PERM_BAD else (1, -1)):
+                t = _member(kind, eps, scale, rng)
+                ops = _Operands(t)
+                phi = complex(*rng.standard_normal(2))
+                _assert_distance_agrees(t, ops)
+                for p in (phi, 1.0):
+                    got = fluctuate(t, selfadjoint_one_form(t, p))
+                    _assert_matrix_agrees(got.dirac, _fluctuation_terms(ops, p, chiral=False))
+                # phi = 1 collapses the calculus: an unbounded distance
+                _assert_distance_agrees(got, _Operands(got))
+                got = fluctuate_chiral(t, antihermitian_one_form(t, phi))
+                _assert_matrix_agrees(got.dirac, _fluctuation_terms(ops, phi, chiral=True))
+                want = _rescale_statement(t, ops, k)
+                if want is None:
+                    with pytest.raises(TwistCompositionError):
+                        rescale(t, k)
+                    continue
+                got = rescale(t, k)
+                _assert_matrix_agrees(got.dirac, [want[0]])
+                _assert_matrix_agrees(got.twist.nu, [want[1]])
