@@ -26,6 +26,14 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def _integer(value, name: str) -> int:
+    """_index(value) for the argument called name; a bool or any non-integer raises ValueError naming it."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _indices(values, what: str) -> tuple[int, ...]:
     """The values as ints by _index; a bool or any non-integer raises ValueError naming `what`."""
     try:

@@ -2,7 +2,10 @@
 
 A triple bundles a diagonal representation, a selfadjoint Dirac operator,
 and optionally a grading, a real structure J = U o conj with its signs, and
-a selfadjoint invertible twist nu. The checks report residual norms rather
+a selfadjoint invertible twist nu. The constructor checks every matrix it
+is given; a triple derived from another (with_dirac, the fluctuations,
+rescale) is built by _derived, which checks only the new D and, again, the
+grading it takes over. The checks report residual norms rather
 than booleans so that near-failures remain visible. check_all aggregates
 every applicable condition plus the structural invariants of J and nu, and
 its three term builders (_nu_free_terms, _twist_terms, _dirac_terms) are
@@ -22,7 +25,7 @@ check_all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -35,6 +38,7 @@ from .linalg import (
     Antiunitary,
     ToleranceConfig,
     _as_square,
+    _assembled,
     _commutation_operator,
     _identity,
     _matmul,
@@ -104,10 +108,8 @@ class SpectralTriple:
     twist: Optional[Twist] = None
 
     def __post_init__(self):
-        d = np.asarray(self.dirac, dtype=complex)
-        if d.shape != (self.rep.dim, self.rep.dim):
-            raise ValueError("Dirac operator dimension does not match the representation")
-        object.__setattr__(self, "dirac", _as_square(d))
+        d = _dirac_matrix(self.dirac, self.rep.dim)
+        object.__setattr__(self, "dirac", d)
         if self.grading is not None:
             g = np.asarray(self.grading, dtype=complex)
             if g.shape != d.shape:
@@ -136,11 +138,42 @@ class SpectralTriple:
         return self.real.signs.eps_prime
 
     def with_dirac(self, dirac: np.ndarray) -> "SpectralTriple":
-        return replace(self, dirac=np.asarray(dirac, dtype=complex))
+        """This triple with another Dirac operator, checked as the constructor checks it (_derived)."""
+        return _derived(self, dirac)
 
     def algebra_basis(self) -> list[np.ndarray]:
         """Embedded basis {e, 1-e} (two points) or the point projections, as fresh arrays."""
         return list(_point_projections(self.rep).copy())
+
+
+def _dirac_matrix(dirac, dim: int, operation: Optional[str] = None, inputs=()) -> np.ndarray:
+    """dirac as a complex dim x dim matrix, checked by linalg._as_square (operation and inputs are its)."""
+    d = np.asarray(dirac, dtype=complex)
+    if d.shape != (dim, dim):
+        raise ValueError("Dirac operator dimension does not match the representation")
+    return _as_square(d, operation, inputs)
+
+
+def _replaced(t: SpectralTriple, **changes) -> SpectralTriple:
+    """dataclasses.replace(t, **changes) without the constructor's checks (linalg._assembled)."""
+    return _assembled(SpectralTriple, **{**t.__dict__, **changes})
+
+
+def _derived(t: SpectralTriple, dirac, operation: Optional[str] = None, inputs=(),
+             **changes) -> SpectralTriple:
+    """t with the Dirac operator dirac and the other changes: the one construction path
+    of a triple derived from another.
+
+    It checks the new D, by _dirac_matrix (a D that operation computed names
+    its overflow, see linalg._as_square), and t's grading again, as the
+    constructor did, because a caller may have edited it in place. Nothing
+    else is checked: t's U and nu were checked when their frozen
+    Antiunitary and Twist were built, and the caller checks any new twist.
+    """
+    d = _dirac_matrix(dirac, t.dim, operation, inputs)
+    if t.grading is not None:
+        _as_square(t.grading)
+    return _replaced(t, dirac=d, **changes)
 
 
 @dataclass(frozen=True)
@@ -439,38 +472,60 @@ def is_irreducible(t: SpectralTriple) -> bool:
     gamma leaves the generators. With no projection or grading rows in the
     operator, the relative rank cutoff cannot drop them at large |D|, so the
     verdict holds from small to large scales of D. A grading with a nonzero
-    off-diagonal entry stays among the generators. Both choices are kept
-    per (representation, grading bytes).
+    off-diagonal entry stays among the generators, as the first rows.
+
+    The operator is linear in D, and its layout depends only on the
+    representation and the grading, so it is read off the map that
+    _commutant_columns keeps per (representation, grading bytes): one
+    product with D's entries gives the [D, b] rows, after the grading's
+    precomputed rows.
     """
-    basis = _point_projections(t.rep)
-    gens = commutator(t.dirac, basis)
     g = t.grading
-    columns, gamma_generates = _commutant_columns(t.rep.point_of, None if g is None else g.tobytes())
-    if gamma_generates:
-        gens = np.concatenate([g[None], gens])
-    s = np.linalg.svd(_commutation_operator(gens)[:, columns], compute_uv=False)
+    columns, gamma_rows, dirac_map = _commutant_columns(
+        t.rep.point_of, None if g is None else g.tobytes())
+    rows = (dirac_map @ t.dirac.ravel()).reshape(-1, len(columns))
+    if gamma_rows is not None:
+        rows = np.concatenate([gamma_rows, rows])
+    s = np.linalg.svd(rows, compute_uv=False)
     return len(columns) - _rank(s) == 1
 
 
 @lru_cache(maxsize=256)
-def _commutant_columns(point_of: tuple, grading: Optional[bytes]) -> tuple[np.ndarray, bool]:
-    """(columns, whether gamma stays a generator) of is_irreducible.
+def _commutant_columns(point_of: tuple, grading: Optional[bytes]
+                       ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """(columns, gamma rows, D map) of is_irreducible, each read-only.
 
-    The columns are the read-only indices j n + b, in increasing order, of
-    the entries X[b, j] with labels[b] == labels[j] in the column-major vec
-    of an n x n X: labels = point_of spans the point-block-diagonal
-    matrices, the pairs (point, gamma[b, b]) of a diagonal grading span
-    their intersection with the grading's commutant.
+    The columns are the indices j n + b, in increasing order, of the entries
+    X[b, j] with labels[b] == labels[j] in the column-major vec of an n x n
+    X: labels = point_of spans the point-block-diagonal matrices, the pairs
+    (point, gamma[b, b]) of a diagonal grading span their intersection with
+    the grading's commutant. The gamma rows are
+    _commutation_operator(gamma[None])[:, columns] for a grading that stays
+    a generator, else None.
+
+    The D map A, of shape (k n^2 len(columns), n^2), takes D.ravel() to the
+    rows of the [D, b]: (A @ D.ravel()).reshape(-1, len(columns)) is
+    _commutation_operator(commutator(D, basis))[:, columns]. Its column m is
+    that operator for the m-th unit matrix, built once by the same two
+    functions, so the operator is stated once. Every row of A holds at most
+    one nonzero, +1 or -1, so each entry of the product is exactly the
+    operator's, up to the sign of a zero.
     """
-    labels, gamma_generates = point_of, False
+    n = len(point_of)
+    labels, gamma = point_of, None
     if grading is not None:
-        g = np.frombuffer(grading, dtype=complex).reshape(len(point_of), -1)
-        diagonal = np.diagonal(g)
-        gamma_generates = not (g == np.diag(diagonal)).all()
-        if not gamma_generates:
-            labels = tuple(zip(labels, diagonal.tolist()))
-    n = len(labels)
+        gamma = np.frombuffer(grading, dtype=complex).reshape(n, n)
+        diagonal = np.diagonal(gamma)
+        if (gamma == np.diag(diagonal)).all():
+            labels, gamma = tuple(zip(labels, diagonal.tolist())), None
     j, b = np.nonzero([[labels[b] == labels[j] for b in range(n)] for j in range(n)])
     columns = j * n + b
-    columns.flags.writeable = False
-    return columns, gamma_generates
+    basis = _point_projections(Representation(point_of))
+    units = np.eye(n * n, dtype=complex).reshape(n * n, 1, n, n)
+    per_unit = _commutation_operator(commutator(units, basis).reshape(-1, n, n))
+    dirac_map = np.ascontiguousarray(per_unit.reshape(n * n, -1, n * n)[..., columns].reshape(n * n, -1).T)
+    gamma_rows = None if gamma is None else _commutation_operator(gamma[None])[:, columns]
+    for m in (columns, gamma_rows, dirac_map):
+        if m is not None:
+            m.flags.writeable = False
+    return columns, gamma_rows, dirac_map

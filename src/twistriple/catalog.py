@@ -25,7 +25,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REP_C2, REP_C3, REP_C4, Representation, _memo, _point_projections, _structure_key
+from .algebra import (
+    REP_C2,
+    REP_C3,
+    REP_C4,
+    Representation,
+    _integer,
+    _memo,
+    _point_projections,
+    _structure_key,
+)
 from .axioms import (
     RealStructure,
     SignTriple,
@@ -34,6 +43,7 @@ from .axioms import (
     _dirac_terms,
     _order_one_diffs,
     _order_one_images,
+    _replaced,
     epsilon_prime_residual,
 )
 from .conformal import ConformalFactor, rescale
@@ -42,6 +52,8 @@ from .linalg import (
     _ENTRY_MARGIN,
     Antiunitary,
     ToleranceConfig,
+    _as_square,
+    _assembled,
     _exceeds,
     _norms_exceed,
     _reciprocal,
@@ -259,6 +271,11 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     epsilon' relation to 1e-12 (1 + ||D||), else CatalogConstraintError. A
     conformal family rescales its base family's member by
     ConformalFactor(zeta, rho): it needs rho, and no other family takes rho or zeta.
+
+    Of the member's matrices only D, which this call lays out, is checked
+    (linalg._as_square): the grading and the twist are the family's
+    read-only constants, and J's U is a fresh copy of one, so the member is
+    put together by linalg._assembled.
     """
     fam = _family(family_id, _BUILDABLE)
     eps_prime = _sign(eps_prime)
@@ -277,9 +294,10 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     dirac = np.zeros((fam.dim, fam.dim), dtype=complex)
     for (i, j), v in {fam.hops[0]: d1, fam.hops[1]: d2, **fam.derived(eps_prime, d1, d2)}.items():
         dirac[i, j], dirac[j, i] = v, np.conj(v)
-    real = RealStructure(j=Antiunitary(fam.u.copy()),
+    real = RealStructure(j=_assembled(Antiunitary, u=fam.u.copy()),
                          signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
-    triple = SpectralTriple(rep=fam.rep, dirac=dirac, grading=fam.gamma, real=real, twist=fam.twist)
+    triple = _assembled(SpectralTriple, rep=fam.rep, dirac=_as_square(dirac), grading=fam.gamma,
+                        real=real, twist=fam.twist)
     residual = epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime)
     if norm := _exceeds(residual, 1e-12, triple.dirac):
         relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
@@ -333,11 +351,14 @@ def build_c4_perm_conformal_composite(eps_prime: int, d1: complex, d2: complex,
     """Permutation-twisted C^4 rescaled by k, carrying the product twist.
 
     The twist is nu_conformal . nu_permutation; for rho != 1/2 it fails the
-    twisted regularity condition, which is the point of this fixture.
+    twisted regularity condition, which is the point of this fixture. Only
+    the matrices computed here are checked: rescale's D and nu, and the
+    product twist (linalg._as_square).
     """
     base = build_c4(eps_prime, d1, d2, twist="perm")
-    rescaled = rescale(replace(base, twist=None), ConformalFactor(zeta=zeta, rho=rho))
-    return replace(rescaled, twist=Twist(rescaled.nu @ base.nu, implements_algebra_automorphism=True))
+    rescaled = rescale(_replaced(base, twist=None), ConformalFactor(zeta=zeta, rho=rho))
+    nu = _as_square(rescaled.nu @ base.nu)
+    return _replaced(rescaled, twist=_assembled(Twist, nu=nu, implements_algebra_automorphism=True))
 
 
 @dataclass(frozen=True)
@@ -468,6 +489,7 @@ def scan_c2_nonexistence(trials: int, seed: int,
     tolerance is decided without an SVD, the rest by the SVD, so every
     verdict is the one that comparing order_one_residual with abs_tol gives.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)

@@ -11,14 +11,14 @@ nu-twisted triples (algebra-side factors only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import embed
-from .axioms import SpectralTriple, Twist
+from .axioms import SpectralTriple, Twist, _derived
 from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
-from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _exceeds
+from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _as_square, _assembled, _exceeds
 
 __all__ = [
     "ConformalFactor",
@@ -75,20 +75,27 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     factors only and gets the twist mu = k_J nu k^-1, valid only when k k_J
     is invariant under conjugation by nu to abs_tol (1 + ||k k_J||); else the
     datum is not a twisted real triple and TwistCompositionError is raised.
+
+    The new nu and then the new D are the matrices checked (linalg._as_square,
+    axioms._derived, which also checks t's grading again); they are computed
+    with numpy's overflow warnings off, and an overflow raises a ValueError
+    that names rescale.
     """
     if t.twist is not None and k.side != SIDE_ALGEBRA:
         raise ValueError("composition with an existing twist uses algebra-side factors")
     a, s = _factor_matrices(t, k)
-    if t.twist is None:
-        twist = Twist(nu=np.linalg.inv(a) @ s, implements_algebra_automorphism=True)
-    else:
-        nu, kk = t.twist.nu, a @ s
-        if defect := _exceeds(nu @ kk @ t.twist.inverse() - kk, tol.abs_tol, kk):
+    old = t.twist
+    if old is not None:
+        kk = a @ s
+        if defect := _exceeds(old.nu @ kk @ old.inverse() - kk, tol.abs_tol, kk):
             raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
                                         "composed datum would not be a twisted real triple")
-        twist = Twist(nu=s @ nu @ np.linalg.inv(a),
-                      implements_algebra_automorphism=t.twist.implements_algebra_automorphism)
-    return replace(t, dirac=s @ t.dirac @ s, twist=twist)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = np.linalg.inv(a) @ s if old is None else s @ old.nu @ np.linalg.inv(a)
+        dirac = s @ t.dirac @ s
+    twist = _assembled(Twist, nu=_as_square(nu, "rescale", (a, s, None if old is None else old.nu)),
+                       implements_algebra_automorphism=old is None or old.implements_algebra_automorphism)
+    return _derived(t, dirac, "rescale", (t.dirac, s), twist=twist)
 
 
 def equivalent_commutant_factor(k: ConformalFactor) -> ConformalFactor:

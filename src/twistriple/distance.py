@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _two_point_projections
+from .algebra import _integer, _two_point_projections
 from .axioms import SpectralTriple
 from .linalg import DEFAULT_TOL, ToleranceConfig, _gram_norms, _reciprocal, commutator, operator_norms
 
@@ -93,8 +93,12 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     on the same boundary value. The oracle therefore checks the derivative
     norms that the closed form uses, by an independent route; it does not
     search for a supremum.
+
+    samples must be a positive integer (algebra._integer: not a bool, a
+    float or a string).
     """
     projections = _two_point_projections(t.rep)  # (E_+, E_-)
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     d = t.dirac

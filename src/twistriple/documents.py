@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Representation, _index, _memo, _structure_key
 from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
-from .linalg import Antiunitary
+from .linalg import Antiunitary, _assembled
 from .signs import _sign
 
 __all__ = ["DocumentError", "to_document", "from_document", "dumps", "loads", "save", "load"]
@@ -107,7 +107,11 @@ def to_document(t: SpectralTriple) -> dict:
 
 
 def _twist_from_doc(tobj: Any, dim: int) -> Optional[Twist]:
-    """The twist of a document's "twist" value, for from_document and loads."""
+    """The twist of a document's "twist" value, for from_document and loads.
+
+    _matrix_from_doc has checked nu, so the Twist is put together by
+    linalg._assembled, which does not check it again.
+    """
     if tobj is None:
         return None
     if not isinstance(tobj, dict) or "nu" not in tobj:
@@ -115,10 +119,18 @@ def _twist_from_doc(tobj: Any, dim: int) -> Optional[Twist]:
     flag = tobj.get("implements_automorphism")
     if not isinstance(flag, bool):
         raise DocumentError("twist.implements_automorphism must be a boolean")
-    return Twist(nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"), implements_algebra_automorphism=flag)
+    return _assembled(Twist, nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"),
+                      implements_algebra_automorphism=flag)
 
 
 def from_document(doc: Any) -> SpectralTriple:
+    """The triple of a parsed document, or DocumentError naming what is malformed.
+
+    Every matrix is checked once, by _matrix_from_doc, at the document's
+    dim: a square complex matrix with finite entries. The header ties the
+    representation to that dim, so the parts are put together by
+    linalg._assembled, with none of the constructors' checks again.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     try:
@@ -154,15 +166,12 @@ def from_document(doc: Any) -> SpectralTriple:
         if eps_dprime is not None:
             eps_dprime = _sign_from_doc(eps_dprime, "real.eps_dprime")
         real = RealStructure(
-            j=Antiunitary(_matrix_from_doc(robj["unitary"], dim, "real.unitary")),
+            j=_assembled(Antiunitary, u=_matrix_from_doc(robj["unitary"], dim, "real.unitary")),
             signs=SignTriple(eps=eps, eps_prime=eps_prime, eps_dprime=eps_dprime),
         )
 
     twist = _twist_from_doc(doc.get("twist"), dim)
-    try:
-        return SpectralTriple(rep=rep, dirac=dirac, grading=grading, real=real, twist=twist)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return _assembled(SpectralTriple, rep=rep, dirac=dirac, grading=grading, real=real, twist=twist)
 
 
 # The top-level markers of a canonical text, which `loads` splits at.
@@ -215,6 +224,9 @@ def dumps(t: SpectralTriple) -> str:
     algebra._memo record of algebra._structure_key's first part, the
     twist's text in that of its second part, and the structure loads reuses
     in that of the text pair: (dim, rep, grading copy, (U copy, signs)).
+    loads hands out copies of that grading and U without a check, so they
+    are checked once, here, when they are kept: a non-finite one (edited in
+    place) is not kept, and loads parses that text in full.
     """
     key = _structure_key(t)
     record, twist_record = _memo(key[0]), _memo(key[1])
@@ -223,8 +235,10 @@ def dumps(t: SpectralTriple) -> str:
     if (twist := twist_record.get("twist_text")) is None:
         twist = twist_record["twist_text"] = _twist_text(t)
     if "structure" not in (document := _memo(template)):
+        grading = None if t.grading is None else t.grading.copy()
         real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
-        document["structure"] = (t.dim, t.rep, None if t.grading is None else t.grading.copy(), real)
+        if all(m is None or np.isfinite(m).all() for m in (grading, None if real is None else real[0])):
+            document["structure"] = (t.dim, t.rep, grading, real)
     return template[0] + _matrix_text(t.dirac, 2) + template[1] + twist
 
 
@@ -246,19 +260,21 @@ def loads(text: str) -> SpectralTriple:
     When the text's pieces before D and between D and the twist (see
     _split) are those of a text `dumps` rendered, the structure `dumps`
     kept in their algebra._memo record is reused: its rep, and fresh copies
-    of its grading and U, and only the D and twist blocks are parsed, with
-    from_document's checks. Otherwise, and on any failure there, the text
-    takes the full parse, which words every error; loads stores nothing.
+    of its grading and U, which dumps checked, and only the D and twist
+    blocks are parsed, with from_document's checks. Otherwise, and on any
+    failure there, the text takes the full parse, which words every error;
+    loads stores nothing.
     """
     parts = _split(text)
     known = None if parts is None else _memo(parts[0::2]).get("structure")
     if known is not None:
         dim, rep, grading, real = known
         try:
-            return SpectralTriple(
-                rep=rep, dirac=_matrix_from_doc(json.loads(parts[1]), dim, "dirac"),
+            return _assembled(
+                SpectralTriple, rep=rep, dirac=_matrix_from_doc(json.loads(parts[1]), dim, "dirac"),
                 grading=None if grading is None else grading.copy(),
-                real=None if real is None else RealStructure(Antiunitary(real[0].copy()), real[1]),
+                real=None if real is None else RealStructure(_assembled(Antiunitary, u=real[0].copy()),
+                                                             real[1]),
                 twist=_twist_from_doc(json.loads(parts[3]), dim))
         except (ValueError, TypeError, RecursionError):  # DocumentError and JSONDecodeError are ValueErrors
             pass

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _two_point_projections
-from .axioms import SpectralTriple
-from .linalg import DEFAULT_TOL, ToleranceConfig, _exceeds, _rank, commutator
+from .axioms import SpectralTriple, _derived
+from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, _exceeds, _rank, commutator
 
 __all__ = [
     "OneForm",
@@ -39,11 +39,17 @@ class OneForm:
 
 
 def one_form(t: SpectralTriple, phi1: complex, phi2: complex) -> OneForm:
-    """(phi1 e + phi2 (1-e)) [D, e] with its coefficients recorded."""
+    """(phi1 e + phi2 (1-e)) [D, e] with its coefficients recorded.
+
+    A value that overflows the float range raises a ValueError that says so
+    (linalg._as_square).
+    """
     e, not_e = _two_point_projections(t.rep)
-    de = commutator(t.dirac, e)
-    value = (complex(phi1) * e + complex(phi2) * not_e) @ de
-    return OneForm(value=value, phi1=complex(phi1), phi2=complex(phi2), base_dirac=t.dirac.copy())
+    phi1, phi2 = complex(phi1), complex(phi2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (phi1 * e + phi2 * not_e) @ commutator(t.dirac, e)
+    value = _as_square(value, "one_form", (t.dirac, phi1, phi2))
+    return OneForm(value=value, phi1=phi1, phi2=phi2, base_dirac=t.dirac.copy())
 
 
 def selfadjoint_one_form(t: SpectralTriple, phi: complex) -> OneForm:
@@ -71,18 +77,35 @@ def _fluctuated_dirac(t: SpectralTriple, x: np.ndarray) -> np.ndarray:
     return t.dirac + x + t.eps_prime * nu @ t.real.j.conjugate(x) @ nu
 
 
+def _fluctuated(t: SpectralTriple, a: OneForm, operation: str) -> SpectralTriple:
+    """t with _fluctuated_dirac's D for X = alpha ("fluctuate") or gamma alpha ("fluctuate_chiral").
+
+    The new D is computed with numpy's overflow warnings off and checked by
+    axioms._derived, whose error names an overflow.
+    """
+    x = a.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        if operation == "fluctuate_chiral":
+            x = t.grading @ x
+        dirac = _fluctuated_dirac(t, x)
+    inputs = (t.dirac, a.value, t.grading, t.real.j.u, None if t.twist is None else t.twist.nu)
+    return _derived(t, dirac, operation, inputs)
+
+
 def fluctuate(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
     """Gauge fluctuation D -> D + alpha + eps' nu (J alpha J^-1) nu.
 
     alpha must be selfadjoint; J, nu, gamma and the representation are kept,
-    so the result is again a triple of the same kind.
+    so the result is again a triple of the same kind. Only the new D is
+    checked, and t's grading again (axioms._derived); a D that overflows the
+    float range raises a ValueError that names fluctuate.
     """
     if t.real is None:
         raise ValueError("fluctuation needs a real structure")
     if not is_selfadjoint_form(a, tol):
         raise ValueError("fluctuation requires a selfadjoint one-form")
     _require_matching_base(t, a, tol)
-    return t.with_dirac(_fluctuated_dirac(t, a.value))
+    return _fluctuated(t, a, "fluctuate")
 
 
 def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralTriple:
@@ -90,7 +113,8 @@ def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAU
 
     A must be antihermitian (||A + A*|| <= abs_tol) and the triple graded.
     The nu factors make the twisted chiral orbit coincide with the twisted
-    gauge orbit; untwisted they are the identity.
+    gauge orbit; untwisted they are the identity. The new D is checked as
+    fluctuate's is.
     """
     if t.real is None:
         raise ValueError("chiral fluctuation needs a real structure")
@@ -99,7 +123,7 @@ def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAU
     if _exceeds(a.value + a.value.conj().T, tol.abs_tol):
         raise ValueError("chiral fluctuation requires an antihermitian one-form")
     _require_matching_base(t, a, tol)
-    return t.with_dirac(_fluctuated_dirac(t, t.grading @ a.value))
+    return _fluctuated(t, a, "fluctuate_chiral")
 
 
 def _omega1_span(t: SpectralTriple) -> np.ndarray:

@@ -2,10 +2,21 @@
 
 Everything in this package lives on Hilbert spaces of dimension <= 8. The
 operator norm is LAPACK's largest singular value, and rank/nullspace
-decisions use the relative singular-value threshold `RANK_TOL`. Inputs
-are checked for shape and finiteness once, where matrices enter the package
-(triple, twist and antiunitary constructors, documents, the CLI), not inside
-the kernels.
+decisions use the relative singular-value threshold `RANK_TOL`. Each matrix
+is checked for shape and finiteness once, by `_as_square`, after its last
+possible change, not inside the kernels: where it enters the package (the
+triple, twist and antiunitary constructors, the CLI) and where an operation
+computes it (a one-form's value, the D of a fluctuation, a rescaling or a
+catalog member, a rescaling's nu), naming the operation if it overflowed.
+Triples built from checked parts (`with_dirac`, the fluctuations,
+`rescale`, the catalog builders, documents) are put together by
+`_assembled`, which repeats no check; a triple derived from another checks
+that one's grading again, since a caller may have edited it in place. A
+document's matrices are checked as they are parsed, and the grading and U
+that `dumps` keeps for `loads` once, when it keeps them.
+`axioms.is_irreducible` reads its commutation operator off a linear map in
+D's entries, kept per (representation, grading) and built once from the
+unit matrices by `_commutation_operator`, which `commutant_dimension` uses.
 
 Every operator norm in the package goes through one kernel,
 `operator_norms(stack) = np.linalg.svd(stack, compute_uv=False)[..., 0]`:
@@ -50,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,13 +104,38 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, operation: Optional[str] = None, inputs: Iterable = ()) -> np.ndarray:
+    """m as a complex square matrix; ValueError for another shape or a non-finite entry.
+
+    The package's one matrix check. The constructors apply it to what they
+    are given; a derivation (a one-form, a fluctuation, a rescaling) applies
+    it to the matrix it computed, named by operation, with the matrices and
+    scalars it computed that matrix from as inputs. Such a matrix is computed
+    under np.errstate(over="ignore", invalid="ignore"), so no RuntimeWarning
+    escapes: if it is not finite while every input is, the operation
+    overflowed, and the error says so. The inputs are read only then.
+    """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
+        if operation is not None and all(np.isfinite(x).all() for x in inputs if x is not None):
+            raise ValueError(f"{operation} overflowed: its result has entries beyond the float range")
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _assembled(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, without cls.__post_init__.
+
+    The private construction path beside the public constructors: its caller
+    has checked every matrix it passes (with _as_square, or by reading it
+    from a document), so the constructor's checks would only repeat them.
+    The fields go straight into the instance's __dict__, as copy.copy does.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @lru_cache(maxsize=8)

@@ -12,7 +12,13 @@ __all__ = ["SignTriple", "ko_dimension"]
 
 
 def _sign(value: int, message: str = "signs must be +1 or -1") -> int:
-    """+1 or -1 as an int, for any value equal to one of them (1.0 too); ValueError otherwise."""
+    """+1 or -1 as an int, for any value equal to one of them (1.0 too) but a bool; ValueError otherwise.
+
+    True equals 1, but documents and the CLI refuse it as a sign, and
+    algebra._index refuses it as an integer, so it is refused here too.
+    """
+    if isinstance(value, bool):
+        raise ValueError(message)
     if value == 1:
         return 1
     if value == -1:

@@ -513,7 +513,7 @@ def test_sign_triple_is_an_immutable_value():
     s = SignTriple(eps=1, eps_prime=1, eps_dprime=1)
     assert repr(s) == "SignTriple(eps=1, eps_prime=1, eps_dprime=1)"
     assert repr(SignTriple(-1, 1)) == "SignTriple(eps=-1, eps_prime=1, eps_dprime=None)"
-    assert s == SignTriple(1.0, 1, True) and hash(s) == hash(SignTriple(1, 1, 1))
+    assert s == SignTriple(1.0, 1, 1.0) and hash(s) == hash(SignTriple(1, 1, 1))
     assert s != SignTriple(1, 1) and s != SignTriple(1, -1, 1) and s != (1, 1, 1)
     assert len({s, SignTriple(1, 1, 1), SignTriple(1, 1)}) == 2
     for name in ("eps", "eps_prime", "eps_dprime", "other"):
@@ -529,7 +529,7 @@ def test_sign_triple_is_an_immutable_value():
         SignTriple(1, 1, 2)
 
 
-@pytest.mark.parametrize("bad", [1.5, -1.0000001, 0.9999999, "1", "-1", float("nan")])
+@pytest.mark.parametrize("bad", [1.5, -1.0000001, 0.9999999, "1", "-1", float("nan"), True, False])
 def test_sign_triple_rejects_values_that_are_not_plus_or_minus_one(bad):
     for args in ((bad, 1), (1, bad), (1, 1, bad)):
         with pytest.raises(ValueError, match="^signs must be \\+1 or -1$"):
@@ -650,6 +650,11 @@ def test_constructors_reject_non_finite_entries(bad):
     poisoned[0, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         t.with_dirac(poisoned)
+    # with_dirac's own path words its errors as the constructor does
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        t.with_dirac(poisoned)
+    with pytest.raises(ValueError, match="^Dirac operator dimension does not match the representation$"):
+        t.with_dirac(poisoned[:2, :2])
     grading = t.grading.copy()
     grading[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):

@@ -189,7 +189,7 @@ def test_derive_family_dimensions(eps):
     assert derive_family(C4_PERM, eps).real_dimension == 4
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, -1.0000001, 0.5, "1", 3])
+@pytest.mark.parametrize("bad", [1.5, 2.0, -1.0000001, 0.5, "1", 3, True, False])
 def test_family_builders_reject_signs_that_are_not_plus_or_minus_one(bad):
     with pytest.raises(ValueError, match="^signs must be \\+1 or -1$"):
         build_family(C3_UNTWISTED, bad, 2.0)
@@ -532,3 +532,11 @@ def test_fluctuated_distance_formula_values():
     assert fluctuated_distance_formula(
         C4_PERM, {"d1": 1.0, "d2": 2.0}, 0.5) == pytest.approx(1.0)
     assert np.isinf(fluctuated_distance_formula(C3_UNTWISTED, {"d1": 1.0}, 1.0))
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, 3.0])
+def test_scan_trials_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=f"^trials must be an integer, got {bad!r}$"):
+        scan_c2_nonexistence(bad, 0)
+    report = scan_c2_nonexistence(np.int64(3), 0)
+    assert report.trials == 3 and type(report.trials) is int

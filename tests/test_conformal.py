@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from twistriple.axioms import check_all, check_grading, check_twisted_regularity, ko_dimension
-from twistriple.catalog import build_c3, build_c4, build_c4_perm_conformal_composite
+from twistriple.axioms import SpectralTriple, check_all, check_grading, check_twisted_regularity, ko_dimension
+from twistriple.catalog import (
+    C3_CONFORMAL,
+    C4_CONFORMAL,
+    build_c3,
+    build_c4,
+    build_c4_perm_conformal_composite,
+    build_family,
+)
 from twistriple.conformal import (
     ConformalFactor,
     TwistCompositionError,
@@ -10,7 +19,7 @@ from twistriple.conformal import (
     equivalent_commutant_factor,
     rescale,
 )
-from twistriple.forms import omega1_equal
+from twistriple.forms import antihermitian_one_form, fluctuate, fluctuate_chiral, omega1_equal, selfadjoint_one_form
 from twistriple.linalg import ToleranceConfig
 
 TOL12 = ToleranceConfig(abs_tol=1e-12)
@@ -234,3 +243,58 @@ def test_rescaling_a_singular_twist_raises_a_linalg_error_naming_it():
     with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular") as info:
         rescale(t, ConformalFactor(zeta=1.2, rho=0.3))
     assert isinstance(info.value, ValueError)
+
+
+# --------------------------------------------------------- overflow and non-finite inputs
+
+OVERFLOW = "^rescale overflowed: its result has entries beyond the float range$"
+SIDES = ["algebra", "commutant-image"]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_rescaling_that_overflows_is_a_value_error_that_names_it_and_warns_nothing(side):
+    t = build_c4(1, 1e300 * (1 + 0.5j), 1e300 * (0.3 - 1j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=OVERFLOW):
+            rescale(t, ConformalFactor(zeta=1e10, rho=0.3, side=side))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_family(C4_CONFORMAL, 1, 1e300 * (1 + 0.5j), 1e300 * (0.3 - 1j), rho=0.3, zeta=1e10),
+    lambda: build_family(C3_CONFORMAL, -1, 1e300 * (1 + 0.5j), rho=0.3, zeta=1e10),
+    lambda: build_c4_perm_conformal_composite(1, 1e300, 1e300, rho=0.3, zeta=1e10),
+], ids=["c4_conformal", "c3_conformal", "composite"])
+def test_catalog_members_that_overflow_name_the_rescaling(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=OVERFLOW):
+            build()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_rescaling_of_a_dirac_edited_to_nan_in_place_keeps_the_constructors_message(side):
+    base = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
+    t = SpectralTriple(base.rep, base.dirac.copy(), base.grading, base.real)
+    t.dirac[0, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            rescale(t, ConformalFactor(zeta=1.2, rho=0.3, side=side))
+
+
+def test_a_grading_edited_to_nan_in_place_is_refused_by_every_derivation():
+    # the derivations check the new D and, as the constructor did, the caller's grading
+    base = build_c4(1, 1.0 - 0.5j, 0.25 + 1.0j)
+    t = SpectralTriple(base.rep, base.dirac, base.grading.copy(), base.real)
+    forms = selfadjoint_one_form(t, 0.25 + 0.5j), antihermitian_one_form(t, 0.25 + 0.5j)
+    t.grading[1, 1] = np.nan
+    derivations = [lambda: t.with_dirac(2.0 * t.dirac), lambda: fluctuate(t, forms[0]),
+                   lambda: fluctuate_chiral(t, forms[1])]
+    derivations += [lambda side=side: rescale(t, ConformalFactor(zeta=1.2, rho=0.3, side=side))
+                    for side in SIDES]
+    for derive in derivations:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                derive()

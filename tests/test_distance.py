@@ -240,3 +240,11 @@ def test_singular_twist_raises_a_linalg_error_naming_it():
     t = replace(t, twist=Twist(NU4_PERM * [[1.0], [1.0], [1.0], [0.0]]))
     with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular"):
         distance_bruteforce(t, 10, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, 3.0])
+def test_bruteforce_samples_must_be_an_integer(bad):
+    t = build_c4(1, 1.0, 2.0)
+    with pytest.raises(ValueError, match=f"^samples must be an integer, got {bad!r}$"):
+        distance_bruteforce(t, bad, 0)
+    assert distance_bruteforce(t, np.int64(3), 0) == distance_bruteforce(t, 3, 0)

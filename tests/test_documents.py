@@ -523,3 +523,44 @@ def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():
         for m in (t.grading, t.real.j.u, t.nu):
             m[0, 0] = 7.0
         assert dumps(t) == _reference_dumps(t) != text
+
+
+@pytest.mark.parametrize("path,name", [(("dirac",), "dirac"), (("grading",), "grading"),
+                                       (("real", "unitary"), "real.unitary"), (("twist", "nu"), "twist.nu")])
+def test_a_non_finite_matrix_is_refused_with_its_name_cold_and_warm(path, name):
+    # 1e400 parses as inf: from_document and loads, with the memo cold and warm, refuse it
+    # where _matrix_from_doc reads it, and nothing checks the parsed matrices again
+    t = build_c4(-1, 1.0 - 1.0j, 0.5, twist="perm")
+    doc = json.loads(dumps(t))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]][0][0][0] = 123.25  # a literal found nowhere else in the text
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert text.count("123.25") == 1
+    text = text.replace("123.25", "1e400")
+    message = f"^{name}: entry \\(0,0\\) is not finite$"
+    with pytest.raises(DocumentError, match=message):
+        from_document(json.loads(text))
+    algebra._memo.cache_clear()
+    with pytest.raises(DocumentError, match=message):
+        loads(text)
+    assert dumps(t) and "structure" in algebra._memo(documents._split(dumps(t))[0::2])
+    with pytest.raises(DocumentError, match=message):
+        loads(text)
+
+
+def test_a_grading_edited_to_nan_in_place_is_not_kept_for_loads():
+    # dumps checks the grading and U it keeps for loads once, when it keeps them: a NaN
+    # grading is not kept, and loads refuses the text by the full parse, cold and warm
+    from twistriple.axioms import SpectralTriple
+
+    base = build_c4(1, 1.0, 2.0)
+    t = SpectralTriple(base.rep, base.dirac, base.grading.copy(), base.real)
+    t.grading[1, 1] = np.nan
+    algebra._memo.cache_clear()
+    for _ in range(2):
+        text = dumps(t)
+        assert "structure" not in algebra._memo(documents._split(text)[0::2])
+        with pytest.raises(DocumentError, match="^invalid JSON: "):
+            loads(text)

@@ -43,6 +43,14 @@ isolation of the constants they cache.
   four conditions on D, written out per member.
 - The solver's contract: a constraint must broadcast over the leading stack
   axis, else ValueError.
+- `is_irreducible`'s D map, kept per (representation, grading), against
+  the operator it replaced, `_commutation_operator(commutator(D, basis))`
+  restricted to the commutant columns: every entry equal in absolute value,
+  bitwise (only the sign of a zero may differ), for random D at scales
+  1e-12 to 1e12 on C^2, C^3 and C^4, ungraded, with a diagonal grading and
+  with one that has off-diagonal entries; the kept gamma rows equal the
+  gamma block of the operator with gamma among the generators, bitwise;
+  the verdicts equal those of the replaced construction.
 - The cached point projections and Hermitian basis stack are read-only, and
   the public arrays (`projection_e`, `algebra_basis`) are fresh copies whose
   mutation changes no later result.
@@ -53,10 +61,12 @@ import pytest
 
 from twistriple.algebra import REP_C2, REP_C3, REP_C4, Representation, _point_projections, projection_e
 from twistriple.axioms import (
+    SpectralTriple,
     _order_one_diffs,
     _order_one_images,
     check_all,
     epsilon_prime_residual,
+    is_irreducible,
     order_one_residual,
 )
 from twistriple.catalog import (
@@ -76,7 +86,7 @@ from twistriple.catalog import (
     build_conformal,
     derive_family,
 )
-from twistriple import distance
+from twistriple import axioms, distance
 from twistriple.distance import _ORACLE_BLOCK, distance_bruteforce, spectral_distance
 from twistriple.forms import fluctuate, selfadjoint_one_form
 from twistriple.linalg import (
@@ -87,6 +97,7 @@ from twistriple.linalg import (
     _hermitian_stack,
     _matmul,
     _norms_exceed,
+    _commutation_operator,
     _rank,
     commutator,
     operator_norm,
@@ -744,3 +755,47 @@ def test_public_projections_are_fresh_and_writing_them_changes_nothing(make):
         b[...] = -3.0
     assert same_bits(projection_e(t.rep), _point_projections(t.rep)[0])
     assert _results(t, 0.25 + 0.5j) == before
+
+
+# ------------------------------------------------------ is_irreducible's D map
+
+def _gradings(rep: Representation, rng) -> list:
+    """None, the diagonal grading of rep's catalog shape (or diag(1, -1)), and a
+    conjugate of it by a unitary inside each point block (off-diagonal entries)."""
+    n = rep.dim
+    diagonal = {2: np.diag([1.0, -1.0]), 3: GAMMA3, 4: GAMMA4}[n].astype(complex)
+    u = np.zeros((n, n), dtype=complex)
+    for p in range(rep.n_points):
+        idx = [i for i in range(n) if rep.point_of[i] == p]
+        q, _ = np.linalg.qr(rng.standard_normal((len(idx),) * 2) + 1j * rng.standard_normal((len(idx),) * 2))
+        u[np.ix_(idx, idx)] = q
+    return [None, diagonal, u @ diagonal @ u.conj().T]
+
+
+@pytest.mark.parametrize("rep", [REP_C2, REP_C3, REP_C4], ids=["c2", "c3", "c4"])
+def test_irreducibility_map_equals_the_commutation_operator_in_absolute_value_bitwise(rep):
+    rng = np.random.default_rng(rep.dim)
+    n, basis = rep.dim, _point_projections(rep)
+    for g in _gradings(rep, rng):
+        columns, gamma_rows, dirac_map = axioms._commutant_columns(
+            rep.point_of, None if g is None else g.tobytes())
+        assert dirac_map.shape == (len(basis) * n * n * len(columns), n * n)
+        assert set(np.unique(dirac_map).tolist()) <= {-1, 0, 1}
+        assert (np.count_nonzero(dirac_map, axis=1) <= 1).all()
+        off_diagonal = g is not None and (g != np.diag(np.diagonal(g))).any()
+        assert (gamma_rows is not None) == off_diagonal
+        verdicts = []
+        for scale in 10.0 ** np.arange(-12, 13, 3):
+            d = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            d = d + d.conj().T
+            gens = commutator(d, basis)
+            want = _commutation_operator(gens)[:, columns]
+            got = (dirac_map @ d.ravel()).reshape(want.shape)
+            assert same_bits(np.abs([got.real, got.imag]), np.abs([want.real, want.imag])), scale
+            if off_diagonal:
+                rows = _commutation_operator(np.concatenate([g[None], gens]))[:, columns]
+                assert same_bits(gamma_rows, rows[:n * n])
+                want = rows
+            s = np.linalg.svd(want, compute_uv=False)
+            verdicts.append(is_irreducible(SpectralTriple(rep, d, grading=g)) == (len(columns) - _rank(s) == 1))
+        assert all(verdicts)

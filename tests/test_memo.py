@@ -169,9 +169,17 @@ def test_memoized_j_images_and_columns_are_read_only(kind, cold):
     t = build_family(kind, 1, 1.0, 2.0, **({"rho": 0.3} if kind == C4_CONFORMAL else {}))
     check_all(t)
     images = algebra._memo(algebra._structure_key(t))["j_images"]
-    columns, gamma_generates = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
-    assert len(images) == 2 and not gamma_generates
-    for m in (*images, columns):
+    columns, gamma_rows, dirac_map = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
+    assert len(images) == 2 and gamma_rows is None
+    for m in (*images, columns, dirac_map):
+        with pytest.raises(ValueError, match="read-only"):
+            m.flat[0] = 1
+    # a grading with an off-diagonal entry keeps its own rows, read-only too
+    v = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    gamma = np.kron(np.eye(2), v) @ t.grading @ np.kron(np.eye(2), v)
+    assert gamma.any() and (gamma != np.diag(np.diagonal(gamma))).any()
+    _, gamma_rows, dirac_map = axioms._commutant_columns(t.rep.point_of, gamma.astype(complex).tobytes())
+    for m in (gamma_rows, dirac_map):
         with pytest.raises(ValueError, match="read-only"):
             m.flat[0] = 1
 
