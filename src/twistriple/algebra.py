@@ -97,6 +97,25 @@ def _point_projections(rep: Representation) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=256)
+def _between_points(rep: Representation) -> np.ndarray:
+    """The read-only flat indices of the entries (i, j) of a matrix with point_of[i] != point_of[j]."""
+    point = np.asarray(rep.point_of)
+    index = np.flatnonzero(point[:, None] != point[None, :])
+    index.flags.writeable = False
+    return index
+
+
+def _fixes_points(m: np.ndarray, rep: Representation, inverse=None) -> bool:
+    """Whether m^-1 b m = b exactly for every point projection b of rep, so that a
+    twisted image of b (under nu^2 in twisted order one, under nu in the twisted
+    derivative and twist_preserves_algebra) is b: m b == b m exactly, which holds
+    iff m has no nonzero entry between two points, and inverse, m's inverse if
+    given, is finite."""
+    return not np.count_nonzero(m.take(_between_points(rep))) and (
+        inverse is None or bool(np.isfinite(inverse).all()))
+
+
 def _structure_key(t) -> tuple:
     """The content key of everything a triple carries besides its Dirac operator.
 
@@ -121,6 +140,11 @@ def _structure_key(t) -> tuple:
 _MEMO_BOUND = 256
 
 
+class _Record(dict):
+    """A memo record: a dict that a weak reference can name (documents._RENDERED)."""
+    __slots__ = ("__weakref__",)
+
+
 @lru_cache(maxsize=_MEMO_BOUND)
 def _memo(key) -> dict:
     """The record of D-free work for a content key, of the _MEMO_BOUND most recently used.
@@ -132,7 +156,7 @@ def _memo(key) -> dict:
     kinds are equal. lru_cache locks its own map, and an entry is one dict
     read or write, atomic under the GIL: a race at most computes an entry twice.
     """
-    return {}
+    return _Record()
 
 
 def _two_point_projections(rep: Representation) -> np.ndarray:

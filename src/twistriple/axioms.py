@@ -15,10 +15,9 @@ check_grading return entries of check_all's report, and
 catalog.derive_family solves _dirac_terms' four conditions.
 
 Only four of check_all's conditions read D. The residuals of the others
-and the order-one J-images are kept in algebra._memo's records, per
-content key (algebra._structure_key: the representation, the signs, the
-twist's flag, and the exact bytes of grading, U and nu): those that read
-no nu under the key's first part, the rest under the whole key; see
+and the linear map that gives the D terms are kept in algebra._memo's
+records, per content key (algebra._structure_key: the representation, the
+signs, the twist's flag, and the exact bytes of grading, U and nu); see
 check_all.
 """
 
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _memo, _point_projections, _structure_key
+from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -243,9 +242,10 @@ def _order_one_images(u: np.ndarray, nu: np.ndarray, basis) -> tuple[np.ndarray,
     """(J b J^-1, J nu^-2 b nu^2 J^-1) for every basis element b, on axis -3.
 
     Raises LinAlgError when nu^2 is singular. When every nu^2 equals the
-    identity exactly (untwisted triples, permutation twists, the C^2 scan's
-    nu = 1), the twisted image is the plain one, broadcast to the shape the
-    general formula gives: inv(I) and products with I are exact.
+    identity exactly (the C^2 scan's nu = 1), the twisted image is the plain
+    one, broadcast to the shape the general formula gives: inv(I) and
+    products with I are exact. check_all takes these images once per
+    structure, into the rows of its D map (_dirac_map).
     """
     b = np.asarray(basis)  # (k, n, n)
     mm = np.matmul if u.ndim == nu.ndim == 2 else _matmul
@@ -294,35 +294,89 @@ def order_one_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
 def epsilon_prime_residual(dirac: np.ndarray, u: np.ndarray, nu: np.ndarray,
                            eps_prime: int) -> np.ndarray:
     """D U conj(nu) - eps' nu U conj(D), which vanishes iff D J nu = eps' nu J D."""
-    return dirac @ u @ np.conj(nu) - eps_prime * nu @ u @ np.conj(dirac)
+    return _epsilon_prime(dirac, *_epsilon_prime_factors(u, nu, eps_prime))
 
 
-def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, basis: np.ndarray, record: dict) -> list[_Term]:
+def _epsilon_prime_factors(u: np.ndarray, nu: np.ndarray, eps_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """The D-free factors (U conj(nu), eps' nu U) of _epsilon_prime."""
+    return u @ np.conj(nu), eps_prime * nu @ u
+
+
+def _epsilon_prime(dirac: np.ndarray, u_nu: np.ndarray, nu_u: np.ndarray) -> np.ndarray:
+    """epsilon_prime_residual from its factors: D (U conj(nu)) - (eps' nu U) conj(D)."""
+    return dirac @ u_nu - nu_u @ np.conj(dirac)
+
+
+def _dirac_map(t: SpectralTriple, basis: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """_dirac_terms' map L, read-only, with the order-one rows of the twist nu.
+
+    On row-major vecs, gamma D + D gamma is kron(gamma, 1) + kron(1, gamma^T),
+    [D, a] is diag(a_q - a_p) and X Jt - Jp X is kron(1, Jt^T) - kron(Jp, 1)
+    for _order_one_images' (Jp, Jt), pairs a-major. A singular nu^2, or
+    J-images that are not finite, leave no order-one rows.
+    """
+    n, eye = t.dim, np.eye(t.dim)
+    rows = [np.zeros((0, n * n), dtype=complex)]
+    if t.grading is not None:
+        rows.append(np.kron(t.grading, eye) + np.kron(eye, t.grading.T))
+    try:
+        images = None if t.real is None else _order_one_images(t.real.j.u, nu, basis)
+    except np.linalg.LinAlgError:
+        images = None
+    if images is not None and np.isfinite(images[1]).all():
+        per_b = np.einsum("ip,bqj->bijpq", eye, images[1]) - np.einsum("bip,jq->bijpq", images[0], eye)
+        a = np.diagonal(basis, axis1=-2, axis2=-1).real
+        rows.append((per_b[None] * (a[:, None, :] - a[:, :, None])[:, None, None, None]).reshape(-1, n * n))
+    dirac_map = np.concatenate(rows)
+    dirac_map.flags.writeable = False
+    return dirac_map
+
+
+def _dirac_operands(t: SpectralTriple, basis: np.ndarray, nu_free_record: dict, record: dict) -> tuple:
+    """(L, U conj(nu), eps' nu U): _dirac_terms' map and _epsilon_prime's factors
+    for t's structure, kept in record (the whole key's). L is the map with the
+    plain J-images, kept in nu_free_record (the key's first part), unless t's
+    nu^2 fails _fixes_points with its inverse; then L is t's own."""
+    if (operands := record.get("dirac_operands")) is None:
+        if (dirac_map := nu_free_record.get("dirac_map")) is None:
+            dirac_map = nu_free_record["dirac_map"] = _dirac_map(t, basis, _identity(t.dim))
+        operands = (dirac_map, None, None)
+        if t.real is not None:
+            nu = _identity(t.dim) if t.twist is None else t.twist.nu
+            try:
+                plain = t.twist is None or _fixes_points(nu2 := nu @ nu, t.rep, np.linalg.inv(nu2))
+            except np.linalg.LinAlgError:
+                plain = False
+            factors = _epsilon_prime_factors(t.real.j.u, nu, t.real.signs.eps_prime)
+            for m in factors:
+                m.flags.writeable = False
+            operands = (dirac_map if plain else _dirac_map(t, basis, nu), *factors)
+        record["dirac_operands"] = operands
+    return operands
+
+
+def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, operands: tuple) -> list[_Term]:
     """check_all's terms that read D: dirac_selfadjoint, grading_anticommutes_dirac,
     twisted_order_one (inf when nu^2 is singular) and epsilon_prime.
 
-    They are evaluated on dirac, with the rest of the structure taken from t;
-    dirac may be a stack (..., n, n), and every residual matrix then carries
-    its leading axes. The order-one J-images are kept read-only in record,
-    the one of the triple's structure key.
+    They are evaluated on dirac, with the rest of the structure taken from t
+    and from operands, _dirac_operands' (L, U conj(nu), eps' nu U); dirac may
+    be a stack (..., n, n), and every residual matrix then carries its
+    leading axes. The row-major vecs of gamma D + D gamma and of the
+    order-one differences are L @ vec D; D - D^H and epsilon_prime, two
+    products with its factors, are formed directly.
     """
+    n, lead = t.dim, dirac.shape[:-2]
+    linear = (dirac.reshape(*lead, n * n) @ operands[0].T).reshape(*lead, -1, n, n)
     terms = [("dirac_selfadjoint", dirac - dirac.conj().swapaxes(-1, -2), None)]
     if t.grading is not None:
-        g = t.grading
-        terms.append(("grading_anticommutes_dirac", g @ dirac + dirac @ g, None))
+        terms.append(("grading_anticommutes_dirac", linear[..., 0, :, :], None))
     if t.real is not None:
-        try:
-            if (images := record.get("j_images")) is None:
-                images = _order_one_images(t.real.j.u, t.nu, basis)
-                for m in images:
-                    m.flags.writeable = False
-                record["j_images"] = images
-            order_one = _order_one_diffs(dirac, basis, *images)
-        except np.linalg.LinAlgError:
-            order_one = math.inf  # singular twist: the condition cannot even be formed
+        order_one = linear[..., len(terms) - 1:, :, :]
+        if not order_one.shape[-3] or np.isnan(order_one).any():  # LAPACK's SVD would not converge
+            order_one = math.inf
         terms += [("twisted_order_one", order_one, None),
-                  ("epsilon_prime",
-                   epsilon_prime_residual(dirac, t.real.j.u, t.nu, t.real.signs.eps_prime), None)]
+                  ("epsilon_prime", _epsilon_prime(dirac, *operands[1:]), None)]
     return terms
 
 
@@ -370,14 +424,16 @@ def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     terms.append(("twist_invertible", 0.0 if invertible else 1.0, 0.5))
     if not twist.implements_algebra_automorphism:
         terms.append(("twist_involutive", nu @ nu - _identity(t.dim), None))
-    elif invertible:
+    elif not invertible:
+        terms.append(("twist_preserves_algebra", 1.0, 0.5))
+    elif _fixes_points(nu, t.rep):  # invertible, so m^-1 b m = b exactly
+        terms.append(("twist_preserves_algebra", 0.0, None))
+    else:
         m = twist.inverse() @ basis @ nu
         # Nearest embedded element: the diagonal averaged over each point block (w marks them).
         w = np.diagonal(basis, axis1=-2, axis2=-1).real
         means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
         terms.append(("twist_preserves_algebra", m - np.einsum("kp,pij->kij", means, basis), None))
-    else:
-        terms.append(("twist_preserves_algebra", 1.0, 0.5))
     return terms
 
 
@@ -440,8 +496,11 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     algebra._structure_key's first part, those that read nu in that of the
     whole key. A call norms its D residuals and whatever its records lack,
     in one stacked call; a new rho of a conformal twist is a new key for the
-    nu terms only. The order-one J-images, inv(nu^2) included, are kept
-    read-only in the whole key's record.
+    nu terms only. The D-linear residuals are one product with a read-only
+    map (_dirac_terms, _dirac_operands), kept in the first part's record and
+    shared by every twist whose nu^2 fixes the point projections (every
+    rho of a conformal family); only another twist keeps its own, in the
+    whole key's record.
     """
     basis = _point_projections(t.rep)
     key = _structure_key(t)
@@ -449,7 +508,7 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     nu_free, twisted = nu_free_record.get("nu_free_residuals"), record.get("nu_residuals")
     new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
     new_twisted = [] if twisted is not None else _twist_terms(t, basis)
-    terms = _dirac_terms(t, t.dirac, basis, record)
+    terms = _dirac_terms(t, t.dirac, _dirac_operands(t, basis, nu_free_record, record))
     n = len(terms)
     terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
     entries = _entries(terms, tol)

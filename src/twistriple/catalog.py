@@ -40,6 +40,7 @@ from .axioms import (
     SignTriple,
     SpectralTriple,
     Twist,
+    _dirac_operands,
     _dirac_terms,
     _order_one_diffs,
     _order_one_images,
@@ -397,10 +398,11 @@ def _derived_family(family_id: str, eps_prime: int) -> DiracFamily:
     """derive_family's record of a family that has a defect, for eps' = +1 or -1."""
     fam = _FAMILIES[family_id]
     member = build_family(family_id, eps_prime, 0)
-    points = _point_projections(member.rep)
+    key = _structure_key(member)
+    operands = _dirac_operands(member, _point_projections(member.rep), _memo(key[0]), _memo(key))
 
     def conditions(stack: np.ndarray) -> np.ndarray:
-        terms = _dirac_terms(member, stack, points, {})
+        terms = _dirac_terms(member, stack, operands)
         return np.concatenate([r.reshape(len(stack), -1) for _, r, _ in terms], axis=1)
 
     basis = solve_linear_family([conditions], fam.dim)

@@ -76,18 +76,20 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     is invariant under conjugation by nu to abs_tol (1 + ||k k_J||); else the
     datum is not a twisted real triple and TwistCompositionError is raised.
 
-    The new nu and then the new D are the matrices checked (linalg._as_square,
-    axioms._derived, which also checks t's grading again); they are computed
-    with numpy's overflow warnings off, and an overflow raises a ValueError
-    that names rescale.
+    The twist-invariance residual, the new nu and then the new D are the
+    matrices checked (linalg._as_square, axioms._derived, which also checks
+    t's grading again); they are computed with numpy's overflow warnings
+    off, and an overflow raises a ValueError that names rescale.
     """
     if t.twist is not None and k.side != SIDE_ALGEBRA:
         raise ValueError("composition with an existing twist uses algebra-side factors")
     a, s = _factor_matrices(t, k)
     old = t.twist
     if old is not None:
-        kk = a @ s
-        if defect := _exceeds(old.nu @ kk @ old.inverse() - kk, tol.abs_tol, kk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            kk = a @ s
+            residual = _as_square(old.nu @ kk @ old.inverse() - kk, "rescale", (a, s, old.nu))
+        if defect := _exceeds(residual, tol.abs_tol, kk):
             raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
                                         "composed datum would not be a twisted real triple")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _integer, _two_point_projections
+from .algebra import _fixes_points, _integer, _two_point_projections
 from .axioms import SpectralTriple
 from .linalg import DEFAULT_TOL, ToleranceConfig, _gram_norms, _reciprocal, commutator, operator_norms
 
@@ -44,12 +44,13 @@ def spectral_distance(t: SpectralTriple) -> DistanceResult:
     """Distance between the two points: linalg._reciprocal of the larger derivative norm."""
     e = _two_point_projections(t.rep)[0]
     derivatives = [commutator(t.dirac, e)]
-    if t.twist is not None:  # the twisted derivative D e - (nu e nu^-1) D
-        nu = t.twist.nu
-        derivatives.append(t.dirac @ e - nu @ e @ t.twist.inverse() @ t.dirac)
+    if t.twist is not None:  # D e - (nu e nu^-1) D, which is [D, e] if nu _fixes_points
+        nu, nu_inv = t.twist.nu, t.twist.inverse()  # a singular nu raises either way
+        if not _fixes_points(nu, t.rep):
+            derivatives.append(t.dirac @ e - nu @ e @ nu_inv @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
     return DistanceResult(value=_reciprocal(max(norms)),
-                          norm_de=norms[0], norm_twisted=norms[1] if len(norms) > 1 else None)
+                          norm_de=norms[0], norm_twisted=None if t.twist is None else norms[-1])
 
 
 # Samples per stacked evaluation: bounds the oracle's memory for any sample count.
@@ -71,12 +72,10 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     Both derivatives are linear in a, so each is computed once on each
     point projection before sampling: the plain D E - E D and, with a twist,
     D E - (nu E nu^-1) D, for E = E_+ and for E = E_- on its own (not as
-    1 - E_+). A twist that commutes with both point projections (a
-    conformal one) gets no twisted stack: then nu E nu^-1 = E and the
-    twisted derivative is the plain one. The test is exact equality of
-    nu E and E nu, whose products are exact since E's entries are 0 and 1.
-    Permutation twists and their composites fail it and keep both stacks.
-    The derivatives of a sample c_+ E_+ + c_- E_- are then
+    1 - E_+). A twist that algebra._fixes_points (a conformal one, even a
+    singular one) gets no twisted stack, since nu E nu^-1 = E; permutation
+    twists and their composites keep both. The derivatives of a sample
+    c_+ E_+ + c_- E_- are then
     c_+ delta(E_+) + c_- delta(E_-), formed entrywise, and each sample's
     Gram matrix is formed from that combined matrix, never expanded in c_+
     and c_-, which would square the cancellation of a sample with
@@ -105,7 +104,7 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     images = [d @ projections - projections @ d]
     if t.twist is not None:
         nu = t.twist.nu
-        if not (nu @ projections == projections @ nu).all():
+        if not _fixes_points(nu, t.rep):
             images.append(d @ projections - nu @ projections @ t.twist.inverse() @ d)
     images = np.stack(images)  # (derivative, E_+/E_-, n, n)
     plus, minus = images[:, None, 0], images[:, None, 1]

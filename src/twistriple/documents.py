@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from typing import Any, Optional
 
 import numpy as np
@@ -211,6 +212,10 @@ def _twist_text(t: SpectralTriple) -> str:
     return _TWIST + twist + _END
 
 
+# The records of the structures dumps kept, by the text around D, while algebra._memo keeps them.
+_RENDERED: "weakref.WeakValueDictionary[tuple[str, str], dict]" = weakref.WeakValueDictionary()
+
+
 def dumps(t: SpectralTriple) -> str:
     """The canonical text of a triple document.
 
@@ -239,6 +244,7 @@ def dumps(t: SpectralTriple) -> str:
         real = None if t.real is None else (t.real.j.u.copy(), t.real.signs)
         if all(m is None or np.isfinite(m).all() for m in (grading, None if real is None else real[0])):
             document["structure"] = (t.dim, t.rep, grading, real)
+            _RENDERED[template] = document
     return template[0] + _matrix_text(t.dirac, 2) + template[1] + twist
 
 
@@ -263,10 +269,10 @@ def loads(text: str) -> SpectralTriple:
     of its grading and U, which dumps checked, and only the D and twist
     blocks are parsed, with from_document's checks. Otherwise, and on any
     failure there, the text takes the full parse, which words every error;
-    loads stores nothing.
+    loads stores nothing, and any other text gets no memo record (_RENDERED).
     """
     parts = _split(text)
-    known = None if parts is None else _memo(parts[0::2]).get("structure")
+    known = _memo(parts[0::2]).get("structure") if parts is not None and parts[0::2] in _RENDERED else None
     if known is not None:
         dim, rep, grading, real = known
         try:

@@ -61,8 +61,10 @@ def antihermitian_one_form(t: SpectralTriple, phi: complex) -> OneForm:
 
 
 def is_selfadjoint_form(a: OneForm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether ||alpha - alpha*|| <= abs_tol."""
-    return not _exceeds(a.value - a.value.conj().T, tol.abs_tol)
+    """Whether ||alpha - alpha*|| <= abs_tol; a difference beyond the float range is above it."""
+    with np.errstate(over="ignore"):  # an inf entry exceeds any bound (linalg._exceeds)
+        residual = a.value - a.value.conj().T
+    return not _exceeds(residual, tol.abs_tol)
 
 
 def _require_matching_base(t: SpectralTriple, a: OneForm, tol: ToleranceConfig):
@@ -120,7 +122,9 @@ def fluctuate_chiral(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAU
         raise ValueError("chiral fluctuation needs a real structure")
     if t.grading is None:
         raise ValueError("chiral fluctuation needs a grading")
-    if _exceeds(a.value + a.value.conj().T, tol.abs_tol):
+    with np.errstate(over="ignore"):  # as in is_selfadjoint_form
+        residual = a.value + a.value.conj().T
+    if _exceeds(residual, tol.abs_tol):
         raise ValueError("chiral fluctuation requires an antihermitian one-form")
     _require_matching_base(t, a, tol)
     return _fluctuated(t, a, "fluctuate_chiral")

@@ -213,12 +213,16 @@ def _exceeds(residual, tol: float, scale=None) -> float:
     """The worst operator norm of a residual stack (..., m, n) if above tol (1 + ||scale||), else 0.0.
 
     Without a scale the bound is tol; a NaN norm exceeds any bound. An
-    all-zero residual takes no norm, not even the scale's; the others' and
-    the scale's norms are one operator_norms call, bitwise operator_norm's.
+    all-zero residual takes no norm, not even the scale's, and one with an
+    inf or NaN entry (a difference that overflowed) gets a NaN norm without
+    the SVD; the others' and the scale's norms are one operator_norms call,
+    bitwise operator_norm's.
     """
     residual = np.asarray(residual)
     if not residual.any():
         return 0.0
+    if not np.isfinite(residual).all():
+        return math.nan
     stack = residual.reshape(-1, *residual.shape[-2:])
     if scale is None:
         norm, bound = float(operator_norms(stack).max()), tol

@@ -152,3 +152,23 @@ def test_representation_accepts_only_integers(point_of):
     with pytest.raises(ValueError, match="point indices must be integers"):
         Representation(point_of)
     assert Representation((np.int64(0), np.int32(1))).point_of == (0, 1)
+
+
+def test_fixes_points_is_the_exact_commutation_with_every_point_projection():
+    # no nonzero entry between two points iff m b == b m for every projection b,
+    # whose products are exact (b's entries are 0 and 1); -0.0 counts as zero
+    from twistriple.algebra import _fixes_points, _point_projections
+
+    rng = np.random.default_rng(5)
+    for point_of in [(0, 1), (0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 2, 1)]:
+        rep = Representation(point_of)
+        basis = _point_projections(rep)
+        p = np.asarray(point_of)
+        for _ in range(40):
+            m = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+            m[(p[:, None] != p[None, :]) & (rng.random((rep.dim, rep.dim)) < 0.9)] = -0.0
+            commutes = bool((m @ basis == basis @ m).all())
+            assert _fixes_points(m, rep) == commutes
+            inverse = np.linalg.inv(m)
+            assert _fixes_points(m, rep, inverse) == commutes
+            assert not _fixes_points(m, rep, np.full_like(inverse, np.inf))

@@ -4,12 +4,22 @@ import pickle
 import numpy as np
 import pytest
 
-from twistriple.algebra import REP_C2, REP_C3, REP_C4, _point_projections, embed
+from twistriple.algebra import (
+    REP_C2,
+    REP_C3,
+    REP_C4,
+    _fixes_points,
+    _memo,
+    _point_projections,
+    _structure_key,
+    embed,
+)
 from twistriple.axioms import (
     RealStructure,
     SignTriple,
     SpectralTriple,
     Twist,
+    _dirac_operands,
     check_all,
     check_epsilon_prime,
     check_grading,
@@ -265,9 +275,19 @@ def test_twist_automorphism_flag_checked():
 
 # ------------------------------------------- check_all against per-check norms
 
-def _reference_check_all(t, tol=DEFAULT_TOL):
+def _fixes_points_exactly(m, t):
+    """Whether m is block diagonal over t's points, so that m^-1 b m = b for every point projection b."""
+    point = np.asarray(t.rep.point_of)
+    return not m[point[:, None] != point[None, :]].any()
+
+
+def _reference_check_all(t, tol=DEFAULT_TOL, exact_twists=False):
     """check_all as it was written before the stacked norm: one operator_norm
-    call per residual matrix. Returns the (condition, residual, tol_used) list."""
+    call per residual matrix. Returns the (condition, residual, tol_used) list.
+
+    With exact_twists, a twist that fixes the points exactly takes the plain
+    images: a nu^2 with a finite inverse the plain J-images in twisted order
+    one, an invertible nu the exact 0.0 of twist_preserves_algebra."""
     entries = [("dirac_selfadjoint", operator_norm(t.dirac - t.dirac.conj().T), tol.abs_tol)]
     basis = t.algebra_basis()
     if t.grading is not None:
@@ -305,6 +325,8 @@ def _reference_check_all(t, tol=DEFAULT_TOL):
         try:
             nu2 = t.nu @ t.nu
             nu2_inv = np.linalg.inv(nu2)
+            if exact_twists and _fixes_points_exactly(nu2, t) and np.isfinite(nu2_inv).all():
+                nu2 = nu2_inv = np.eye(t.dim)
             worst = 0.0
             for a in basis:
                 da = commutator(t.dirac, a)
@@ -340,6 +362,8 @@ def _reference_check_all(t, tol=DEFAULT_TOL):
                         idx = [i for i, q in enumerate(t.rep.point_of) if q == p]
                         values.append(np.mean([m[i, i] for i in idx]))
                     worst = max(worst, operator_norm(m - embed(t.rep, values)))
+                if exact_twists and _fixes_points_exactly(nu, t):
+                    worst = 0.0
                 entries.append(("twist_preserves_algebra", worst, tol.abs_tol))
             else:
                 entries.append(("twist_preserves_algebra", 1.0, 0.5))
@@ -397,16 +421,82 @@ def _reference_cases(rng):
     return cases
 
 
+def _terms_norm(t, condition):
+    """The larger operator norm of the two terms a condition equates (worst over
+    basis pairs): test_oracle's band is 1e-12 times it."""
+    d, basis = t.dirac, t.algebra_basis()
+    if condition == "grading_anticommutes_dirac":
+        return max(operator_norm(t.grading @ d), operator_norm(d @ t.grading))
+    if condition == "twist_preserves_algebra":
+        return max(max(operator_norm(np.linalg.inv(t.nu) @ a @ t.nu) for a in basis), 1.0)
+    if condition == "epsilon_prime":
+        u = t.real.j.u
+        return max(operator_norm(d @ u @ np.conj(t.nu)), operator_norm(t.nu @ u @ np.conj(d)))
+    nu2, j = t.nu @ t.nu, t.real.j
+    return max(max(operator_norm(commutator(d, a) @ j.conjugate(np.linalg.inv(nu2) @ b @ nu2)),
+                   operator_norm(j.conjugate(b) @ commutator(d, a))) for a in basis for b in basis)
+
+
+def _assert_within_the_band(t, got, want):
+    """got's residuals equal want's, or lie within test_oracle's band of them in
+    the conditions the D map, the kept epsilon' factors or the exact twist rule
+    compute, with equal verdicts wherever want lies outside the band around
+    the tolerance."""
+    for (c, r, used), (c_want, r_want, used_want) in zip(got, want):
+        assert (c, used) == (c_want, used_want)
+        if r != r_want:
+            assert c in ("grading_anticommutes_dirac", "twisted_order_one", "epsilon_prime",
+                         "twist_preserves_algebra")
+            band = 1e-12 * _terms_norm(t, c)
+            assert abs(r - r_want) <= band, (c, r, r_want, band)
+            assert abs(r_want - used) <= band or (r <= used) == (r_want <= used)
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL12, ToleranceConfig(abs_tol=1e-3)])
 def test_check_all_matches_per_check_reference(tol):
+    # Bitwise, with the exact twist rule, except on the perturbed structures,
+    # whose dense J-images and epsilon' factors check_all multiplies in another
+    # order than the formulas: there the residuals lie within test_oracle's
+    # band, with equal verdicts.
     cases = _reference_cases(np.random.default_rng(41))
-    inf_cases = 0
+    inf_cases = dense_cases = commuting_cases = 0
     for t in cases:
         want = _reference_check_all(t, tol)
         got = [(e.condition, e.residual, e.tol_used) for e in check_all(t, tol).entries]
-        assert got == want
         inf_cases += {c: r for c, r, _ in got}.get("twisted_order_one") == np.inf
+        if t.grading is not None and (t.grading != np.diag(np.diagonal(t.grading))).any():
+            dense_cases += 1
+            _assert_within_the_band(t, got, want)
+            continue
+        assert got == _reference_check_all(t, tol, exact_twists=True)
+        _assert_within_the_band(t, got, want)
+        nu2 = t.nu @ t.nu
+        commuting_cases += _fixes_points_exactly(nu2, t) and (nu2 != np.eye(t.dim)).any()
     assert inf_cases == 4  # exactly and nearly singular nu^2, both flags
+    assert dense_cases == 16 and commuting_cases == 18  # 12 conformal members, 6 diagonal twists
+
+
+def test_a_twist_whose_square_fixes_the_points_takes_the_plain_order_one_image():
+    # a conformal twist's nu^2 is diagonal (the composite's is the identity),
+    # so the twisted J-images are the plain ones, and twisted_order_one is
+    # bitwise that of the untwisted triple; the formula through inv(nu^2)
+    # leaves a roundoff residual that grows with |D| and fails at large hops
+    rng = np.random.default_rng(3)
+    fails_today = 0
+    for scale in (1e-6, 1.0, 1e6, 1e150, 1e300):
+        for eps in (1, -1, 1, -1):
+            d1, d2 = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            rho, zeta = rng.uniform(0.1, 0.9, 2)
+            for t in (build_conformal("c3", eps, d1, rho=rho, zeta=zeta),
+                      build_conformal("c4", eps, d1, d2, rho=rho, zeta=zeta),
+                      build_c4_perm_conformal_composite(eps, d1, d2, rho=rho, zeta=zeta)):
+                got = check_all(t).entry("twisted_order_one")
+                plain = SpectralTriple(rep=t.rep, dirac=t.dirac, grading=t.grading, real=t.real)
+                assert got == check_all(plain).entry("twisted_order_one")
+                today = dict((c, r) for c, r, _ in _reference_check_all(t))["twisted_order_one"]
+                assert abs(got.residual - today) <= 1e-12 * _terms_norm(t, "twisted_order_one")
+                fails_today += today > DEFAULT_TOL.abs_tol
+    assert fails_today > 0
 
 
 def _singular_twists():
@@ -431,6 +521,68 @@ def test_singular_twist_raises_in_the_order_one_kernel_only():
         with pytest.raises(np.linalg.LinAlgError):
             order_one_residual(t.dirac, t.real.j.u, t.nu, t.algebra_basis())
         assert check_twisted_order_one(t).residual == check_all(t).entry("twisted_order_one").residual == np.inf
+
+
+def test_a_square_that_fixes_the_points_without_a_finite_inverse_gives_inf():
+    # nu^2 commutes with every point projection, but is singular, or so nearly
+    # singular that its inverse is not finite: twisted order one cannot be formed
+    for t in _singular_twists()[1:]:
+        nu2 = t.nu @ t.nu
+        assert _fixes_points(nu2, REP_C4) and not (nu2 == np.eye(4)).all()
+        with np.errstate(divide="ignore", over="ignore"):
+            try:
+                finite = np.isfinite(np.linalg.inv(nu2)).all()
+            except np.linalg.LinAlgError:
+                finite = False
+        assert not finite
+        for rescaled in (t, t.with_dirac(1e-12 * t.dirac), t.with_dirac(1e12 * t.dirac)):
+            assert check_all(rescaled).entry("twisted_order_one").residual == np.inf
+
+
+@pytest.mark.parametrize("kind", ["c3", "c4", "c3_perm", "c4_perm", "c3_conformal", "c4_conformal",
+                                  "perm_bad", "composite", "moved", "ungraded", "unreal"])
+def test_the_d_map_equals_the_term_formulas_on_the_unit_matrices(kind):
+    # L is built as Kronecker forms; column m must be the residuals of the m-th
+    # unit matrix E as the formulas give them: gamma E + E gamma and the order-one
+    # differences of the J-images (the plain ones when nu^2 fixes the points)
+    t = {"c3": lambda: build_c3(1, 1.0 - 0.5j), "c4": lambda: build_c4(-1, 1.0, 2.0),
+         "c3_perm": lambda: build_c3(1, 1.0, 2.0, twist="perm"),
+         "c4_perm": lambda: build_c4(1, 1.0, 2.0, twist="perm"),
+         "c3_conformal": lambda: build_conformal("c3", -1, 1.0, rho=0.3, zeta=1.4),
+         "c4_conformal": lambda: build_conformal("c4", 1, 1.0, 2.0, rho=0.7, zeta=0.6),
+         "perm_bad": lambda: build_c4(1, 1.0, twist="perm_bad"),
+         "composite": lambda: build_c4_perm_conformal_composite(1, 1.0, 2.0, rho=0.2, zeta=1.1),
+         }.get(kind, lambda: build_c4(1, 1.0, 2.0, twist="perm"))()
+    if kind == "moved":  # a twist whose square moves the point projections
+        t = SpectralTriple(t.rep, t.dirac, t.grading, t.real, Twist(t.nu + 0.3 * np.eye(4)))
+    elif kind == "ungraded":
+        t = SpectralTriple(t.rep, t.dirac, real=t.real, twist=t.twist)
+    elif kind == "unreal":
+        t = SpectralTriple(t.rep, t.dirac, t.grading, twist=t.twist)
+    n, basis = t.dim, _point_projections(t.rep)
+    key = _structure_key(t)
+    dirac_map = _dirac_operands(t, basis, _memo(key[0]), _memo(key))[0]
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    nu2 = t.nu @ t.nu
+    nu = t.nu if (nu2 != np.eye(n)).any() and not _fixes_points_exactly(nu2, t) else np.eye(n)
+    columns = []
+    for e in units:
+        parts = [] if t.grading is None else [t.grading @ e + e @ t.grading]
+        if t.real is not None:
+            u = t.real.j.u
+            for a in basis:
+                for b in basis:
+                    j_twisted = u @ np.conj(np.linalg.inv(nu @ nu) @ b @ (nu @ nu)) @ u.conj().T
+                    j_plain = u @ np.conj(b) @ u.conj().T
+                    parts.append(commutator(e, a) @ j_twisted - j_plain @ commutator(e, a))
+        columns.append(np.concatenate([p.ravel() for p in parts]) if parts else np.zeros(0))
+    want = np.array(columns).T
+    rows = n * n * ((t.grading is not None) + 4 * (t.real is not None))
+    assert dirac_map.shape == want.shape == (rows, n * n)
+    if kind == "moved":  # dense J-images, summed in another order
+        np.testing.assert_allclose(dirac_map, want, rtol=0, atol=1e-15)
+    else:
+        assert (dirac_map == want).all()
 
 
 def test_check_all_needs_eps_dprime_on_graded_real_triples():

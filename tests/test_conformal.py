@@ -260,6 +260,16 @@ def test_a_rescaling_that_overflows_is_a_value_error_that_names_it_and_warns_not
             rescale(t, ConformalFactor(zeta=1e10, rho=0.3, side=side))
 
 
+def test_a_twisted_rescaling_whose_invariance_test_overflows_names_it_and_warns_nothing():
+    # k k_J is beyond the float range at zeta = 1e200, before any new D or nu is formed
+    t = build_c4(1, 1.0, 2.0, twist="perm")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=OVERFLOW):
+            rescale(t, ConformalFactor(zeta=1e200, rho=0.3))
+        assert abs(rescale(t, ConformalFactor(zeta=1e100, rho=0.5)).dirac[0, 1]) == 2.0 * 0.25e200
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_family(C4_CONFORMAL, 1, 1e300 * (1 + 0.5j), 1e300 * (0.3 - 1j), rho=0.3, zeta=1e10),
     lambda: build_family(C3_CONFORMAL, -1, 1e300 * (1 + 0.5j), rho=0.3, zeta=1e10),

@@ -248,3 +248,36 @@ def test_bruteforce_samples_must_be_an_integer(bad):
     with pytest.raises(ValueError, match=f"^samples must be an integer, got {bad!r}$"):
         distance_bruteforce(t, bad, 0)
     assert distance_bruteforce(t, np.int64(3), 0) == distance_bruteforce(t, 3, 0)
+
+
+def test_a_twist_that_fixes_the_points_has_the_plain_derivative_exactly():
+    # nu e nu^-1 = e exactly for every conformal twist (algebra._fixes_points), so the
+    # twisted derivative is [D, e] and its norm is norm_de, bit for bit
+    from dataclasses import replace
+
+    from twistriple.axioms import Twist
+    from twistriple.catalog import C3_CONFORMAL, C4_CONFORMAL, build_family
+
+    from twistriple.linalg import operator_norm
+
+    rng = np.random.default_rng(17)
+    rounded = 0
+    for family in (C3_CONFORMAL, C4_CONFORMAL):
+        for eps in (1, -1):
+            for scale in (1e-6, 1.0, 1e6) * 10:
+                d1, d2 = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                rho, zeta = rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)
+                t = build_family(family, eps, d1, None if family == C3_CONFORMAL else d2, rho=rho, zeta=zeta)
+                result = spectral_distance(t)
+                assert result.norm_twisted == result.norm_de
+                assert result.value == 1.0 / result.norm_de
+                # the formula through nu^-1 rounds: it differs from norm_de on some members
+                e = t.algebra_basis()[0]
+                formula = operator_norm(t.dirac @ e - t.nu @ e @ np.linalg.inv(t.nu) @ t.dirac)
+                assert formula == pytest.approx(result.norm_de, rel=1e-12)
+                rounded += formula != result.norm_de
+    assert rounded > 0
+    # a singular diagonal twist still has no inverse, so no twisted derivative
+    t = replace(build_c4(1, 3.0, 4.0), twist=Twist(np.diag([2.0, 2.0, 0.0, 1.0])))
+    with pytest.raises(np.linalg.LinAlgError, match="^the twist nu is singular"):
+        spectral_distance(t)

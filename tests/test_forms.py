@@ -282,3 +282,18 @@ def test_a_one_form_of_a_non_finite_coefficient_keeps_the_constructors_message()
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             one_form(t, complex(np.inf, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("chiral", [False, True], ids=["fluctuate", "fluctuate_chiral"])
+def test_a_form_test_whose_difference_overflows_gives_the_verdict_and_warns_nothing(chiral):
+    # alpha - alpha^* of an antihermitian form (alpha + alpha^* of a selfadjoint one)
+    # is 2 alpha, beyond the float range at these hops: far above any tolerance
+    t = build_c4(*HUGE_C4)
+    form = (selfadjoint_one_form if chiral else antihermitian_one_form)(t, 0.9)
+    fluctuation = fluctuate_chiral if chiral else fluctuate
+    kind = "an antihermitian" if chiral else "a selfadjoint"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_selfadjoint_form(antihermitian_one_form(t, 0.9))
+        with pytest.raises(ValueError, match=f"requires {kind} one-form$"):
+            fluctuation(t, form)

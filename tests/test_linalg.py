@@ -344,3 +344,14 @@ def test_tolerance_config_has_no_rank_tol():
     # rank decisions use the fixed RANK_TOL; only the residual tolerance is a setting
     with pytest.raises(TypeError):
         ToleranceConfig(rank_tol=1e-9)
+
+
+def test_exceeds_gives_a_non_finite_residual_a_nan_norm_without_the_svd():
+    # an overflowed difference (inf) or an inf - inf (NaN) exceeds every bound;
+    # the SVD would raise on the NaN one
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+        r = np.eye(3, dtype=complex)
+        r[1, 2] = bad
+        for scale in (None, np.eye(3)):
+            assert np.isnan(_exceeds(r, 1e300, scale))
+            assert np.isnan(_exceeds(np.stack([np.zeros((3, 3)), r]), 1e300, scale))

@@ -1,15 +1,19 @@
 """The memo of D-free work, algebra._memo: one record per content key.
 
-check_all keeps its residuals that read no nu in the record of
-algebra._structure_key's first part, and its residuals that read nu and its
-order-one J-images in that of the whole key. identify_family keeps its shape
-match per tol in the whole key's record. documents.dumps keeps the text
-before and after D under the first part and the twist's text under the
-second part, and documents.loads keeps the parsed structure of a known text in the
-record of the text around D.
+check_all keeps its residuals that read no nu, and the map L of its
+D-linear terms with the plain J-images, in the record of
+algebra._structure_key's first part; its residuals that read nu, the map
+this twist uses (that same L, unless nu^2 moves the point projections) and
+the two D-free factors of epsilon', in that of the whole key.
+identify_family keeps its shape match per tol in the whole key's record.
+documents.dumps keeps the text before and after D under the first part, the
+twist's text under the second part, and the structure that loads reuses in
+the record of the text around D; loads gives a text that dumps did not
+render no record.
 
 Every key is a content key, so a cold memo, a warm one and the unmemoized
-references must agree bitwise.
+references must agree bitwise: test_axioms' reference with the exact twist
+rule, and within test_oracle's band on the one dense grading below.
 """
 
 import json
@@ -21,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_axioms import _reference_check_all
+from test_axioms import _assert_within_the_band, _reference_check_all
 from test_documents import _reference_dumps, _reference_loads, _triple_bits
 from twistriple import algebra, axioms, catalog, documents
 from twistriple.axioms import check_all
@@ -83,7 +87,7 @@ def _bits(report):
 
 
 def _reference_bits(t, tol):
-    return [(c, float(r).hex(), used) for c, r, used in _reference_check_all(t, tol)]
+    return [(c, float(r).hex(), used) for c, r, used in _reference_check_all(t, tol, exact_twists=True)]
 
 
 @pytest.mark.parametrize("case", range(len(KINDS)))
@@ -102,8 +106,10 @@ def test_cold_and_warm_memos_match_the_references(case, cold):
         results.append((identify_family(t), text))
     assert results[1] == results[2]
     nu_free, whole, twist, parsed = _records(second, results[2][1])
-    assert set(nu_free) == {"nu_free_residuals", "template"}
-    assert set(whole) == {"nu_residuals", "j_images", ("shape", DEFAULT_TOL)}
+    assert set(nu_free) == {"nu_free_residuals", "template", "dirac_map"}
+    assert set(whole) == {"nu_residuals", "dirac_operands", ("shape", DEFAULT_TOL)}
+    # only a twist whose nu^2 moves the point projections keeps a map of its own
+    assert whole["dirac_operands"][0] is nu_free["dirac_map"]
     assert set(twist) == {"twist_text"} and set(parsed) == {"structure"}
     # the warm identify_family result equals a cold one
     algebra._memo.cache_clear()
@@ -117,7 +123,12 @@ def test_memo_keeps_residuals_and_applies_each_calls_tol(cold):
     t = replace(t, grading=t.grading + 1e-10 * np.eye(4)[::-1])  # grading_selfadjoint stays 0
     for tol in (DEFAULT_TOL, TOL12, DEFAULT_TOL):
         report = check_all(t, tol)
-        assert _bits(report) == _reference_bits(t, tol)
+        got = [(e.condition, e.residual, e.tol_used) for e in report.entries]
+        want = _reference_check_all(t, tol, exact_twists=True)
+        # the grading has off-diagonal entries, whose products the D map sums in
+        # another order than gamma D + D gamma: that residual lies within the band
+        assert got[:4] + got[5:] == want[:4] + want[5:] and got[4][0] == "grading_anticommutes_dirac"
+        _assert_within_the_band(t, got, want)
         assert report.entry("grading_squares_to_identity").passed == (tol is DEFAULT_TOL)
     assert algebra._memo.cache_info().currsize == 2  # the first part of the key and the whole key
     # identify_family's match depends on tol, so tol is part of its entry's name
@@ -165,21 +176,32 @@ def test_catalog_matrices_are_read_only():
 
 
 @pytest.mark.parametrize("kind", [C4_UNTWISTED, C4_CONFORMAL])
-def test_memoized_j_images_and_columns_are_read_only(kind, cold):
+def test_memoized_maps_and_columns_are_read_only(kind, cold):
     t = build_family(kind, 1, 1.0, 2.0, **({"rho": 0.3} if kind == C4_CONFORMAL else {}))
     check_all(t)
-    images = algebra._memo(algebra._structure_key(t))["j_images"]
-    columns, gamma_rows, dirac_map = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
-    assert len(images) == 2 and gamma_rows is None
-    for m in (*images, columns, dirac_map):
+    key = algebra._structure_key(t)
+    dirac_map = algebra._memo(key[0])["dirac_map"]
+    operands = algebra._memo(key)["dirac_operands"]
+    assert operands[0] is dirac_map and len(operands) == 3  # nu^2 fixes the points, or there is no twist
+    columns, gamma_rows, commutant_map = axioms._commutant_columns(t.rep.point_of, t.grading.tobytes())
+    assert gamma_rows is None
+    for m in (*operands, columns, commutant_map):
+        with pytest.raises(ValueError, match="read-only"):
+            m.flat[0] = 1
+    # a twist whose nu^2 moves the point projections keeps its own map, read-only too
+    moved = replace(t, twist=axioms.Twist(t.nu + 0.1 * np.eye(4)[::-1]))
+    check_all(moved)
+    own = algebra._memo(algebra._structure_key(moved))["dirac_operands"]
+    assert own[0] is not dirac_map and own[0].shape == dirac_map.shape
+    for m in own:
         with pytest.raises(ValueError, match="read-only"):
             m.flat[0] = 1
     # a grading with an off-diagonal entry keeps its own rows, read-only too
     v = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     gamma = np.kron(np.eye(2), v) @ t.grading @ np.kron(np.eye(2), v)
     assert gamma.any() and (gamma != np.diag(np.diagonal(gamma))).any()
-    _, gamma_rows, dirac_map = axioms._commutant_columns(t.rep.point_of, gamma.astype(complex).tobytes())
-    for m in (gamma_rows, dirac_map):
+    _, gamma_rows, commutant_map = axioms._commutant_columns(t.rep.point_of, gamma.astype(complex).tobytes())
+    for m in (gamma_rows, commutant_map):
         with pytest.raises(ValueError, match="read-only"):
             m.flat[0] = 1
 
@@ -201,12 +223,30 @@ def test_the_memo_never_holds_more_than_its_bound(cold):
     # rho, used by every call, so their records survive all of them
     nu_free, _, _, parsed = _records(t, text)
     assert nu_free is kept[0] and parsed is kept[3]
-    assert set(nu_free) == {"nu_free_residuals", "template"} and set(parsed) == {"structure"}
+    assert set(nu_free) == {"nu_free_residuals", "template", "dirac_map"} and set(parsed) == {"structure"}
     # the newest whole key was kept, the oldest dropped
     first = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[0]))
     last = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[-1]))
     assert "nu_residuals" in algebra._memo(algebra._structure_key(last))
     assert algebra._memo(algebra._structure_key(first)) == {}
+
+
+def test_loads_gives_a_text_that_dumps_did_not_render_no_record(cold):
+    # re-indented copies of a document parse in full and leave the memo as it was,
+    # so the canonical text keeps the structure its dumps kept
+    text = dumps(build_family(C4_PERM, 1, 1.0 - 0.5j, 0.25 + 1.0j))
+    assert algebra._memo.cache_info().currsize == 3  # the key's two parts and the text around D
+    doc = json.loads(text)
+    for k in range(300):
+        copy = json.dumps(doc, indent=k % 7 + 3, sort_keys=bool(k % 2)) + "\n"
+        assert copy != text and _triple_bits(loads(copy)) == _triple_bits(loads(text))
+    assert algebra._memo.cache_info().currsize == 3
+    assert "structure" in algebra._memo(documents._split(text)[0::2])
+    # a record the memo dropped takes its text out of documents' index with it
+    algebra._memo.cache_clear()
+    assert documents._split(text)[0::2] not in documents._RENDERED
+    assert _triple_bits(loads(text)) == _triple_bits(from_document(doc))
+    assert algebra._memo.cache_info().currsize == 0
 
 
 def test_a_recently_used_key_survives_new_ones(cold):
