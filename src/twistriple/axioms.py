@@ -14,15 +14,16 @@ check_twisted_order_one, check_epsilon_prime, check_twisted_regularity and
 check_grading return entries of check_all's report, and
 catalog.derive_family solves _dirac_terms' four conditions.
 
-Only four of check_all's conditions read D. The residuals of the others
-and the linear map that gives the D terms are kept in algebra._memo's
-records, per content key (algebra._structure_key: the representation, the
-signs, the twist's flag, and the exact bytes of grading, U and nu); see
-check_all.
+Only four of check_all's conditions read D. The check entries of the
+others (per tol), the linear map that gives the D terms and nu^-1
+(_kept_inverse) are kept in algebra._memo's records, per content key
+(algebra._structure_key: the representation, the signs, the twist's flag,
+and the exact bytes of grading, U and nu); see check_all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key
+from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key, _twist_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -85,11 +86,22 @@ class Twist:
         object.__setattr__(self, "nu", _as_square(self.nu))
 
     def inverse(self) -> np.ndarray:
-        """nu^-1; a singular nu raises a LinAlgError (a ValueError) that says so."""
+        """nu^-1 as a fresh array; a singular nu raises a LinAlgError (a ValueError) that says so."""
+        return _kept_inverse(self).copy()
+
+
+def _kept_inverse(twist: Twist) -> np.ndarray:
+    """nu^-1, read-only, inverted once per twist content, in the algebra._memo record of
+    algebra._structure_key's second part. A singular nu raises, from here, every time."""
+    record = _memo(_twist_key(twist))
+    if (inverse := record.get("inverse")) is None:
         try:
-            return np.linalg.inv(self.nu)
+            inverse = np.linalg.inv(twist.nu)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("the twist nu is singular, so nu^-1 does not exist") from None
+        inverse.flags.writeable = False
+        record["inverse"] = inverse
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -207,9 +219,10 @@ class CheckReport:
 # A check term is (condition, residual, tol_used). The residual is either a
 # float or a stack (..., n, n) of residual matrices whose largest operator
 # norm is the condition's residual; _entries takes every such norm of a
-# report with one stacked LAPACK call. tol_used None stands for the call's
-# abs_tol, so that terms do not depend on the tolerance; a pass/fail
-# verdict term (residual 0.0 or 1.0) carries its own 0.5.
+# report with one stacked LAPACK call, or none when they are all zero.
+# tol_used None stands for the call's abs_tol, so that terms do not depend
+# on the tolerance; a pass/fail verdict term (residual 0.0 or 1.0) carries
+# its own 0.5.
 _Term = tuple[str, "float | np.ndarray", Optional[float]]
 
 # The order of check_all's report (and of check_grading's entries). The terms
@@ -223,12 +236,13 @@ _REPORT_ORDER = {c: i for i, c in enumerate((
 
 
 def _entries(terms: list[_Term], tol: ToleranceConfig) -> list[CheckEntry]:
-    """Check entries of the terms, in order, with one stacked operator norm."""
+    """Check entries of the terms, in order, with one stacked operator norm; an all-zero
+    stack (-0.0 entries too) gives 0.0 per condition with no norm."""
     stacks = [r.reshape(-1, *r.shape[-2:]) for _, r, _ in terms if isinstance(r, np.ndarray)]
-    if stacks:
-        norms = operator_norms(np.concatenate(stacks))
+    worst = itertools.repeat(0.0)
+    if stacks and (stack := np.concatenate(stacks)).any():
         starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
-        worst = iter(np.maximum.reduceat(norms, starts).tolist())
+        worst = iter(np.maximum.reduceat(operator_norms(stack), starts).tolist())
     return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r),
                        tol.abs_tol if used is None else used)
             for c, r, used in terms]
@@ -429,7 +443,7 @@ def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     elif _fixes_points(nu, t.rep):  # invertible, so m^-1 b m = b exactly
         terms.append(("twist_preserves_algebra", 0.0, None))
     else:
-        m = twist.inverse() @ basis @ nu
+        m = _kept_inverse(twist) @ basis @ nu
         # Nearest embedded element: the diagonal averaged over each point block (w marks them).
         w = np.diagonal(basis, axis1=-2, axis2=-1).real
         means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
@@ -475,11 +489,6 @@ def check_grading(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> list
     return [e for e in check_all(t, tol).entries if e.condition.startswith("grading_")]
 
 
-def _residuals(terms: list[_Term], entries: list[CheckEntry]) -> tuple[_Term, ...]:
-    """The terms with the residuals of their entries, for a memo record."""
-    return tuple((c, e.residual, used) for (c, _, used), e in zip(terms, entries))
-
-
 def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
     """Every applicable axiom plus the structural invariants of J and nu.
 
@@ -490,13 +499,14 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
 
     Only four conditions read D: dirac_selfadjoint,
     grading_anticommutes_dirac, twisted_order_one and epsilon_prime. The
-    residuals of the others are kept, as residuals and not verdicts, so
-    that each call applies its own tol: those that read no nu (the grading's
-    own conditions, J and order zero) in the algebra._memo record of
-    algebra._structure_key's first part, those that read nu in that of the
-    whole key. A call norms its D residuals and whatever its records lack,
-    in one stacked call; a new rho of a conformal twist is a new key for the
-    nu terms only. The D-linear residuals are one product with a read-only
+    frozen entries of the others are kept per tol, under ("entries", tol),
+    and every report at that tol shares them: those that read no nu (the
+    grading's own conditions, J and order zero) in the algebra._memo record
+    of algebra._structure_key's first part, those that read nu in that of
+    the whole key. A call builds its four D entries and whatever its
+    records lack at its tol, with one stacked norm call; a new rho of a
+    conformal twist is a new key for the nu terms only, and a new tol
+    computes a part's terms again. The D-linear residuals are one product with a read-only
     map (_dirac_terms, _dirac_operands), kept in the first part's record and
     shared by every twist whose nu^2 fixes the point projections (every
     rho of a conformal family); only another twist keeps its own, in the
@@ -505,18 +515,19 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     basis = _point_projections(t.rep)
     key = _structure_key(t)
     nu_free_record, record = _memo(key[0]), _memo(key)
-    nu_free, twisted = nu_free_record.get("nu_free_residuals"), record.get("nu_residuals")
-    new_nu_free = [] if nu_free is not None else _nu_free_terms(t, basis)
-    new_twisted = [] if twisted is not None else _twist_terms(t, basis)
     terms = _dirac_terms(t, t.dirac, _dirac_operands(t, basis, nu_free_record, record))
+    kept, new = [], []
+    for part, build in ((nu_free_record, _nu_free_terms), (record, _twist_terms)):
+        if (entries := part.get(("entries", tol))) is None:
+            new.append((part, build(t, basis)))
+        else:
+            kept += entries
     n = len(terms)
-    terms += new_nu_free + new_twisted + list(nu_free or ()) + list(twisted or ())
-    entries = _entries(terms, tol)
-    if nu_free is None:
-        nu_free_record["nu_free_residuals"] = _residuals(new_nu_free, entries[n:])
-    if twisted is None:
-        record["nu_residuals"] = _residuals(new_twisted, entries[n + len(new_nu_free):])
-    return CheckReport(_in_report_order(entries))
+    entries = _entries(terms + [term for _, more in new for term in more], tol)
+    for part, more in new:
+        part[("entries", tol)] = tuple(entries[n:n + len(more)])
+        n += len(more)
+    return CheckReport(_in_report_order(entries + kept))
 
 
 def is_irreducible(t: SpectralTriple) -> bool:

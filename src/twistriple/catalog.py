@@ -560,7 +560,8 @@ def _twist_params(fam: _Family, twist: Optional[Twist], tol: ToleranceConfig) ->
         return None if rho is None else {"rho": rho}
     if fam.twist is None:
         return {} if twist is None else None
-    return {} if twist is not None and not _exceeds(twist.nu - fam.twist.nu, tol.abs_tol) else None
+    # only a verdict is needed, so an entry beyond the bound settles it with no SVD
+    return {} if twist is not None and not _norms_exceed(twist.nu - fam.twist.nu, tol.abs_tol) else None
 
 
 def _shape_match(t: SpectralTriple, tol: ToleranceConfig) -> tuple:

@@ -266,7 +266,8 @@ def _gram_norms(stack) -> np.ndarray:
 
 
 def _norms_exceed(stack, bound: float) -> np.ndarray:
-    """operator_norms(stack) > bound, per matrix of a finite stack (..., m, n).
+    """operator_norms(stack) > bound, per matrix of a stack (..., m, n); a matrix with a
+    NaN entry exceeds any bound, as in _exceeds.
 
     ||M|| >= max_ij |M_ij|, so a matrix with an entry beyond
     bound * _ENTRY_MARGIN exceeds the bound with no SVD: the margin is far
@@ -274,8 +275,8 @@ def _norms_exceed(stack, bound: float) -> np.ndarray:
     SVD gives. Only the other matrices go through operator_norms.
     """
     stack = np.asarray(stack)
-    exceed = np.asarray(np.abs(stack).max(axis=(-2, -1)) > bound * _ENTRY_MARGIN)
-    undecided = ~exceed
+    undecided = np.abs(stack).max(axis=(-2, -1)) <= bound * _ENTRY_MARGIN
+    exceed = np.array(~undecided)
     if undecided.any():
         exceed[undecided] = operator_norms(stack[undecided]) > bound
     return exceed

@@ -427,6 +427,12 @@ def _triple_bits(t):
             None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
 
 
+def _document_key(text):
+    """The key of the record dumps keeps for loads: the text before D, from D to the twist, and the twist."""
+    head, _, middle, twist = documents._split(text)
+    return head, middle, twist
+
+
 def _reference_loads(text):
     """loads as the full parse alone: json.loads, then from_document."""
     try:
@@ -494,7 +500,7 @@ def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx):
         for s in (variant, text):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
         assert dumps(t) == text
-        assert "structure" in algebra._memo(documents._split(text)[0::2])
+        assert "structure" in algebra._memo(_document_key(text))
         for s in (text, variant):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
 
@@ -510,7 +516,7 @@ def test_a_cold_loads_renders_nothing(monkeypatch):
         monkeypatch.setattr(documents, name, no_rendering)
     for text in texts:
         assert _outcome(loads, text) == _outcome(_reference_loads, text)
-        assert "structure" not in algebra._memo(documents._split(text)[0::2])
+        assert "structure" not in algebra._memo(_document_key(text))
 
 
 def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():
@@ -545,7 +551,7 @@ def test_a_non_finite_matrix_is_refused_with_its_name_cold_and_warm(path, name):
     algebra._memo.cache_clear()
     with pytest.raises(DocumentError, match=message):
         loads(text)
-    assert dumps(t) and "structure" in algebra._memo(documents._split(dumps(t))[0::2])
+    assert dumps(t) and "structure" in algebra._memo(_document_key(dumps(t)))
     with pytest.raises(DocumentError, match=message):
         loads(text)
 
@@ -561,6 +567,50 @@ def test_a_grading_edited_to_nan_in_place_is_not_kept_for_loads():
     algebra._memo.cache_clear()
     for _ in range(2):
         text = dumps(t)
-        assert "structure" not in algebra._memo(documents._split(text)[0::2])
+        assert "structure" not in algebra._memo(_document_key(text))
+        with pytest.raises(DocumentError, match="^invalid JSON: "):
+            loads(text)
+
+
+def test_negative_zeros_load_as_the_full_parse_gives_them_cold_and_warm():
+    # the text writes -0.0 as 0.0, so the structure that dumps keeps for loads must hold +0.0
+    from twistriple.axioms import RealStructure, SpectralTriple, Twist
+    from twistriple.catalog import C4_PERM
+    from twistriple.linalg import Antiunitary
+
+    base = build_family(C4_PERM, 1, 1.0 - 0.5j, 0.25 + 1.0j)
+    grading, u, nu = base.grading.copy(), base.real.j.u.copy(), base.nu.copy()
+    grading[0, 1] = complex(-0.0, -0.0)
+    u[0, 1] = complex(-0.0, 0.0)
+    nu[0, 0] = complex(0.0, -0.0)
+    t = SpectralTriple(base.rep, base.dirac, grading, RealStructure(Antiunitary(u), base.real.signs), Twist(nu))
+    for m in (t.grading, t.real.j.u, t.nu):
+        assert np.signbit(m.view(float)).any()
+    text = dumps(t)
+    want = _reference_loads(text)
+    algebra._memo.cache_clear()
+    for warm in (False, True, True):  # the full parse, then the structure dumps kept
+        if warm:
+            assert dumps(t) == text and "structure" in algebra._memo(_document_key(text))
+        got = loads(text)
+        assert _triple_bits(got) == _triple_bits(want)
+        assert algebra._structure_key(got) == algebra._structure_key(want)
+
+
+@pytest.mark.parametrize("which", ["u", "nu"])
+def test_a_unitary_or_twist_edited_to_nan_in_place_is_not_kept_for_loads(which):
+    # as for the grading: dumps keeps no structure whose U or nu is not finite, so loads
+    # refuses the text by the full parse, cold and warm
+    from twistriple.axioms import RealStructure, SpectralTriple, Twist
+    from twistriple.linalg import Antiunitary
+
+    base = build_c4(-1, 1.0 - 1.0j, 0.5, twist="perm")
+    t = SpectralTriple(base.rep, base.dirac, base.grading,
+                       RealStructure(Antiunitary(base.real.j.u.copy()), base.real.signs), Twist(base.nu.copy()))
+    (t.real.j.u if which == "u" else t.nu)[1, 1] = np.nan
+    algebra._memo.cache_clear()
+    for _ in range(2):
+        text = dumps(t)
+        assert "structure" not in algebra._memo(_document_key(text))
         with pytest.raises(DocumentError, match="^invalid JSON: "):
             loads(text)
