@@ -129,17 +129,12 @@ def _structure_key(t) -> tuple:
     new key. D is not in it. Its parts are plain tuples, ints, bools and
     bytes, which hash without a Python-level __hash__.
     """
-    g, real = t.grading, t.real
+    g, real, twist = t.grading, t.real, t.twist
     signs = None if real is None else real.signs
     return ((t.rep.point_of,
              None if g is None else g.tobytes(),
              None if real is None else (signs.eps, signs.eps_prime, signs.eps_dprime, real.j.u.tobytes())),
-            _twist_key(t.twist))
-
-
-def _twist_key(twist) -> "tuple | None":
-    """_structure_key's second part, of a twist or None."""
-    return None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes())
+            None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
 
 
 _MEMO_BOUND = 256

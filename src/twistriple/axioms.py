@@ -15,8 +15,8 @@ check_grading return entries of check_all's report, and
 catalog.derive_family solves _dirac_terms' four conditions.
 
 Only four of check_all's conditions read D. The check entries of the
-others (per tol), the linear map that gives the D terms and nu^-1
-(_kept_inverse) are kept in algebra._memo's records, per content key
+others (at the last tol a call used) and the linear map that gives the D
+terms are kept in algebra._memo's records, per content key
 (algebra._structure_key: the representation, the signs, the twist's flag,
 and the exact bytes of grading, U and nu); see check_all.
 """
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key, _twist_key
+from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -86,22 +86,11 @@ class Twist:
         object.__setattr__(self, "nu", _as_square(self.nu))
 
     def inverse(self) -> np.ndarray:
-        """nu^-1 as a fresh array; a singular nu raises a LinAlgError (a ValueError) that says so."""
-        return _kept_inverse(self).copy()
-
-
-def _kept_inverse(twist: Twist) -> np.ndarray:
-    """nu^-1, read-only, inverted once per twist content, in the algebra._memo record of
-    algebra._structure_key's second part. A singular nu raises, from here, every time."""
-    record = _memo(_twist_key(twist))
-    if (inverse := record.get("inverse")) is None:
+        """nu^-1; a singular nu raises a LinAlgError (a ValueError) that says so."""
         try:
-            inverse = np.linalg.inv(twist.nu)
+            return np.linalg.inv(self.nu)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("the twist nu is singular, so nu^-1 does not exist") from None
-        inverse.flags.writeable = False
-        record["inverse"] = inverse
-    return inverse
 
 
 @dataclass(frozen=True)
@@ -220,9 +209,9 @@ class CheckReport:
 # float or a stack (..., n, n) of residual matrices whose largest operator
 # norm is the condition's residual; _entries takes every such norm of a
 # report with one stacked LAPACK call, or none when they are all zero.
-# tol_used None stands for the call's abs_tol, so that terms do not depend
-# on the tolerance; a pass/fail verdict term (residual 0.0 or 1.0) carries
-# its own 0.5.
+# tol_used None stands for the call's abs_tol, as a float, so that terms do
+# not depend on the tolerance; a pass/fail verdict term (residual 0.0 or
+# 1.0) carries its own 0.5.
 _Term = tuple[str, "float | np.ndarray", Optional[float]]
 
 # The order of check_all's report (and of check_grading's entries). The terms
@@ -244,7 +233,7 @@ def _entries(terms: list[_Term], tol: ToleranceConfig) -> list[CheckEntry]:
         starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
         worst = iter(np.maximum.reduceat(operator_norms(stack), starts).tolist())
     return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r),
-                       tol.abs_tol if used is None else used)
+                       float(tol.abs_tol) if used is None else used)
             for c, r, used in terms]
 
 
@@ -443,7 +432,7 @@ def _twist_terms(t: SpectralTriple, basis: np.ndarray) -> list[_Term]:
     elif _fixes_points(nu, t.rep):  # invertible, so m^-1 b m = b exactly
         terms.append(("twist_preserves_algebra", 0.0, None))
     else:
-        m = _kept_inverse(twist) @ basis @ nu
+        m = twist.inverse() @ basis @ nu
         # Nearest embedded element: the diagonal averaged over each point block (w marks them).
         w = np.diagonal(basis, axis1=-2, axis2=-1).real
         means = np.diagonal(m, axis1=-2, axis2=-1) @ w.T / w.sum(axis=-1)
@@ -499,33 +488,36 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
 
     Only four conditions read D: dirac_selfadjoint,
     grading_anticommutes_dirac, twisted_order_one and epsilon_prime. The
-    frozen entries of the others are kept per tol, under ("entries", tol),
-    and every report at that tol shares them: those that read no nu (the
-    grading's own conditions, J and order zero) in the algebra._memo record
-    of algebra._structure_key's first part, those that read nu in that of
-    the whole key. A call builds its four D entries and whatever its
-    records lack at its tol, with one stacked norm call; a new rho of a
-    conformal twist is a new key for the nu terms only, and a new tol
-    computes a part's terms again. The D-linear residuals are one product with a read-only
-    map (_dirac_terms, _dirac_operands), kept in the first part's record and
-    shared by every twist whose nu^2 fixes the point projections (every
-    rho of a conformal family); only another twist keeps its own, in the
-    whole key's record.
+    frozen entries of the others are kept as "entries", with the bits of the
+    abs_tol they were made at (the last a call used), and every report at
+    that tol shares them: those that read no nu (the grading's own
+    conditions, J and order zero) in the algebra._memo record of
+    algebra._structure_key's first part, those that read nu in that of the
+    whole key. A call builds its four D entries and whatever its records
+    lack at its tol, with one stacked norm call; a new rho of a conformal
+    twist is a new key for the nu terms only, and another tol computes a
+    part's terms again. The D-linear residuals are one product with a
+    read-only map (_dirac_terms, _dirac_operands), kept in the first part's
+    record and shared by every twist whose nu^2 fixes the point projections
+    (every rho of a conformal family); only another twist keeps its own, in
+    the whole key's record.
     """
     basis = _point_projections(t.rep)
     key = _structure_key(t)
     nu_free_record, record = _memo(key[0]), _memo(key)
     terms = _dirac_terms(t, t.dirac, _dirac_operands(t, basis, nu_free_record, record))
+    bits = float(tol.abs_tol).hex()  # 0 and 0.0 are one tol, 0.0 and -0.0 two
     kept, new = [], []
     for part, build in ((nu_free_record, _nu_free_terms), (record, _twist_terms)):
-        if (entries := part.get(("entries", tol))) is None:
-            new.append((part, build(t, basis)))
-        else:
+        made_at, entries = part.get("entries", (None, ()))
+        if made_at == bits:
             kept += entries
+        else:
+            new.append((part, build(t, basis)))
     n = len(terms)
     entries = _entries(terms + [term for _, more in new for term in more], tol)
     for part, more in new:
-        part[("entries", tol)] = tuple(entries[n:n + len(more)])
+        part["entries"] = (bits, tuple(entries[n:n + len(more)]))
         n += len(more)
     return CheckReport(_in_report_order(entries + kept))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import embed
-from .axioms import SpectralTriple, Twist, _derived, _kept_inverse
+from .axioms import SpectralTriple, Twist, _derived
 from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
 from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _as_square, _assembled, _exceeds
 
@@ -88,7 +88,7 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     if old is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             kk = a @ s
-            residual = _as_square(old.nu @ kk @ _kept_inverse(old) - kk, "rescale", (a, s, old.nu))
+            residual = _as_square(old.nu @ kk @ old.inverse() - kk, "rescale", (a, s, old.nu))
         if defect := _exceeds(residual, tol.abs_tol, kk):
             raise TwistCompositionError(f"kk_J not twist-invariant (defect {defect:.3e}); "
                                         "composed datum would not be a twisted real triple")

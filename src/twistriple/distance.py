@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _fixes_points, _integer, _two_point_projections
-from .axioms import SpectralTriple, _kept_inverse
+from .axioms import SpectralTriple
 from .linalg import DEFAULT_TOL, ToleranceConfig, _gram_norms, _reciprocal, commutator, operator_norms
 
 __all__ = [
@@ -45,7 +45,7 @@ def spectral_distance(t: SpectralTriple) -> DistanceResult:
     e = _two_point_projections(t.rep)[0]
     derivatives = [commutator(t.dirac, e)]
     if t.twist is not None:  # D e - (nu e nu^-1) D, which is [D, e] if nu _fixes_points
-        nu, nu_inv = t.twist.nu, _kept_inverse(t.twist)  # a singular nu raises either way
+        nu, nu_inv = t.twist.nu, t.twist.inverse()  # a singular nu raises either way
         if not _fixes_points(nu, t.rep):
             derivatives.append(t.dirac @ e - nu @ e @ nu_inv @ t.dirac)
     norms = operator_norms(np.stack(derivatives)).tolist()
@@ -105,7 +105,7 @@ def distance_bruteforce(t: SpectralTriple, samples: int, seed: int) -> float:
     if t.twist is not None:
         nu = t.twist.nu
         if not _fixes_points(nu, t.rep):
-            images.append(d @ projections - nu @ projections @ _kept_inverse(t.twist) @ d)
+            images.append(d @ projections - nu @ projections @ t.twist.inverse() @ d)
     images = np.stack(images)  # (derivative, E_+/E_-, n, n)
     plus, minus = images[:, None, 0], images[:, None, 1]
 

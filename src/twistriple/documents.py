@@ -6,9 +6,9 @@ keys, fixed indentation, shortest round-tripping float literals), so
 save -> load is entrywise exact and load -> save reproduces the bytes.
 
 Only the Dirac operator is rendered or parsed on every call: `dumps` keeps
-the text around D, and the structure under that text (the twist included),
-in algebra._memo's records; `loads` only reads them, for a text whose pieces
-around D match.
+the text around D, the structure under that text and the twist under its
+own text in algebra._memo's records; `loads` only reads them, for a text
+whose pieces around D match.
 """
 
 from __future__ import annotations
@@ -108,6 +108,23 @@ def to_document(t: SpectralTriple) -> dict:
     return json.loads(dumps(t))
 
 
+def _twist_from_doc(tobj: Any, dim: int) -> Optional[Twist]:
+    """The twist of a document's "twist" value, for from_document and loads.
+
+    _matrix_from_doc has checked nu, so the Twist is put together by
+    linalg._assembled, which does not check it again.
+    """
+    if tobj is None:
+        return None
+    if not isinstance(tobj, dict) or "nu" not in tobj:
+        raise DocumentError("twist: expected an object with a nu matrix")
+    flag = tobj.get("implements_automorphism")
+    if not isinstance(flag, bool):
+        raise DocumentError("twist.implements_automorphism must be a boolean")
+    return _assembled(Twist, nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"),
+                      implements_algebra_automorphism=flag)
+
+
 def from_document(doc: Any) -> SpectralTriple:
     """The triple of a parsed document, or DocumentError naming what is malformed.
 
@@ -155,16 +172,7 @@ def from_document(doc: Any) -> SpectralTriple:
             signs=SignTriple(eps=eps, eps_prime=eps_prime, eps_dprime=eps_dprime),
         )
 
-    twist: Optional[Twist] = None
-    tobj = doc.get("twist")
-    if tobj is not None:
-        if not isinstance(tobj, dict) or "nu" not in tobj:
-            raise DocumentError("twist: expected an object with a nu matrix")
-        flag = tobj.get("implements_automorphism")
-        if not isinstance(flag, bool):
-            raise DocumentError("twist.implements_automorphism must be a boolean")
-        twist = _assembled(Twist, nu=_matrix_from_doc(tobj["nu"], dim, "twist.nu"),
-                           implements_algebra_automorphism=flag)
+    twist = _twist_from_doc(doc.get("twist"), dim)
     return _assembled(SpectralTriple, rep=rep, dirac=dirac, grading=grading, real=real, twist=twist)
 
 
@@ -204,8 +212,9 @@ def _twist_text(t: SpectralTriple) -> str:
     ], 2)
 
 
-# The records of the structures dumps kept, by the text around D, while algebra._memo keeps them.
-_RENDERED: "weakref.WeakValueDictionary[tuple[str, str, str], dict]" = weakref.WeakValueDictionary()
+# The records of what dumps kept for loads, while algebra._memo keeps them: a structure by
+# the text around D (a pair), a twist by its text (a string).
+_RENDERED: "weakref.WeakValueDictionary[tuple[str, str] | str, dict]" = weakref.WeakValueDictionary()
 
 
 def dumps(t: SpectralTriple) -> str:
@@ -219,13 +228,13 @@ def dumps(t: SpectralTriple) -> str:
     Only D is rendered on every call. The text before D and from D to the
     twist (header, grading, points, real structure, rep) is kept in the
     algebra._memo record of algebra._structure_key's first part, the
-    twist's text in that of its second part, and the structure loads reuses
-    in that of the three texts (before D, from D to the twist, the twist):
-    (dim, rep, grading, (U, signs), (nu, flag)). Its matrices are copies
-    with -0.0 folded into +0.0, as the text has them. loads hands out copies
-    of them without a check, so they are checked once, here, when they are
-    kept: a non-finite one (edited in place) is not kept, and loads parses
-    that text in full.
+    twist's text and its parse, "twist" = (nu, flag), in that of its second
+    part, and the structure loads reuses in that of the text around D:
+    (dim, rep, grading, (U, signs)). The kept matrices are copies with -0.0
+    folded into +0.0, as the text has them. loads hands out copies of them
+    without a check, so they are checked once, here, when they are kept: a
+    non-finite one (edited in place) is not kept, and loads parses that
+    part of the text.
     """
     key = _structure_key(t)
     record, twist_record = _memo(key[0]), _memo(key[1])
@@ -233,13 +242,15 @@ def dumps(t: SpectralTriple) -> str:
         template = record["template"] = _template(t)
     if (twist := twist_record.get("twist_text")) is None:
         twist = twist_record["twist_text"] = _twist_text(t)
-    if "structure" not in (document := _memo(pieces := (*template, twist))):
-        grading, u, nu = (None if m is None else m + 0.0 for m in (  # + 0.0 folds -0.0 into the text's 0.0
-            t.grading, None if t.real is None else t.real.j.u, None if t.twist is None else t.twist.nu))
-        if all(m is None or np.isfinite(m).all() for m in (grading, u, nu)):
-            document["structure"] = (t.dim, t.rep, grading, None if u is None else (u, t.real.signs),
-                                     None if nu is None else (nu, t.twist.implements_algebra_automorphism))
-            _RENDERED[pieces] = document
+    if "structure" not in (document := _memo(template)):
+        grading, u = (None if m is None else m + 0.0  # + 0.0 folds -0.0 into the text's 0.0
+                      for m in (t.grading, None if t.real is None else t.real.j.u))
+        if all(m is None or np.isfinite(m).all() for m in (grading, u)):
+            document["structure"] = (t.dim, t.rep, grading, None if u is None else (u, t.real.signs))
+            _RENDERED[template] = document
+    if t.twist is not None and "twist" not in twist_record and np.isfinite(nu := t.twist.nu + 0.0).all():
+        twist_record["twist"] = (nu, t.twist.implements_algebra_automorphism)
+        _RENDERED[twist] = twist_record
     return template[0] + _matrix_text(t.dirac, 2) + template[1] + _TWIST + twist + _END
 
 
@@ -258,28 +269,29 @@ def _split(text: Any) -> Optional[tuple[str, str, str, str]]:
 def loads(text: str) -> SpectralTriple:
     """The triple of a document text.
 
-    When the text's pieces before D, between D and the twist, and of the
-    twist (see _split) are those of a text `dumps` rendered, the structure
-    `dumps` kept in their algebra._memo record is reused: its rep, and
-    fresh copies of its grading, U and nu, which dumps checked, and only
-    the D block is parsed, with from_document's checks. Otherwise, and on
-    any failure there, the text takes the full parse, which words every
-    error; loads stores nothing, and any other text gets no memo record
-    (_RENDERED).
+    When the text's pieces before D and between D and the twist (see
+    _split) are those of a text `dumps` rendered, the structure `dumps`
+    kept in their algebra._memo record is reused: its rep, and fresh copies
+    of its grading and U, which dumps checked. So is the twist dumps kept
+    under the twist's text, a fresh copy of its nu, when it has the dim;
+    else the twist block is parsed. D's block is parsed, with
+    from_document's checks. Otherwise, and on any failure there, the text
+    takes the full parse, which words every error; loads stores nothing,
+    and any other text gets no memo record (_RENDERED).
     """
     parts = _split(text)
-    pieces = None if parts is None else (parts[0], *parts[2:])
-    known = _memo(pieces).get("structure") if pieces in _RENDERED else None
+    known = _memo(parts[0::2]).get("structure") if parts is not None and parts[0::2] in _RENDERED else None
     if known is not None:
-        dim, rep, grading, real, twist = known
+        dim, rep, grading, real = known
+        twist = _RENDERED.get(parts[3], {}).get("twist")
         try:
             return _assembled(
                 SpectralTriple, rep=rep, dirac=_matrix_from_doc(json.loads(parts[1]), dim, "dirac"),
                 grading=None if grading is None else grading.copy(),
                 real=None if real is None else RealStructure(_assembled(Antiunitary, u=real[0].copy()),
                                                              real[1]),
-                twist=None if twist is None else _assembled(Twist, nu=twist[0].copy(),
-                                                            implements_algebra_automorphism=twist[1]))
+                twist=_twist_from_doc(json.loads(parts[3]), dim) if twist is None or len(twist[0]) != dim
+                else _assembled(Twist, nu=twist[0].copy(), implements_algebra_automorphism=twist[1]))
         except (ValueError, TypeError, RecursionError):  # DocumentError and JSONDecodeError are ValueErrors
             pass
     try:

@@ -523,6 +523,20 @@ def test_singular_twist_raises_in_the_order_one_kernel_only():
         assert check_twisted_order_one(t).residual == check_all(t).entry("twisted_order_one").residual == np.inf
 
 
+def test_twist_inverse_is_a_fresh_writable_inverse():
+    t = build_c4_perm_conformal_composite(1, 1.0, 2.0, rho=0.3, zeta=1.2)
+    twist = Twist(t.nu.copy())
+    first, second = twist.inverse(), twist.inverse()
+    assert first is not second
+    for inverse in (first, second):
+        assert inverse.flags.writeable and inverse.tobytes() == np.linalg.inv(twist.nu).tobytes()
+    first[0, 0] = 99.0
+    assert twist.inverse().tobytes() == second.tobytes()
+    # a nu edited in place gives its own inverse
+    twist.nu[0, 0] += 0.5
+    assert twist.inverse().tobytes() == np.linalg.inv(twist.nu).tobytes() != second.tobytes()
+
+
 def test_a_square_that_fixes_the_points_without_a_finite_inverse_gives_inf():
     # nu^2 commutes with every point projection, but is singular, or so nearly
     # singular that its inverse is not finite: twisted order one cannot be formed

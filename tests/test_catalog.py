@@ -474,6 +474,10 @@ def test_orbit_params_agree_with_matrix_fluctuation(fam):
 # -------------------------------------------------------------- identification
 
 def test_identify_family_round_trips():
+    from dataclasses import replace
+
+    from twistriple.linalg import _exceeds
+
     cases = [
         (build_c3(1, 1.5 - 0.5j), C3_UNTWISTED),
         (build_c3(-1, 2.0j, 1.0j, twist="perm"), C3_PERM),
@@ -485,30 +489,21 @@ def test_identify_family_round_trips():
     for t, expected in cases:
         ident = identify_family(t)
         assert ident is not None and ident[0] == expected
-
-
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, TOL12])
-def test_identify_family_matches_perturbed_perm_twists_by_the_residual_rule(tol):
-    # the fixed-twist shape test decides by an entry bound before any SVD; its verdicts
-    # must be linalg._exceeds' on the difference from the family's nu, NaN included
-    from dataclasses import replace
-
-    from twistriple.axioms import Twist
-    from twistriple.linalg import _exceeds
-
-    for family, t in ((C3_PERM, build_c3(-1, 2.0j, 1.0j, twist="perm")),
-                      (C4_PERM, build_c4(-1, 1.0 - 1.0j, 0.5, twist="perm"))):
-        for scale in (1 - 1e-12, 1 + 1e-12, 10.0, -(1 - 1e-12), -(1 + 1e-12), -10.0, math.nan):
-            for entry in ((0, 1), (1, 1), (0, t.dim - 1), (1, 2)):
-                probe = replace(t, twist=replace(t.twist, nu=t.nu.copy()))
-                nu = probe.nu
-                nu[entry] += scale * tol.abs_tol  # in place, so that a NaN gets past the constructor
-                match = not _exceeds(nu - t.nu, tol.abs_tol)
-                if t.nu[entry] == 0:  # elsewhere the sum with 1 rounds the perturbation
-                    assert match == (abs(scale) < 1)
-                ident = identify_family(probe, tol)
-                assert (ident is not None and ident[0] == family) == match
-                assert ident == identify_family(probe, tol)  # warm: the ("shape", tol) record
+    # perm twists perturbed about abs_tol: the fixed-twist shape test decides by an entry
+    # bound before any SVD, and its verdicts must be linalg._exceeds' on the difference
+    # from the family's nu, NaN included
+    for tol in (DEFAULT_TOL, TOL12):
+        for t, expected in cases[1:4:2]:
+            for scale in (1 - 1e-12, 1 + 1e-12, 10.0, -(1 - 1e-12), -(1 + 1e-12), -10.0, math.nan):
+                for entry in ((0, 1), (1, 1), (0, t.dim - 1), (1, 2)):
+                    probe = replace(t, twist=replace(t.twist, nu=t.nu.copy()))
+                    probe.nu[entry] += scale * tol.abs_tol  # in place, so that a NaN gets past the constructor
+                    match = not _exceeds(probe.nu - t.nu, tol.abs_tol)
+                    if t.nu[entry] == 0:  # elsewhere the sum with 1 rounds the perturbation
+                        assert match == (abs(scale) < 1)
+                    ident = identify_family(probe, tol)
+                    assert (ident is not None and ident[0] == expected) == match
+                    assert ident == identify_family(probe, tol)  # warm: the ("shape", tol) record
 
 
 def test_identify_family_recovers_conformal_rho():

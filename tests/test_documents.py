@@ -427,12 +427,6 @@ def _triple_bits(t):
             None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
 
 
-def _document_key(text):
-    """The key of the record dumps keeps for loads: the text before D, from D to the twist, and the twist."""
-    head, _, middle, twist = documents._split(text)
-    return head, middle, twist
-
-
 def _reference_loads(text):
     """loads as the full parse alone: json.loads, then from_document."""
     try:
@@ -449,9 +443,10 @@ def _outcome(fn, text):
         return ("DocumentError", str(exc))
 
 
-def _adversarial_texts(text):
+def _adversarial_texts(text, kept_twists=()):
     """Variants of a canonical text; those built from its pieces keep the pieces before D
-    and from D to the twist, so loads reads them with its memo warm."""
+    and from D to the twist, so loads reads them with its memo warm. kept_twists are
+    twist texts of other triples, put in place of the text's own."""
     head, dirac, middle, twist = documents._split(text)
 
     def pieces(d=dirac, tw=twist):
@@ -483,6 +478,7 @@ def _adversarial_texts(text):
         "twist null": pieces(tw="null"),
         "twist nu 3x3": pieces(tw=nu_3x3),
         "twist with an earlier nu": pieces(tw='{"nu": [[0]],' + twist[1:]),
+        **{f"kept twist {k}": pieces(tw=tw) for k, tw in enumerate(kept_twists)},
         "trailing junk": text + "junk",
         "trailing brace": text[:-3] + "\n}\n}\n",
         "trailing space": text + " ",
@@ -490,17 +486,25 @@ def _adversarial_texts(text):
     }
 
 
+def _split_twist(t):
+    return documents._split(dumps(t))[3]
+
+
 @pytest.mark.parametrize("idx", range(len(all_fixtures())))
 def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx):
     t = all_fixtures()[idx]
     text = dumps(t)
-    for name, variant in _adversarial_texts(text).items():
+    # dumps keeps a twist under its text, so a text may pair the structure with the kept
+    # twist of another triple, of another dim or of this one
+    twisted = [u for u in all_fixtures() if u.twist is not None and _split_twist(u) != _split_twist(t)]
+    others = [next(u for u in twisted if u.dim != t.dim), next(u for u in twisted if u.dim == t.dim)]
+    for name, variant in _adversarial_texts(text, [_split_twist(u) for u in others]).items():
         algebra._memo.cache_clear()
         # the variant and the canonical text into a cold memo, then both after dumps warmed it
         for s in (variant, text):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
-        assert dumps(t) == text
-        assert "structure" in algebra._memo(_document_key(text))
+        assert dumps(t) == text and all(dumps(u) for u in others)
+        assert "structure" in algebra._memo(documents._split(text)[0::2])
         for s in (text, variant):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
 
@@ -516,7 +520,7 @@ def test_a_cold_loads_renders_nothing(monkeypatch):
         monkeypatch.setattr(documents, name, no_rendering)
     for text in texts:
         assert _outcome(loads, text) == _outcome(_reference_loads, text)
-        assert "structure" not in algebra._memo(_document_key(text))
+        assert "structure" not in algebra._memo(documents._split(text)[0::2])
 
 
 def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():
@@ -551,7 +555,7 @@ def test_a_non_finite_matrix_is_refused_with_its_name_cold_and_warm(path, name):
     algebra._memo.cache_clear()
     with pytest.raises(DocumentError, match=message):
         loads(text)
-    assert dumps(t) and "structure" in algebra._memo(_document_key(dumps(t)))
+    assert dumps(t) and "structure" in algebra._memo(documents._split(dumps(t))[0::2])
     with pytest.raises(DocumentError, match=message):
         loads(text)
 
@@ -567,7 +571,7 @@ def test_a_grading_edited_to_nan_in_place_is_not_kept_for_loads():
     algebra._memo.cache_clear()
     for _ in range(2):
         text = dumps(t)
-        assert "structure" not in algebra._memo(_document_key(text))
+        assert "structure" not in algebra._memo(documents._split(text)[0::2])
         with pytest.raises(DocumentError, match="^invalid JSON: "):
             loads(text)
 
@@ -589,9 +593,10 @@ def test_negative_zeros_load_as_the_full_parse_gives_them_cold_and_warm():
     text = dumps(t)
     want = _reference_loads(text)
     algebra._memo.cache_clear()
-    for warm in (False, True, True):  # the full parse, then the structure dumps kept
+    for warm in (False, True, True):  # the full parse, then the structure and twist dumps kept
         if warm:
-            assert dumps(t) == text and "structure" in algebra._memo(_document_key(text))
+            assert dumps(t) == text and "structure" in algebra._memo(documents._split(text)[0::2])
+            assert "twist" in documents._RENDERED[documents._split(text)[3]]
         got = loads(text)
         assert _triple_bits(got) == _triple_bits(want)
         assert algebra._structure_key(got) == algebra._structure_key(want)
@@ -599,8 +604,8 @@ def test_negative_zeros_load_as_the_full_parse_gives_them_cold_and_warm():
 
 @pytest.mark.parametrize("which", ["u", "nu"])
 def test_a_unitary_or_twist_edited_to_nan_in_place_is_not_kept_for_loads(which):
-    # as for the grading: dumps keeps no structure whose U or nu is not finite, so loads
-    # refuses the text by the full parse, cold and warm
+    # as for the grading: dumps keeps no structure whose U is not finite, and no twist
+    # whose nu is not, so loads refuses the text by the full parse, cold and warm
     from twistriple.axioms import RealStructure, SpectralTriple, Twist
     from twistriple.linalg import Antiunitary
 
@@ -611,6 +616,8 @@ def test_a_unitary_or_twist_edited_to_nan_in_place_is_not_kept_for_loads(which):
     algebra._memo.cache_clear()
     for _ in range(2):
         text = dumps(t)
-        assert "structure" not in algebra._memo(_document_key(text))
+        head, _, middle, twist = documents._split(text)
+        assert ("structure" in algebra._memo((head, middle))) == (which == "nu")
+        assert (twist in documents._RENDERED) == (which == "u")
         with pytest.raises(DocumentError, match="^invalid JSON: "):
             loads(text)

@@ -1,16 +1,15 @@
 """The memo of D-free work, algebra._memo: one record per content key.
 
-check_all keeps its entries that read no nu, per tol as ("entries", tol),
-and the map L of its D-linear terms with the plain J-images, in the record
-of algebra._structure_key's first part; its entries that read nu, per tol,
-the map this twist uses (that same L, unless nu^2 moves the point
-projections) and the two D-free factors of epsilon', in that of the whole
-key. nu^-1 is kept, read-only, as "inverse" in the record of the second
-part. identify_family keeps its shape match per tol in the whole key's
+check_all keeps its entries that read no nu, as "entries" with the abs_tol
+they were made at, and the map L of its D-linear terms with the plain
+J-images, in the record of algebra._structure_key's first part; its entries
+that read nu, the map this twist uses (that same L, unless nu^2 moves the
+point projections) and the two D-free factors of epsilon', in that of the
+whole key. identify_family keeps its shape match per tol in the whole key's
 record. documents.dumps keeps the text before and after D under the first
-part, the twist's text under the second part, and the structure that loads
-reuses in the record of the three texts around D (before D, from D to the
-twist, the twist); loads gives a text that dumps did not render no record.
+part, the twist's text and its parse ("twist") under the second part, and
+the structure that loads reuses in the record of the text around D; loads
+gives a text that dumps did not render no record.
 
 Every key is a content key, so a cold memo, a warm one and the unmemoized
 references must agree bitwise: test_axioms' reference with the exact twist
@@ -27,7 +26,7 @@ import numpy as np
 import pytest
 
 from test_axioms import _assert_within_the_band, _reference_check_all
-from test_documents import _document_key, _reference_dumps, _reference_loads, _triple_bits
+from test_documents import _reference_dumps, _reference_loads, _triple_bits
 from twistriple import algebra, axioms, catalog, documents
 from twistriple.axioms import check_all
 from twistriple.catalog import (
@@ -64,7 +63,7 @@ def _records(t, text):
     and of the text around D."""
     key = algebra._structure_key(t)
     return (algebra._memo(key[0]), algebra._memo(key), algebra._memo(key[1]),
-            algebra._memo(_document_key(text)))
+            algebra._memo(documents._split(text)[0::2]))
 
 
 def _member(kind, eps, rng):
@@ -110,15 +109,15 @@ def test_cold_and_warm_memos_match_the_references(case, cold):
         results.append((identify_family(t), text))
     assert results[1] == results[2]
     nu_free, whole, twist, parsed = _records(second, results[2][1])
-    entries = {("entries", DEFAULT_TOL), ("entries", TOL12)}
-    assert set(nu_free) == {"template", "dirac_map"} | entries
-    assert set(whole) == {"dirac_operands", ("shape", DEFAULT_TOL)} | entries
+    assert set(nu_free) == {"entries", "template", "dirac_map"}
+    assert set(whole) == {"entries", "dirac_operands", ("shape", DEFAULT_TOL)}
+    # the entries of the last tol a call used
+    assert nu_free["entries"][0] == whole["entries"][0] == TOL12.abs_tol.hex()
     # only a twist whose nu^2 moves the point projections keeps a map of its own
     assert whole["dirac_operands"][0] is nu_free["dirac_map"]
-    # twist_preserves_algebra reads nu^-1 unless nu fixes the point projections
-    # (c3_perm's nu is checked as an involution instead)
-    inverted = kind in (C4_PERM, "perm_bad", "perm_conformal")
-    assert set(twist) == {"twist_text"} | ({"inverse"} if inverted else set()) and set(parsed) == {"structure"}
+    # dumps keeps a twist's parse under its text for loads
+    twisted = kind not in (C3_UNTWISTED, C4_UNTWISTED)
+    assert set(twist) == {"twist_text"} | ({"twist"} if twisted else set()) and set(parsed) == {"structure"}
     # the warm identify_family result equals a cold one
     algebra._memo.cache_clear()
     assert identify_family(second) == results[1][0]
@@ -138,15 +137,13 @@ def test_memo_keeps_residuals_and_applies_each_calls_tol(cold):
         assert got[:4] + got[5:] == want[:4] + want[5:] and got[4][0] == "grading_anticommutes_dirac"
         _assert_within_the_band(t, got, want)
         assert report.entry("grading_squares_to_identity").passed == (tol is DEFAULT_TOL)
-    # the key's two parts and the whole key: the second part keeps nu^-1 for twist_preserves_algebra
-    assert algebra._memo.cache_info().currsize == 3
+    assert algebra._memo.cache_info().currsize == 2  # the first part of the key and the whole key
     # identify_family's match depends on tol, so tol is part of its entry's name
     for tol in (DEFAULT_TOL, TOL12, DEFAULT_TOL):
         assert (identify_family(t, tol) is None) == (tol is TOL12)
-    assert algebra._memo.cache_info().currsize == 3
+    assert algebra._memo.cache_info().currsize == 2
     whole = algebra._memo(algebra._structure_key(t))
-    assert {name for name in whole if isinstance(name, tuple)} == {
-        (kind, tol) for kind in ("shape", "entries") for tol in (DEFAULT_TOL, TOL12)}
+    assert {name for name in whole if isinstance(name, tuple)} == {("shape", DEFAULT_TOL), ("shape", TOL12)}
 
 
 def test_editing_a_checked_grading_in_place_gives_the_new_residual(cold):
@@ -227,19 +224,19 @@ def test_the_memo_never_holds_more_than_its_bound(cold):
         loads(text)
         assert algebra._memo.cache_info().currsize <= algebra._MEMO_BOUND
         if kept is None:
-            kept, first_text = _records(t, text)[0], text
+            # no strong reference to the twist's record, which would keep it in _RENDERED
+            kept, first_twist = _records(t, text)[0::3], documents._split(text)[3]
     assert algebra._memo.cache_info().currsize == algebra._MEMO_BOUND
-    # the entries that read no nu and the text before the twist are one key for every
-    # rho, used by every call, so their record survives all of them; the parse that loads
-    # reuses holds the twist, so each rho has its own
+    # the entries that read no nu, the text around D and its parse are one key for every
+    # rho, used by every call, so their records survive all of them
     nu_free, _, _, parsed = _records(t, text)
-    assert nu_free is kept
-    assert set(nu_free) == {("entries", DEFAULT_TOL), "template", "dirac_map"} and set(parsed) == {"structure"}
-    # the newest whole key and text were kept, the oldest dropped
-    assert _document_key(text) in documents._RENDERED and _document_key(first_text) not in documents._RENDERED
+    assert nu_free is kept[0] and parsed is kept[1]
+    assert set(nu_free) == {"entries", "template", "dirac_map"} and set(parsed) == {"structure"}
+    # the newest whole key and twist were kept, the oldest dropped
+    assert documents._split(text)[3] in documents._RENDERED and first_twist not in documents._RENDERED
     first = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[0]))
     last = build_family(C4_CONFORMAL, 1, 1.0, 2.0, rho=float(rhos[-1]))
-    assert ("entries", DEFAULT_TOL) in algebra._memo(algebra._structure_key(last))
+    assert "entries" in algebra._memo(algebra._structure_key(last))
     assert algebra._memo(algebra._structure_key(first)) == {}
 
 
@@ -253,10 +250,10 @@ def test_loads_gives_a_text_that_dumps_did_not_render_no_record(cold):
         copy = json.dumps(doc, indent=k % 7 + 3, sort_keys=bool(k % 2)) + "\n"
         assert copy != text and _triple_bits(loads(copy)) == _triple_bits(loads(text))
     assert algebra._memo.cache_info().currsize == 3
-    assert "structure" in algebra._memo(_document_key(text))
+    assert "structure" in algebra._memo(documents._split(text)[0::2])
     # a record the memo dropped takes its text out of documents' index with it
     algebra._memo.cache_clear()
-    assert _document_key(text) not in documents._RENDERED
+    assert documents._split(text)[0::2] not in documents._RENDERED
     assert _triple_bits(loads(text)) == _triple_bits(from_document(doc))
     assert algebra._memo.cache_info().currsize == 0
 
@@ -274,10 +271,10 @@ def test_a_recently_used_key_survives_new_ones(cold):
 
 
 def _outputs(t):
-    """What check_all at three tolerances, identify_family, spectral_distance, dumps and loads give for t."""
+    """What check_all at three tolerances, identify_family, dumps and loads give for t."""
     text = dumps(t)
     return (_bits(check_all(t)), _bits(check_all(t, TOL12)), _bits(check_all(t, TOL0)),
-            repr(identify_family(t)), repr(spectral_distance(t)), text, _triple_bits(loads(text)))
+            repr(identify_family(t)), text, _triple_bits(loads(text)))
 
 
 def test_concurrent_calls_match_the_single_threaded_references(cold):
@@ -288,12 +285,11 @@ def test_concurrent_calls_match_the_single_threaded_references(cold):
              for k, rho in enumerate(rng.uniform(0.1, 0.9, 12))]
     triples = shared + fresh
     matches = [repr(identify_family(t)) for t in triples]
-    distances = [repr(spectral_distance(t)) for t in triples]
     want = []
-    for t, match, distance in zip(triples, matches, distances):
+    for t, match in zip(triples, matches):
         text = _reference_dumps(t)
         want.append((_reference_bits(t, DEFAULT_TOL), _reference_bits(t, TOL12), _reference_bits(t, TOL0),
-                     match, distance, text, _triple_bits(_reference_loads(text))))
+                     match, text, _triple_bits(_reference_loads(text))))
 
     def run(order, start):
         start.wait(timeout=60)
@@ -338,13 +334,17 @@ def test_kept_entries_give_the_cold_report_bitwise(case, cold):
         triples.append(t.with_dirac(hop * t.dirac))
     if kind in (C3_CONFORMAL, C4_CONFORMAL, "perm_conformal"):
         triples += [_fresh_rho(kind, eps, rng) for _ in range(4)]
-    tols = (DEFAULT_TOL, TOL12, TOL0)
+    # 0.0, -0.0 and an int 0 in a row: the kept entries are keyed by the float bits of
+    # abs_tol, and tol_used is a float, so each report is the cold one bitwise
+    tols = (DEFAULT_TOL, TOL12, TOL0, ToleranceConfig(-0.0), ToleranceConfig(0), TOL0)
     warm = []
     for k, t in enumerate(triples * 2):
-        tol = tols[k % 3]
+        tol = tols[k % len(tols)]
         report = check_all(t, tol)
         key = algebra._structure_key(t)
-        kept = algebra._memo(key[0])[("entries", tol)] + algebra._memo(key)[("entries", tol)]
+        (nu_free_tol, nu_free), (twisted_tol, twisted) = algebra._memo(key[0])["entries"], algebra._memo(key)["entries"]
+        assert nu_free_tol == twisted_tol == float(tol.abs_tol).hex()
+        kept = nu_free + twisted
         # reports share the kept entries: only the four that read D are new objects
         new = [e for e in report.entries if not any(e is x for x in kept)]
         assert len(report.entries) == len(kept) + len(new)
@@ -377,26 +377,7 @@ def test_an_all_zero_residual_stack_reads_zero_and_a_nan_one_raises_as_before(mo
         axioms._entries(terms + [("grading_anticommutes_dirac", nan, None)], DEFAULT_TOL)
 
 
-# ------------------------------------------------------------ kept twist inverse
-
-def test_twist_inverse_is_fresh_and_the_kept_one_read_only(cold):
-    t = build_c4_perm_conformal_composite(1, 1.0, 2.0, rho=0.3, zeta=1.2)
-    twist = axioms.Twist(t.nu.copy())
-    kept = axioms._kept_inverse(twist)
-    assert not kept.flags.writeable and axioms._kept_inverse(twist) is kept
-    assert algebra._memo(algebra._structure_key(replace(t, twist=twist))[1])["inverse"] is kept
-    first, second = twist.inverse(), twist.inverse()
-    for inverse in (first, second):
-        assert inverse.flags.writeable and inverse is not kept
-        assert inverse.tobytes() == np.linalg.inv(twist.nu).tobytes()
-    first[0, 0] = 99.0
-    assert twist.inverse().tobytes() == second.tobytes() == kept.tobytes()
-    # a nu edited in place is a new key, so it gets its own inverse
-    twist.nu[0, 0] += 0.5
-    edited = axioms._kept_inverse(twist)
-    assert edited is not kept and edited.tobytes() == np.linalg.inv(twist.nu).tobytes()
-    assert twist.inverse().tobytes() == edited.tobytes()
-
+# ------------------------------------------------------------ singular twist
 
 def test_a_singular_twist_raises_one_message_cold_and_warm(cold):
     t = build_family(C4_PERM, 1, 1.0 - 0.5j, 0.25 + 1.0j)
@@ -413,4 +394,3 @@ def test_a_singular_twist_raises_one_message_cold_and_warm(cold):
         report = check_all(singular)
         assert report.entry("twist_invertible").residual == 1.0
         assert "twist_preserves_algebra" in report.failing()
-        assert "inverse" not in algebra._memo(algebra._structure_key(singular)[1])
