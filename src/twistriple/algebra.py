@@ -116,49 +116,6 @@ def _fixes_points(m: np.ndarray, rep: Representation, inverse=None) -> bool:
         inverse is None or bool(np.isfinite(inverse).all()))
 
 
-def _structure_key(t) -> tuple:
-    """The content key of everything a triple carries besides its Dirac operator.
-
-    It is a pair. The first part holds what reads no twist: the
-    representation (its point_of tuple), the exact bytes of the grading,
-    and the signs of J with the bytes of U (J = U o conj). The second holds
-    the twist's implements-automorphism flag and the bytes of nu. An absent
-    grading, real structure or twist is None. Every such matrix is square
-    and complex, so its byte count fixes its shape. The key reads the
-    arrays' contents, not their identity: a matrix edited in place gives a
-    new key. D is not in it. Its parts are plain tuples, ints, bools and
-    bytes, which hash without a Python-level __hash__.
-    """
-    g, real, twist = t.grading, t.real, t.twist
-    signs = None if real is None else real.signs
-    return ((t.rep.point_of,
-             None if g is None else g.tobytes(),
-             None if real is None else (signs.eps, signs.eps_prime, signs.eps_dprime, real.j.u.tobytes())),
-            None if twist is None else (twist.implements_algebra_automorphism, twist.nu.tobytes()))
-
-
-_MEMO_BOUND = 256
-
-
-class _Record(dict):
-    """A memo record: a dict that a weak reference can name (documents._RENDERED)."""
-    __slots__ = ("__weakref__",)
-
-
-@lru_cache(maxsize=_MEMO_BOUND)
-def _memo(key) -> dict:
-    """The record of D-free work for a content key, of the _MEMO_BOUND most recently used.
-
-    Each caller fills its own named entries, none of them None, computing a
-    missing one itself. Keys are _structure_key (a pair led by a 3-tuple),
-    its first part (a 3-tuple), its second part (None or a pair of a bool
-    and bytes) and a document's text around D (a pair of strings), so no two
-    kinds are equal. lru_cache locks its own map, and an entry is one dict
-    read or write, atomic under the GIL: a race at most computes an entry twice.
-    """
-    return _Record()
-
-
 def _two_point_projections(rep: Representation) -> np.ndarray:
     """The shared read-only stack (e, 1 - e); the calculus' one two-point check."""
     if rep.n_points != 2:

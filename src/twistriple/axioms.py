@@ -1,24 +1,25 @@
 """Spectral triple data and the reality axioms.
 
-A triple bundles a diagonal representation, a selfadjoint Dirac operator,
-and optionally a grading, a real structure J = U o conj with its signs, and
-a selfadjoint invertible twist nu. The constructor checks every matrix it
-is given; a triple derived from another (with_dirac, the fluctuations,
-rescale) is built by _derived, which checks only the new D and, again, the
-grading it takes over. The checks report residual norms rather
-than booleans so that near-failures remain visible. check_all aggregates
-every applicable condition plus the structural invariants of J and nu, and
-its three term builders (_nu_free_terms, _twist_terms, _dirac_terms) are
-the one statement of each condition: check_order_zero,
-check_twisted_order_one, check_epsilon_prime, check_twisted_regularity and
-check_grading return entries of check_all's report, and
-catalog.derive_family solves _dirac_terms' four conditions.
+A triple is a structure and a selfadjoint Dirac operator D. The structure
+(_Structure) is a frame (_Frame: a diagonal representation and optionally a
+grading and a real structure J = U o conj with its signs) and optionally a
+selfadjoint invertible twist nu. The constructor checks every matrix it is
+given and keeps read-only copies of the grading, U and nu; a triple derived
+from another (with_dirac, the fluctuations) keeps that one's structure, and
+rescale pairs its frame with the new twist, so each checks only its new
+matrices (_derived). The checks report residual norms rather than booleans
+so that near-failures remain visible. check_all aggregates every applicable
+condition plus the structural invariants of J and nu, and its three term
+builders (_nu_free_terms, _twist_terms, _dirac_terms) are the one statement
+of each condition: check_order_zero, check_twisted_order_one,
+check_epsilon_prime, check_twisted_regularity and check_grading return
+entries of check_all's report, and catalog.derive_family solves
+_dirac_terms' four conditions.
 
 Only four of check_all's conditions read D. The check entries of the
-others (at the last tol a call used) and the linear map that gives the D
-terms are kept in algebra._memo's records, per content key
-(algebra._structure_key: the representation, the signs, the twist's flag,
-and the exact bytes of grading, U and nu); see check_all.
+others (at the last tol a call used), the linear map that gives the D
+terms and is_irreducible's map are kept on the structure that they depend
+on, made on first use (_kept); see check_all.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Representation, _fixes_points, _memo, _point_projections, _structure_key
+from .algebra import Representation, _fixes_points, _point_projections
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -99,8 +99,61 @@ class RealStructure:
     signs: SignTriple
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """A read-only copy of a checked matrix, -0.0 folded into +0.0 as a document writes it."""
+    m = m + 0.0
+    m.flags.writeable = False
+    return m
+
+
+def _kept(owner, name: str, make: Callable):
+    """owner's datum called name, made by make(owner) on first use; a race keeps the first stored."""
+    try:
+        return owner.__dict__[name]
+    except KeyError:
+        return owner.__dict__.setdefault(name, make(owner))
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """A structure's nu-free part, its grading and U read-only (_frozen). It keeps (_kept) check_all's
+    nu-free "entries", the "dirac_map", is_irreducible's "commutant" and the document's "template"."""
+
+    rep: Representation
+    grading: Optional[np.ndarray] = None
+    real: Optional[RealStructure] = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """A frame and a twist, its nu read-only: all of a triple but D. It keeps (_kept) check_all's
+    nu "entries", the "dirac_operands", identify_family's "shape" and the document's "twist_text"."""
+
+    frame: _Frame
+    twist: Optional[Twist] = None
+
+
+def _framed(rep: Representation, grading: Optional[np.ndarray], real: Optional[RealStructure]) -> _Frame:
+    """The frame of rep and the checked grading and real structure, as read-only copies."""
+    if real is not None:
+        real = RealStructure(_assembled(Antiunitary, u=_frozen(real.j.u)), real.signs)
+    return _Frame(rep, None if grading is None else _frozen(grading), real)
+
+
+def _twisted(frame: _Frame, twist: Optional[Twist]) -> _Structure:
+    """The structure of frame and the checked twist, its nu a read-only copy."""
+    if twist is not None:
+        twist = _assembled(Twist, nu=_frozen(twist.nu),
+                           implements_algebra_automorphism=twist.implements_algebra_automorphism)
+    return _Structure(frame, twist)
+
+
 @dataclass(frozen=True)
 class SpectralTriple:
+    """A structure and a Dirac operator. The constructor checks every matrix and keeps read-only
+    copies of the grading, U and nu in a new structure: an in-place edit of t.grading, t.real.j.u
+    or t.twist.nu raises ValueError, and one of the caller's arrays changes nothing."""
+
     rep: Representation
     dirac: np.ndarray
     grading: Optional[np.ndarray] = None
@@ -109,16 +162,14 @@ class SpectralTriple:
 
     def __post_init__(self):
         d = _dirac_matrix(self.dirac, self.rep.dim)
-        object.__setattr__(self, "dirac", d)
-        if self.grading is not None:
-            g = np.asarray(self.grading, dtype=complex)
-            if g.shape != d.shape:
-                raise ValueError("grading dimension mismatch")
-            object.__setattr__(self, "grading", _as_square(g))
-        if self.real is not None and self.real.j.u.shape != d.shape:
-            raise ValueError("real structure dimension mismatch")
-        if self.twist is not None and self.twist.nu.shape != d.shape:
-            raise ValueError("twist dimension mismatch")
+        real, twist = self.real, self.twist
+        matrices = (self.grading, None if real is None else real.j.u, None if twist is None else twist.nu)
+        for name, m in zip(("grading", "real structure", "twist"), matrices):
+            if m is not None and np.shape(m) != d.shape:
+                raise ValueError(f"{name} dimension mismatch")
+        # U and nu too: the structure copies them, and they may have been edited since their checks
+        grading, _, _ = (None if m is None else _as_square(m) for m in matrices)
+        self.__dict__.update(_triple(_twisted(_framed(self.rep, grading, real), twist), d).__dict__)
 
     @property
     def dim(self) -> int:
@@ -137,6 +188,9 @@ class SpectralTriple:
             raise ValueError("triple has no real structure")
         return self.real.signs.eps_prime
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, so the copies are read-only
+        return SpectralTriple, (self.rep, self.dirac, self.grading, self.real, self.twist)
+
     def with_dirac(self, dirac: np.ndarray) -> "SpectralTriple":
         """This triple with another Dirac operator, checked as the constructor checks it (_derived)."""
         return _derived(self, dirac)
@@ -144,6 +198,13 @@ class SpectralTriple:
     def algebra_basis(self) -> list[np.ndarray]:
         """Embedded basis {e, 1-e} (two points) or the point projections, as fresh arrays."""
         return list(_point_projections(self.rep).copy())
+
+
+def _triple(s: _Structure, dirac: np.ndarray) -> SpectralTriple:
+    """The triple of the structure s and a checked Dirac operator, with no check again."""
+    f = s.frame
+    return _assembled(SpectralTriple, rep=f.rep, dirac=dirac, grading=f.grading, real=f.real,
+                      twist=s.twist, _structure=s)
 
 
 def _dirac_matrix(dirac, dim: int, operation: Optional[str] = None, inputs=()) -> np.ndarray:
@@ -154,26 +215,17 @@ def _dirac_matrix(dirac, dim: int, operation: Optional[str] = None, inputs=()) -
     return _as_square(d, operation, inputs)
 
 
-def _replaced(t: SpectralTriple, **changes) -> SpectralTriple:
-    """dataclasses.replace(t, **changes) without the constructor's checks (linalg._assembled)."""
-    return _assembled(SpectralTriple, **{**t.__dict__, **changes})
-
-
 def _derived(t: SpectralTriple, dirac, operation: Optional[str] = None, inputs=(),
-             **changes) -> SpectralTriple:
-    """t with the Dirac operator dirac and the other changes: the one construction path
-    of a triple derived from another.
+             structure: Optional[_Structure] = None) -> SpectralTriple:
+    """The triple of t's structure, or of another, and the Dirac operator dirac: the one
+    construction path of a triple derived from another.
 
-    It checks the new D, by _dirac_matrix (a D that operation computed names
-    its overflow, see linalg._as_square), and t's grading again, as the
-    constructor did, because a caller may have edited it in place. Nothing
-    else is checked: t's U and nu were checked when their frozen
-    Antiunitary and Twist were built, and the caller checks any new twist.
+    Only the new D is checked, by _dirac_matrix (a D that operation computed
+    names its overflow, see linalg._as_square): the structure's matrices
+    were checked when it was made, and cannot change.
     """
     d = _dirac_matrix(dirac, t.dim, operation, inputs)
-    if t.grading is not None:
-        _as_square(t.grading)
-    return _replaced(t, dirac=d, **changes)
+    return _triple(t._structure if structure is None else structure, d)
 
 
 @dataclass(frozen=True)
@@ -226,12 +278,16 @@ _REPORT_ORDER = {c: i for i, c in enumerate((
 
 def _entries(terms: list[_Term], tol: ToleranceConfig) -> list[CheckEntry]:
     """Check entries of the terms, in order, with one stacked operator norm; an all-zero
-    stack (-0.0 entries too) gives 0.0 per condition with no norm."""
+    stack (-0.0 entries too) gives 0.0 per condition with no norm, and a residual with
+    an inf or NaN entry reads NaN with no LAPACK call, as in linalg._exceeds."""
     stacks = [r.reshape(-1, *r.shape[-2:]) for _, r, _ in terms if isinstance(r, np.ndarray)]
     worst = itertools.repeat(0.0)
     if stacks and (stack := np.concatenate(stacks)).any():
         starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
-        worst = iter(np.maximum.reduceat(operator_norms(stack), starts).tolist())
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        norms = np.full(len(stack), math.nan)
+        norms[finite] = operator_norms(stack[finite])
+        worst = iter(np.maximum.reduceat(norms, starts).tolist())
     return [CheckEntry(c, next(worst) if isinstance(r, np.ndarray) else float(r),
                        float(tol.abs_tol) if used is None else used)
             for c, r, used in terms]
@@ -310,20 +366,20 @@ def _epsilon_prime(dirac: np.ndarray, u_nu: np.ndarray, nu_u: np.ndarray) -> np.
     return dirac @ u_nu - nu_u @ np.conj(dirac)
 
 
-def _dirac_map(t: SpectralTriple, basis: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """_dirac_terms' map L, read-only, with the order-one rows of the twist nu.
+def _dirac_map(frame: _Frame, nu: np.ndarray) -> np.ndarray:
+    """_dirac_terms' map L for frame, read-only, with the order-one rows of the twist nu.
 
     On row-major vecs, gamma D + D gamma is kron(gamma, 1) + kron(1, gamma^T),
     [D, a] is diag(a_q - a_p) and X Jt - Jp X is kron(1, Jt^T) - kron(Jp, 1)
     for _order_one_images' (Jp, Jt), pairs a-major. A singular nu^2, or
     J-images that are not finite, leave no order-one rows.
     """
-    n, eye = t.dim, np.eye(t.dim)
-    rows = [np.zeros((0, n * n), dtype=complex)]
-    if t.grading is not None:
-        rows.append(np.kron(t.grading, eye) + np.kron(eye, t.grading.T))
+    n, basis = frame.rep.dim, _point_projections(frame.rep)
+    eye, rows = np.eye(n), [np.zeros((0, n * n), dtype=complex)]
+    if frame.grading is not None:
+        rows.append(np.kron(frame.grading, eye) + np.kron(eye, frame.grading.T))
     try:
-        images = None if t.real is None else _order_one_images(t.real.j.u, nu, basis)
+        images = None if frame.real is None else _order_one_images(frame.real.j.u, nu, basis)
     except np.linalg.LinAlgError:
         images = None
     if images is not None and np.isfinite(images[1]).all():
@@ -335,27 +391,23 @@ def _dirac_map(t: SpectralTriple, basis: np.ndarray, nu: np.ndarray) -> np.ndarr
     return dirac_map
 
 
-def _dirac_operands(t: SpectralTriple, basis: np.ndarray, nu_free_record: dict, record: dict) -> tuple:
-    """(L, U conj(nu), eps' nu U): _dirac_terms' map and _epsilon_prime's factors
-    for t's structure, kept in record (the whole key's). L is the map with the
-    plain J-images, kept in nu_free_record (the key's first part), unless t's
-    nu^2 fails _fixes_points with its inverse; then L is t's own."""
-    if (operands := record.get("dirac_operands")) is None:
-        if (dirac_map := nu_free_record.get("dirac_map")) is None:
-            dirac_map = nu_free_record["dirac_map"] = _dirac_map(t, basis, _identity(t.dim))
-        operands = (dirac_map, None, None)
-        if t.real is not None:
-            nu = _identity(t.dim) if t.twist is None else t.twist.nu
-            try:
-                plain = t.twist is None or _fixes_points(nu2 := nu @ nu, t.rep, np.linalg.inv(nu2))
-            except np.linalg.LinAlgError:
-                plain = False
-            factors = _epsilon_prime_factors(t.real.j.u, nu, t.real.signs.eps_prime)
-            for m in factors:
-                m.flags.writeable = False
-            operands = (dirac_map if plain else _dirac_map(t, basis, nu), *factors)
-        record["dirac_operands"] = operands
-    return operands
+def _dirac_operands(s: _Structure) -> tuple:
+    """(L, U conj(nu), eps' nu U), _dirac_terms' map and _epsilon_prime's factors, for
+    _kept(s, "dirac_operands"). L is the frame's map with the plain J-images, unless
+    s's nu^2 fails _fixes_points with its inverse; then it is s's own."""
+    frame = s.frame
+    dirac_map = _kept(frame, "dirac_map", lambda f: _dirac_map(f, _identity(f.rep.dim)))
+    if frame.real is None:
+        return (dirac_map, None, None)
+    nu = _identity(frame.rep.dim) if s.twist is None else s.twist.nu
+    try:
+        plain = s.twist is None or _fixes_points(nu2 := nu @ nu, frame.rep, np.linalg.inv(nu2))
+    except np.linalg.LinAlgError:
+        plain = False
+    factors = _epsilon_prime_factors(frame.real.j.u, nu, frame.real.signs.eps_prime)
+    for m in factors:
+        m.flags.writeable = False
+    return (dirac_map if plain else _dirac_map(frame, nu), *factors)
 
 
 def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, operands: tuple) -> list[_Term]:
@@ -367,19 +419,22 @@ def _dirac_terms(t: SpectralTriple, dirac: np.ndarray, operands: tuple) -> list[
     be a stack (..., n, n), and every residual matrix then carries its
     leading axes. The row-major vecs of gamma D + D gamma and of the
     order-one differences are L @ vec D; D - D^H and epsilon_prime, two
-    products with its factors, are formed directly.
+    products with its factors, are formed directly. The products run with
+    numpy's overflow warnings off: a residual that overflows has an inf or
+    NaN entry, which _entries reads as NaN.
     """
     n, lead = t.dim, dirac.shape[:-2]
-    linear = (dirac.reshape(*lead, n * n) @ operands[0].T).reshape(*lead, -1, n, n)
-    terms = [("dirac_selfadjoint", dirac - dirac.conj().swapaxes(-1, -2), None)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear = (dirac.reshape(*lead, n * n) @ operands[0].T).reshape(*lead, -1, n, n)
+        epsilon_prime = None if t.real is None else _epsilon_prime(dirac, *operands[1:])
+        terms = [("dirac_selfadjoint", dirac - dirac.conj().swapaxes(-1, -2), None)]
     if t.grading is not None:
         terms.append(("grading_anticommutes_dirac", linear[..., 0, :, :], None))
     if t.real is not None:
         order_one = linear[..., len(terms) - 1:, :, :]
-        if not order_one.shape[-3] or np.isnan(order_one).any():  # LAPACK's SVD would not converge
+        if not order_one.shape[-3] or np.isnan(order_one).any():  # nu^2 singular, or nearly so
             order_one = math.inf
-        terms += [("twisted_order_one", order_one, None),
-                  ("epsilon_prime", _epsilon_prime(dirac, *operands[1:]), None)]
+        terms += [("twisted_order_one", order_one, None), ("epsilon_prime", epsilon_prime, None)]
     return terms
 
 
@@ -491,25 +546,23 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     frozen entries of the others are kept as "entries", with the bits of the
     abs_tol they were made at (the last a call used), and every report at
     that tol shares them: those that read no nu (the grading's own
-    conditions, J and order zero) in the algebra._memo record of
-    algebra._structure_key's first part, those that read nu in that of the
-    whole key. A call builds its four D entries and whatever its records
-    lack at its tol, with one stacked norm call; a new rho of a conformal
-    twist is a new key for the nu terms only, and another tol computes a
-    part's terms again. The D-linear residuals are one product with a
-    read-only map (_dirac_terms, _dirac_operands), kept in the first part's
-    record and shared by every twist whose nu^2 fixes the point projections
-    (every rho of a conformal family); only another twist keeps its own, in
-    the whole key's record.
+    conditions, J and order zero) on t's frame, those that read nu on its
+    structure. A call builds its four D entries and whatever its frame and
+    structure lack at its tol, with one stacked norm call; a new rho of a
+    conformal twist is a new structure on its base's frame, so it builds the
+    nu entries only, and another tol builds a part's entries again. The
+    D-linear residuals are one product with a read-only map (_dirac_terms,
+    _dirac_operands), kept on the frame and shared by every twist whose nu^2
+    fixes the point projections (every rho of a conformal family); only
+    another twist keeps its own, on its structure.
     """
+    s = t._structure
     basis = _point_projections(t.rep)
-    key = _structure_key(t)
-    nu_free_record, record = _memo(key[0]), _memo(key)
-    terms = _dirac_terms(t, t.dirac, _dirac_operands(t, basis, nu_free_record, record))
+    terms = _dirac_terms(t, t.dirac, _kept(s, "dirac_operands", _dirac_operands))
     bits = float(tol.abs_tol).hex()  # 0 and 0.0 are one tol, 0.0 and -0.0 two
     kept, new = [], []
-    for part, build in ((nu_free_record, _nu_free_terms), (record, _twist_terms)):
-        made_at, entries = part.get("entries", (None, ()))
+    for part, build in ((s.frame, _nu_free_terms), (s, _twist_terms)):
+        made_at, entries = part.__dict__.get("entries", (None, ()))
         if made_at == bits:
             kept += entries
         else:
@@ -517,7 +570,7 @@ def check_all(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> CheckRep
     n = len(terms)
     entries = _entries(terms + [term for _, more in new for term in more], tol)
     for part, more in new:
-        part["entries"] = (bits, tuple(entries[n:n + len(more)]))
+        part.__dict__["entries"] = (bits, tuple(entries[n:n + len(more)]))
         n += len(more)
     return CheckReport(_in_report_order(entries + kept))
 
@@ -537,14 +590,12 @@ def is_irreducible(t: SpectralTriple) -> bool:
     off-diagonal entry stays among the generators, as the first rows.
 
     The operator is linear in D, and its layout depends only on the
-    representation and the grading, so it is read off the map that
-    _commutant_columns keeps per (representation, grading bytes): one
-    product with D's entries gives the [D, b] rows, after the grading's
-    precomputed rows.
+    representation and the grading, so it is read off the map of
+    _commutant_columns that t's frame keeps: one product with D's entries
+    gives the [D, b] rows, after the grading's precomputed rows.
     """
-    g = t.grading
-    columns, gamma_rows, dirac_map = _commutant_columns(
-        t.rep.point_of, None if g is None else g.tobytes())
+    columns, gamma_rows, dirac_map = _kept(
+        t._structure.frame, "commutant", lambda f: _commutant_columns(f.rep.point_of, f.grading))
     rows = (dirac_map @ t.dirac.ravel()).reshape(-1, len(columns))
     if gamma_rows is not None:
         rows = np.concatenate([gamma_rows, rows])
@@ -552,10 +603,10 @@ def is_irreducible(t: SpectralTriple) -> bool:
     return len(columns) - _rank(s) == 1
 
 
-@lru_cache(maxsize=256)
-def _commutant_columns(point_of: tuple, grading: Optional[bytes]
+def _commutant_columns(point_of: tuple, grading
                        ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """(columns, gamma rows, D map) of is_irreducible, each read-only.
+    """(columns, gamma rows, D map) of is_irreducible, each read-only, for point_of and
+    the grading's entries as a buffer (a C-contiguous complex array or its bytes) or None.
 
     The columns are the indices j n + b, in increasing order, of the entries
     X[b, j] with labels[b] == labels[j] in the column-major vec of an n x n

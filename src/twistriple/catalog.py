@@ -31,9 +31,7 @@ from .algebra import (
     REP_C4,
     Representation,
     _integer,
-    _memo,
     _point_projections,
-    _structure_key,
 )
 from .axioms import (
     RealStructure,
@@ -42,9 +40,12 @@ from .axioms import (
     Twist,
     _dirac_operands,
     _dirac_terms,
+    _kept,
     _order_one_diffs,
     _order_one_images,
-    _replaced,
+    _Structure,
+    _triple,
+    _twisted,
     epsilon_prime_residual,
 )
 from .conformal import ConformalFactor, rescale
@@ -107,8 +108,8 @@ NU4_PERM = np.fliplr(np.eye(4)).astype(complex)          # reverses the basis or
 NU4_PERM_BAD = np.block([[np.zeros((2, 2)), np.eye(2)],  # swaps the two 2-blocks
                          [np.eye(2), np.zeros((2, 2))]]).astype(complex)
 for _m in (GAMMA3, GAMMA4, U3, U4, NU3_PERM, NU4_PERM, NU4_PERM_BAD):
-    # build_family hands the grading and nu to every member, and identify_family's
-    # memoized matches were taken against them: an in-place edit raises instead
+    # the members' structures copy them, and identify_family's kept matches were
+    # taken against them: an in-place edit raises instead
     _m.flags.writeable = False
 
 
@@ -274,9 +275,8 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     ConformalFactor(zeta, rho): it needs rho, and no other family takes rho or zeta.
 
     Of the member's matrices only D, which this call lays out, is checked
-    (linalg._as_square): the grading and the twist are the family's
-    read-only constants, and J's U is a fresh copy of one, so the member is
-    put together by linalg._assembled.
+    (linalg._as_square): every member of (family, eps') shares one
+    structure (_member_structure), made of the family's read-only constants.
     """
     fam = _family(family_id, _BUILDABLE)
     eps_prime = _sign(eps_prime)
@@ -295,15 +295,20 @@ def build_family(family_id: str, eps_prime: int, d1: complex, d2: Optional[compl
     dirac = np.zeros((fam.dim, fam.dim), dtype=complex)
     for (i, j), v in {fam.hops[0]: d1, fam.hops[1]: d2, **fam.derived(eps_prime, d1, d2)}.items():
         dirac[i, j], dirac[j, i] = v, np.conj(v)
-    real = RealStructure(j=_assembled(Antiunitary, u=fam.u.copy()),
-                         signs=SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
-    triple = _assembled(SpectralTriple, rep=fam.rep, dirac=_as_square(dirac), grading=fam.gamma,
-                        real=real, twist=fam.twist)
+    triple = _triple(_member_structure(family_id, eps_prime), _as_square(dirac))
     residual = epsilon_prime_residual(triple.dirac, fam.u, triple.nu, eps_prime)
     if norm := _exceeds(residual, 1e-12, triple.dirac):
         relation = (" and " if fam.dim == 3 else ", ").join(fam.constraints)  # the C^3 messages read "and"
         raise CatalogConstraintError(f"parameters violate {relation} (residual {norm:.3e})")
     return triple
+
+
+@lru_cache(maxsize=16)
+def _member_structure(family_id: str, eps_prime: int) -> _Structure:
+    """The structure of the members (eps', ...) of a family that is not conformal."""
+    fam = _BUILDABLE[family_id]
+    real = RealStructure(Antiunitary(fam.u), SignTriple(eps=1, eps_prime=eps_prime, eps_dprime=1))
+    return SpectralTriple(fam.rep, np.zeros((fam.dim, fam.dim)), fam.gamma, real, fam.twist)._structure
 
 
 def build_c3(eps_prime: int, d1: complex, d2: Optional[complex] = None,
@@ -354,12 +359,15 @@ def build_c4_perm_conformal_composite(eps_prime: int, d1: complex, d2: complex,
     The twist is nu_conformal . nu_permutation; for rho != 1/2 it fails the
     twisted regularity condition, which is the point of this fixture. Only
     the matrices computed here are checked: rescale's D and nu, and the
-    product twist (linalg._as_square).
+    product twist (linalg._as_square). Every triple on the way shares the
+    perm member's frame.
     """
     base = build_c4(eps_prime, d1, d2, twist="perm")
-    rescaled = rescale(_replaced(base, twist=None), ConformalFactor(zeta=zeta, rho=rho))
+    frame = base._structure.frame
+    rescaled = rescale(_triple(_Structure(frame), base.dirac), ConformalFactor(zeta=zeta, rho=rho))
     nu = _as_square(rescaled.nu @ base.nu)
-    return _replaced(rescaled, twist=_assembled(Twist, nu=nu, implements_algebra_automorphism=True))
+    twist = _assembled(Twist, nu=nu, implements_algebra_automorphism=True)
+    return _triple(_twisted(frame, twist), rescaled.dirac)
 
 
 @dataclass(frozen=True)
@@ -398,8 +406,7 @@ def _derived_family(family_id: str, eps_prime: int) -> DiracFamily:
     """derive_family's record of a family that has a defect, for eps' = +1 or -1."""
     fam = _FAMILIES[family_id]
     member = build_family(family_id, eps_prime, 0)
-    key = _structure_key(member)
-    operands = _dirac_operands(member, _point_projections(member.rep), _memo(key[0]), _memo(key))
+    operands = _kept(member._structure, "dirac_operands", _dirac_operands)
 
     def conditions(stack: np.ndarray) -> np.ndarray:
         terms = _dirac_terms(member, stack, operands)
@@ -582,15 +589,15 @@ def identify_family(t: SpectralTriple, tol: ToleranceConfig = DEFAULT_TOL) -> Op
     """Recognise a catalog shape, returning (family_id, parameters) or None.
 
     Which family matches depends only on the representation, the twist,
-    the grading and J, so the match is kept per tol in the algebra._memo
-    record of algebra._structure_key; the parameters read from D's slots
-    are fresh on every call.
+    the grading and J, so t's structure keeps the match as "shape", with the
+    tol it was made at (the last a call used); the parameters read from D's
+    slots are fresh on every call.
     """
     if t.real is None or t.grading is None:
         return None
-    record = _memo(_structure_key(t))
-    if (match := record.get(("shape", tol))) is None:
-        match = record[("shape", tol)] = _shape_match(t, tol)
+    made_at, match = t._structure.__dict__.get("shape", (None, None))
+    if made_at != tol:
+        _, match = t._structure.__dict__["shape"] = (tol, _shape_match(t, tol))
     if not match:
         return None
     family_id, twist_params = match

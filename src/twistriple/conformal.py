@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import embed
-from .axioms import SpectralTriple, Twist, _derived
+from .axioms import SpectralTriple, Twist, _derived, _twisted
 from .forms import _fluctuated_dirac, fluctuate, selfadjoint_one_form
 from .linalg import DEFAULT_TOL, RANK_TOL, ToleranceConfig, _as_square, _assembled, _exceeds
 
@@ -77,9 +77,9 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
     datum is not a twisted real triple and TwistCompositionError is raised.
 
     The twist-invariance residual, the new nu and then the new D are the
-    matrices checked (linalg._as_square, axioms._derived, which also checks
-    t's grading again); they are computed with numpy's overflow warnings
-    off, and an overflow raises a ValueError that names rescale.
+    matrices checked (linalg._as_square, axioms._derived); they are computed
+    with numpy's overflow warnings off, and an overflow raises a ValueError
+    that names rescale. The result pairs t's frame with the new twist.
     """
     if t.twist is not None and k.side != SIDE_ALGEBRA:
         raise ValueError("composition with an existing twist uses algebra-side factors")
@@ -97,7 +97,7 @@ def rescale(t: SpectralTriple, k: ConformalFactor,
         dirac = s @ t.dirac @ s
     twist = _assembled(Twist, nu=_as_square(nu, "rescale", (a, s, None if old is None else old.nu)),
                        implements_algebra_automorphism=old is None or old.implements_algebra_automorphism)
-    return _derived(t, dirac, "rescale", (t.dirac, s), twist=twist)
+    return _derived(t, dirac, "rescale", (t.dirac, s), _twisted(t._structure.frame, twist))
 
 
 def equivalent_commutant_factor(k: ConformalFactor) -> ConformalFactor:

@@ -5,10 +5,10 @@ matrices as row-major arrays of rows. Serialisation is canonical (sorted
 keys, fixed indentation, shortest round-tripping float literals), so
 save -> load is entrywise exact and load -> save reproduces the bytes.
 
-Only the Dirac operator is rendered or parsed on every call: `dumps` keeps
-the text around D, the structure under that text and the twist under its
-own text in algebra._memo's records; `loads` only reads them, for a text
-whose pieces around D match.
+Only the Dirac operator is rendered or parsed on every call: a triple's
+frame keeps the text around D and its structure the twist's text, and
+`dumps` registers the structure by those texts, so that `loads` returns a
+triple on that structure for a text whose pieces other than D match.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Representation, _index, _memo, _structure_key
-from .axioms import RealStructure, SignTriple, SpectralTriple, Twist
+from .algebra import Representation, _index
+from .axioms import (RealStructure, SignTriple, SpectralTriple, Twist, _Frame, _framed, _kept, _Structure,
+                     _triple, _twisted)
 from .linalg import Antiunitary, _assembled
 from .signs import _sign
 
@@ -130,8 +131,8 @@ def from_document(doc: Any) -> SpectralTriple:
 
     Every matrix is checked once, by _matrix_from_doc, at the document's
     dim: a square complex matrix with finite entries. The header ties the
-    representation to that dim, so the parts are put together by
-    linalg._assembled, with none of the constructors' checks again.
+    representation to that dim, so the parts are put together with none of
+    the constructors' checks again, in a new structure.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -173,48 +174,50 @@ def from_document(doc: Any) -> SpectralTriple:
         )
 
     twist = _twist_from_doc(doc.get("twist"), dim)
-    return _assembled(SpectralTriple, rep=rep, dirac=dirac, grading=grading, real=real, twist=twist)
+    return _triple(_twisted(_framed(rep, grading, real), twist), dirac)
 
 
 # The top-level markers of a canonical text, which `loads` splits at.
 _DIRAC, _GRADING, _TWIST, _END = '\n  "dirac": ', ',\n  "grading": ', ',\n  "twist": ', "\n}\n"
 
 
-def _template(t: SpectralTriple) -> tuple[str, str]:
+def _template(frame: _Frame) -> tuple[str, str]:
+    """The text of a document before D and from D to the twist, for the frame."""
     real = "null"
-    if t.real is not None:
-        signs = t.real.signs
+    if frame.real is not None:
+        signs = frame.real.signs
         real = _object_text([
             ("eps", str(signs.eps)),
             ("eps_dprime", "null" if signs.eps_dprime is None else str(signs.eps_dprime)),
             ("eps_prime", str(signs.eps_prime)),
-            ("unitary", _matrix_text(t.real.j.u, 4)),
+            ("unitary", _matrix_text(frame.real.j.u, 4)),
         ], 2)
     text = _object_text([
-        ("dim", str(t.dim)),
+        ("dim", str(frame.rep.dim)),
         ("dirac", "%"),
-        ("grading", "null" if t.grading is None else _matrix_text(t.grading, 2)),
-        ("points", str(t.rep.n_points)),
+        ("grading", "null" if frame.grading is None else _matrix_text(frame.grading, 2)),
+        ("points", str(frame.rep.n_points)),
         ("real", real),
-        ("rep", _json_block("[]", [str(p) for p in t.rep.point_of], 2)),
+        ("rep", _json_block("[]", [str(p) for p in frame.rep.point_of], 2)),
     ], 0)
     head, _, middle = text[:-2].partition("%")  # without the closing "\n}"
     return head, middle
 
 
-def _twist_text(t: SpectralTriple) -> str:
-    if t.twist is None:
+def _twist_text(s: _Structure) -> str:
+    """The "twist" value of a document, for the structure."""
+    if s.twist is None:
         return "null"
-    flag = t.twist.implements_algebra_automorphism
+    flag = s.twist.implements_algebra_automorphism
     return _object_text([
         ("implements_automorphism", "true" if flag else "false"),
-        ("nu", _matrix_text(t.twist.nu, 4)),
+        ("nu", _matrix_text(s.twist.nu, 4)),
     ], 2)
 
 
-# The records of what dumps kept for loads, while algebra._memo keeps them: a structure by
-# the text around D (a pair), a twist by its text (a string).
-_RENDERED: "weakref.WeakValueDictionary[tuple[str, str] | str, dict]" = weakref.WeakValueDictionary()
+# What dumps rendered, for loads: a structure by its text before D, from D to the twist, and
+# its twist's text. An entry lives as long as its structure.
+_STRUCTURES: "weakref.WeakValueDictionary[tuple[str, str, str], _Structure]" = weakref.WeakValueDictionary()
 
 
 def dumps(t: SpectralTriple) -> str:
@@ -225,33 +228,15 @@ def dumps(t: SpectralTriple) -> str:
     sorted, two-space indentation, every float as its shortest round-trip
     repr, -0.0 written as 0.0, and a final newline.
 
-    Only D is rendered on every call. The text before D and from D to the
-    twist (header, grading, points, real structure, rep) is kept in the
-    algebra._memo record of algebra._structure_key's first part, the
-    twist's text and its parse, "twist" = (nu, flag), in that of its second
-    part, and the structure loads reuses in that of the text around D:
-    (dim, rep, grading, (U, signs)). The kept matrices are copies with -0.0
-    folded into +0.0, as the text has them. loads hands out copies of them
-    without a check, so they are checked once, here, when they are kept: a
-    non-finite one (edited in place) is not kept, and loads parses that
-    part of the text.
+    Only D is rendered on every call. t's frame keeps the text before D and
+    from D to the twist (header, grading, points, real structure, rep), and
+    its structure the twist's text; dumps registers the structure by those
+    texts, for loads.
     """
-    key = _structure_key(t)
-    record, twist_record = _memo(key[0]), _memo(key[1])
-    if (template := record.get("template")) is None:
-        template = record["template"] = _template(t)
-    if (twist := twist_record.get("twist_text")) is None:
-        twist = twist_record["twist_text"] = _twist_text(t)
-    if "structure" not in (document := _memo(template)):
-        grading, u = (None if m is None else m + 0.0  # + 0.0 folds -0.0 into the text's 0.0
-                      for m in (t.grading, None if t.real is None else t.real.j.u))
-        if all(m is None or np.isfinite(m).all() for m in (grading, u)):
-            document["structure"] = (t.dim, t.rep, grading, None if u is None else (u, t.real.signs))
-            _RENDERED[template] = document
-    if t.twist is not None and "twist" not in twist_record and np.isfinite(nu := t.twist.nu + 0.0).all():
-        twist_record["twist"] = (nu, t.twist.implements_algebra_automorphism)
-        _RENDERED[twist] = twist_record
-    return template[0] + _matrix_text(t.dirac, 2) + template[1] + _TWIST + twist + _END
+    s = t._structure
+    (head, middle), twist = _kept(s.frame, "template", _template), _kept(s, "twist_text", _twist_text)
+    _STRUCTURES[head, middle, twist] = s
+    return head + _matrix_text(t.dirac, 2) + middle + _TWIST + twist + _END
 
 
 def _split(text: Any) -> Optional[tuple[str, str, str, str]]:
@@ -269,29 +254,18 @@ def _split(text: Any) -> Optional[tuple[str, str, str, str]]:
 def loads(text: str) -> SpectralTriple:
     """The triple of a document text.
 
-    When the text's pieces before D and between D and the twist (see
-    _split) are those of a text `dumps` rendered, the structure `dumps`
-    kept in their algebra._memo record is reused: its rep, and fresh copies
-    of its grading and U, which dumps checked. So is the twist dumps kept
-    under the twist's text, a fresh copy of its nu, when it has the dim;
-    else the twist block is parsed. D's block is parsed, with
-    from_document's checks. Otherwise, and on any failure there, the text
-    takes the full parse, which words every error; loads stores nothing,
-    and any other text gets no memo record (_RENDERED).
+    When the text's pieces other than D (see _split) are those of a
+    structure that `dumps` rendered, the triple is on that structure, and
+    only D's block is parsed, with from_document's checks. Otherwise, and on
+    any failure there, the text takes the full parse, which words every
+    error. A structure's matrices hold no -0.0, as the text writes them, so
+    every triple equals the full parse's byte for byte.
     """
     parts = _split(text)
-    known = _memo(parts[0::2]).get("structure") if parts is not None and parts[0::2] in _RENDERED else None
-    if known is not None:
-        dim, rep, grading, real = known
-        twist = _RENDERED.get(parts[3], {}).get("twist")
+    s = None if parts is None else _STRUCTURES.get((parts[0], parts[2], parts[3]))
+    if s is not None:
         try:
-            return _assembled(
-                SpectralTriple, rep=rep, dirac=_matrix_from_doc(json.loads(parts[1]), dim, "dirac"),
-                grading=None if grading is None else grading.copy(),
-                real=None if real is None else RealStructure(_assembled(Antiunitary, u=real[0].copy()),
-                                                             real[1]),
-                twist=_twist_from_doc(json.loads(parts[3]), dim) if twist is None or len(twist[0]) != dim
-                else _assembled(Twist, nu=twist[0].copy(), implements_algebra_automorphism=twist[1]))
+            return _triple(s, _matrix_from_doc(json.loads(parts[1]), s.frame.rep.dim, "dirac"))
         except (ValueError, TypeError, RecursionError):  # DocumentError and JSONDecodeError are ValueErrors
             pass
     try:

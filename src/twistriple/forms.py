@@ -83,7 +83,7 @@ def _fluctuated(t: SpectralTriple, a: OneForm, operation: str) -> SpectralTriple
     """t with _fluctuated_dirac's D for X = alpha ("fluctuate") or gamma alpha ("fluctuate_chiral").
 
     The new D is computed with numpy's overflow warnings off and checked by
-    axioms._derived, whose error names an overflow.
+    axioms._derived, whose error names an overflow; t's structure is kept.
     """
     x = a.value
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,8 +99,8 @@ def fluctuate(t: SpectralTriple, a: OneForm, tol: ToleranceConfig = DEFAULT_TOL)
 
     alpha must be selfadjoint; J, nu, gamma and the representation are kept,
     so the result is again a triple of the same kind. Only the new D is
-    checked, and t's grading again (axioms._derived); a D that overflows the
-    float range raises a ValueError that names fluctuate.
+    checked (axioms._derived); a D that overflows the float range raises a
+    ValueError that names fluctuate.
     """
     if t.real is None:
         raise ValueError("fluctuation needs a real structure")

@@ -10,13 +10,12 @@ computes it (a one-form's value, the D of a fluctuation, a rescaling or a
 catalog member, a rescaling's nu), naming the operation if it overflowed.
 Triples built from checked parts (`with_dirac`, the fluctuations,
 `rescale`, the catalog builders, documents) are put together by
-`_assembled`, which repeats no check; a triple derived from another checks
-that one's grading again, since a caller may have edited it in place. A
-document's matrices are checked as they are parsed, and the grading and U
-that `dumps` keeps for `loads` once, when it keeps them.
+`_assembled`, which repeats no check, on a structure whose matrices are
+read-only. A document's matrices are checked as they are parsed.
 `axioms.is_irreducible` reads its commutation operator off a linear map in
-D's entries, kept per (representation, grading) and built once from the
-unit matrices by `_commutation_operator`, which `commutant_dimension` uses.
+D's entries, kept per frame (representation, grading, J) and built once
+from the unit matrices by `_commutation_operator`, which
+`commutant_dimension` uses.
 
 Every operator norm in the package goes through one kernel,
 `operator_norms(stack) = np.linalg.svd(stack, compute_uv=False)[..., 0]`:

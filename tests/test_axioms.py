@@ -9,9 +9,7 @@ from twistriple.algebra import (
     REP_C3,
     REP_C4,
     _fixes_points,
-    _memo,
     _point_projections,
-    _structure_key,
     embed,
 )
 from twistriple.axioms import (
@@ -574,8 +572,7 @@ def test_the_d_map_equals_the_term_formulas_on_the_unit_matrices(kind):
     elif kind == "unreal":
         t = SpectralTriple(t.rep, t.dirac, t.grading, twist=t.twist)
     n, basis = t.dim, _point_projections(t.rep)
-    key = _structure_key(t)
-    dirac_map = _dirac_operands(t, basis, _memo(key[0]), _memo(key))[0]
+    dirac_map = _dirac_operands(t._structure)[0]
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     nu2 = t.nu @ t.nu
     nu = t.nu if (nu2 != np.eye(n)).any() and not _fixes_points_exactly(nu2, t) else np.eye(n)

@@ -474,9 +474,8 @@ def test_orbit_params_agree_with_matrix_fluctuation(fam):
 # -------------------------------------------------------------- identification
 
 def test_identify_family_round_trips():
-    from dataclasses import replace
-
-    from twistriple.linalg import _exceeds
+    from twistriple.axioms import Twist, _Structure, _triple
+    from twistriple.linalg import _assembled, _exceeds
 
     cases = [
         (build_c3(1, 1.5 - 0.5j), C3_UNTWISTED),
@@ -496,14 +495,17 @@ def test_identify_family_round_trips():
         for t, expected in cases[1:4:2]:
             for scale in (1 - 1e-12, 1 + 1e-12, 10.0, -(1 - 1e-12), -(1 + 1e-12), -10.0, math.nan):
                 for entry in ((0, 1), (1, 1), (0, t.dim - 1), (1, 2)):
-                    probe = replace(t, twist=replace(t.twist, nu=t.nu.copy()))
-                    probe.nu[entry] += scale * tol.abs_tol  # in place, so that a NaN gets past the constructor
+                    nu = t.nu.copy()
+                    nu[entry] += scale * tol.abs_tol
+                    # put together without the constructor, so that a NaN nu gets past its check
+                    twist = _assembled(Twist, nu=nu, implements_algebra_automorphism=True)
+                    probe = _triple(_Structure(t._structure.frame, twist), t.dirac)
                     match = not _exceeds(probe.nu - t.nu, tol.abs_tol)
                     if t.nu[entry] == 0:  # elsewhere the sum with 1 rounds the perturbation
                         assert match == (abs(scale) < 1)
                     ident = identify_family(probe, tol)
                     assert (ident is not None and ident[0] == expected) == match
-                    assert ident == identify_family(probe, tol)  # warm: the ("shape", tol) record
+                    assert ident == identify_family(probe, tol)  # warm: the structure's kept match
 
 
 def test_identify_family_recovers_conformal_rho():

@@ -16,7 +16,7 @@ from twistriple.catalog import (
     build_conformal,
     build_family,
 )
-from twistriple import algebra, documents
+from twistriple import documents
 from twistriple.documents import DocumentError, dumps, from_document, load, loads, save, to_document
 
 
@@ -445,8 +445,8 @@ def _outcome(fn, text):
 
 def _adversarial_texts(text, kept_twists=()):
     """Variants of a canonical text; those built from its pieces keep the pieces before D
-    and from D to the twist, so loads reads them with its memo warm. kept_twists are
-    twist texts of other triples, put in place of the text's own."""
+    and from D to the twist, by which (with the twist's) loads finds a registered
+    structure. kept_twists are twist texts of other triples, put in place of the text's own."""
     head, dirac, middle, twist = documents._split(text)
 
     def pieces(d=dirac, tw=twist):
@@ -490,28 +490,39 @@ def _split_twist(t):
     return documents._split(dumps(t))[3]
 
 
+def _forget():
+    """Empty the map by which loads finds what dumps rendered: the next loads is cold."""
+    documents._STRUCTURES.clear()
+
+
+def _rendered(text):
+    """Whether loads finds a structure for the text's pieces other than D."""
+    head, _, middle, twist = documents._split(text)
+    return (head, middle, twist) in documents._STRUCTURES
+
+
 @pytest.mark.parametrize("idx", range(len(all_fixtures())))
 def test_loads_with_its_memo_cold_or_warm_equals_the_full_parse(idx):
     t = all_fixtures()[idx]
     text = dumps(t)
-    # dumps keeps a twist under its text, so a text may pair the structure with the kept
-    # twist of another triple, of another dim or of this one
+    # a text may pair the pieces around D with the twist of another triple that dumps
+    # registered, of another dim or of this one
     twisted = [u for u in all_fixtures() if u.twist is not None and _split_twist(u) != _split_twist(t)]
     others = [next(u for u in twisted if u.dim != t.dim), next(u for u in twisted if u.dim == t.dim)]
     for name, variant in _adversarial_texts(text, [_split_twist(u) for u in others]).items():
-        algebra._memo.cache_clear()
-        # the variant and the canonical text into a cold memo, then both after dumps warmed it
+        _forget()
+        # the variant and the canonical text cold, then both after dumps registered the structures
         for s in (variant, text):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
         assert dumps(t) == text and all(dumps(u) for u in others)
-        assert "structure" in algebra._memo(documents._split(text)[0::2])
+        assert _rendered(text)
         for s in (text, variant):
             assert _outcome(loads, s) == _outcome(_reference_loads, s), name
 
 
 def test_a_cold_loads_renders_nothing(monkeypatch):
     texts = [dumps(t) for t in all_fixtures()]
-    algebra._memo.cache_clear()
+    _forget()
 
     def no_rendering(*args):
         raise AssertionError("loads rendered a document")
@@ -520,19 +531,20 @@ def test_a_cold_loads_renders_nothing(monkeypatch):
         monkeypatch.setattr(documents, name, no_rendering)
     for text in texts:
         assert _outcome(loads, text) == _outcome(_reference_loads, text)
-        assert "structure" not in algebra._memo(documents._split(text)[0::2])
+        assert not _rendered(text)
 
 
 def test_editing_a_loaded_triple_in_place_leaves_the_next_load_alone():
-    algebra._memo.cache_clear()
+    _forget()
     text = dumps(build_conformal("c4", 1, 0.5 - 0.25j, 2.0, rho=0.3, zeta=1.2))
     want = _triple_bits(_reference_loads(text))
-    for _ in range(3):  # the full parse that fills the memo, then two that read it
+    for _ in range(3):  # the full parse, then two on the structure dumps registered
         t = loads(text)
         assert _triple_bits(t) == want
         for m in (t.grading, t.real.j.u, t.nu):
-            m[0, 0] = 7.0
-        assert dumps(t) == _reference_dumps(t) != text
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 7.0
+        assert dumps(t) == _reference_dumps(t) == text
 
 
 @pytest.mark.parametrize("path,name", [(("dirac",), "dirac"), (("grading",), "grading"),
@@ -552,32 +564,16 @@ def test_a_non_finite_matrix_is_refused_with_its_name_cold_and_warm(path, name):
     message = f"^{name}: entry \\(0,0\\) is not finite$"
     with pytest.raises(DocumentError, match=message):
         from_document(json.loads(text))
-    algebra._memo.cache_clear()
+    _forget()
     with pytest.raises(DocumentError, match=message):
         loads(text)
-    assert dumps(t) and "structure" in algebra._memo(documents._split(dumps(t))[0::2])
+    assert dumps(t) and _rendered(dumps(t))
     with pytest.raises(DocumentError, match=message):
         loads(text)
-
-
-def test_a_grading_edited_to_nan_in_place_is_not_kept_for_loads():
-    # dumps checks the grading and U it keeps for loads once, when it keeps them: a NaN
-    # grading is not kept, and loads refuses the text by the full parse, cold and warm
-    from twistriple.axioms import SpectralTriple
-
-    base = build_c4(1, 1.0, 2.0)
-    t = SpectralTriple(base.rep, base.dirac, base.grading.copy(), base.real)
-    t.grading[1, 1] = np.nan
-    algebra._memo.cache_clear()
-    for _ in range(2):
-        text = dumps(t)
-        assert "structure" not in algebra._memo(documents._split(text)[0::2])
-        with pytest.raises(DocumentError, match="^invalid JSON: "):
-            loads(text)
 
 
 def test_negative_zeros_load_as_the_full_parse_gives_them_cold_and_warm():
-    # the text writes -0.0 as 0.0, so the structure that dumps keeps for loads must hold +0.0
+    # the text writes -0.0 as 0.0, so the structure, which loads hands out, must hold +0.0
     from twistriple.axioms import RealStructure, SpectralTriple, Twist
     from twistriple.catalog import C4_PERM
     from twistriple.linalg import Antiunitary
@@ -587,37 +583,15 @@ def test_negative_zeros_load_as_the_full_parse_gives_them_cold_and_warm():
     grading[0, 1] = complex(-0.0, -0.0)
     u[0, 1] = complex(-0.0, 0.0)
     nu[0, 0] = complex(0.0, -0.0)
-    t = SpectralTriple(base.rep, base.dirac, grading, RealStructure(Antiunitary(u), base.real.signs), Twist(nu))
-    for m in (t.grading, t.real.j.u, t.nu):
+    for m in (grading, u, nu):
         assert np.signbit(m.view(float)).any()
+    t = SpectralTriple(base.rep, base.dirac, grading, RealStructure(Antiunitary(u), base.real.signs), Twist(nu))
     text = dumps(t)
     want = _reference_loads(text)
-    algebra._memo.cache_clear()
-    for warm in (False, True, True):  # the full parse, then the structure and twist dumps kept
+    _forget()
+    for warm in (False, True, True):  # the full parse, then the structure dumps registered
         if warm:
-            assert dumps(t) == text and "structure" in algebra._memo(documents._split(text)[0::2])
-            assert "twist" in documents._RENDERED[documents._split(text)[3]]
+            assert dumps(t) == text and _rendered(text)
         got = loads(text)
-        assert _triple_bits(got) == _triple_bits(want)
-        assert algebra._structure_key(got) == algebra._structure_key(want)
-
-
-@pytest.mark.parametrize("which", ["u", "nu"])
-def test_a_unitary_or_twist_edited_to_nan_in_place_is_not_kept_for_loads(which):
-    # as for the grading: dumps keeps no structure whose U is not finite, and no twist
-    # whose nu is not, so loads refuses the text by the full parse, cold and warm
-    from twistriple.axioms import RealStructure, SpectralTriple, Twist
-    from twistriple.linalg import Antiunitary
-
-    base = build_c4(-1, 1.0 - 1.0j, 0.5, twist="perm")
-    t = SpectralTriple(base.rep, base.dirac, base.grading,
-                       RealStructure(Antiunitary(base.real.j.u.copy()), base.real.signs), Twist(base.nu.copy()))
-    (t.real.j.u if which == "u" else t.nu)[1, 1] = np.nan
-    algebra._memo.cache_clear()
-    for _ in range(2):
-        text = dumps(t)
-        head, _, middle, twist = documents._split(text)
-        assert ("structure" in algebra._memo((head, middle))) == (which == "nu")
-        assert (twist in documents._RENDERED) == (which == "u")
-        with pytest.raises(DocumentError, match="^invalid JSON: "):
-            loads(text)
+        assert (got._structure is t._structure) == warm
+        assert _triple_bits(got) == _triple_bits(want) == _triple_bits(t)
